@@ -26,7 +26,7 @@ from ..updating import (
     update_grid,
     update_mixture,
 )
-from ..distributions import MixtureDist, NormalDist
+from ..distributions import MIN_GRID_NODES, MixtureDist, NormalDist
 from .replication import ReplicationResult, run_replicate_paper
 from .scenarios import Scenario, load_scenario
 
@@ -101,12 +101,12 @@ def _resolve_grid(scenario: Scenario, args) -> tuple[Optional[float], Optional[f
         hi = args.grid_hi
     if getattr(args, "grid_nodes", None) is not None:
         nodes = args.grid_nodes
+        if nodes < MIN_GRID_NODES:
+            raise ScenarioError(f"--grid-nodes: must be at least {MIN_GRID_NODES}")
     if (lo is None) != (hi is None):
         raise ScenarioError("grid: lo and hi must be given together")
     if lo is not None and not lo < hi:
         raise ScenarioError("grid: lo must be strictly below hi")
-    if nodes < 2:
-        raise ScenarioError("grid: nodes must be at least 2")
     return lo, hi, int(nodes)
 
 
@@ -321,7 +321,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NumericError as exc:
+    except (NumericError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from ..distributions import Distribution1D, dist_from_literal, dist_to_literal
+from ..distributions import MIN_GRID_NODES, Distribution1D, dist_from_literal, dist_to_literal
 from ..errors import ScenarioError
 from ..updating import Study
 
@@ -42,9 +42,9 @@ class GridSpec:
         object.__setattr__(self, "hi", float(self.hi))
         object.__setattr__(self, "nodes", int(self.nodes))
         if not self.lo < self.hi:
-            raise ValueError("grid lo must be strictly below hi")
-        if self.nodes < 2:
-            raise ValueError("grid nodes must be at least 2")
+            raise ValueError("grid.lo: must be strictly below grid.hi")
+        if self.nodes < MIN_GRID_NODES:
+            raise ValueError(f"grid.nodes: must be at least {MIN_GRID_NODES}")
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,7 @@ def _parse_grid(obj) -> GridSpec:
     try:
         return GridSpec(lo, hi, nodes)
     except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+        raise ScenarioError(str(exc)) from exc
 
 
 def parse_scenario(obj) -> Scenario:

@@ -43,6 +43,8 @@ __all__ = [
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # Mass a grid window may clip before to_grid refuses to discretize.
 GRID_TAIL_TOL = 1e-6
+# Fewest nodes to_grid accepts; scenario grids and --grid-nodes are held to it.
+MIN_GRID_NODES = 64
 
 
 def _as_float_array(x):
@@ -392,8 +394,8 @@ def to_grid(d: Distribution1D, lo: float, hi: float, nodes: int = 4096) -> GridD
     hi = float(hi)
     if not lo < hi:
         raise ValueError("grid window requires lo < hi")
-    if int(nodes) < 64:
-        raise ValueError("grid discretization needs at least 64 nodes")
+    if int(nodes) < MIN_GRID_NODES:
+        raise ValueError(f"grid discretization needs at least {MIN_GRID_NODES} nodes")
     if isinstance(d, GridDensity):
         inside = (d.xs >= lo) & (d.xs <= hi)
         clipped = float(d.ws[~inside].sum())

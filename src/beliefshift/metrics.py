@@ -231,8 +231,9 @@ def wasserstein_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure,
 
 def kl_normal(p_dist: NormalDist, q_dist: NormalDist) -> float:
     """KL(p || q) between normals, in nats."""
-    var_ratio = p_dist.sigma**2 / q_dist.sigma**2
-    mean_term = (q_dist.mu - p_dist.mu) ** 2 / q_dist.sigma**2
+    # Ratios before squaring, so tiny or huge scales do not under/overflow.
+    var_ratio = (p_dist.sigma / q_dist.sigma) ** 2
+    mean_term = ((q_dist.mu - p_dist.mu) / q_dist.sigma) ** 2
     # Mathematically nonnegative; clamp float residue near equality.
     return max(0.0, 0.5 * (mean_term + var_ratio - math.log(var_ratio) - 1.0))
 

@@ -4,19 +4,21 @@ A decision maker blends a consensus prior with a pioneer prior, imagines
 the data a proposed design would produce, and asks how far beliefs are
 expected to move. The Monte Carlo engine draws each replicate from its
 own counter-based RNG stream keyed by (seed, replicate index), so runs
-are deterministic and parallel execution would be bit-identical to a
-serial one; the all-normal identity case has an exact closed form to
-check the machinery against.
+are deterministic. Normal-mixture replicates run on all available cores
+in fixed-size chunks, with identical results on any core count; the
+all-normal identity case has an exact closed form to check the machinery
+against.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.random import Generator, Philox
 from scipy import special
 
 from .distributions import (
@@ -26,7 +28,14 @@ from .distributions import (
     norm_logpdf,
 )
 from .metrics import t_nodes, w2_normal, wp_quantile
-from .updating import SamplingModel, Study, update_conjugate, update_grid, update_mixture
+from .updating import (
+    SamplingModel,
+    Study,
+    _conjugate_moments,
+    update_conjugate,
+    update_grid,
+    update_mixture,
+)
 
 __all__ = [
     "PioneerSetup",
@@ -41,6 +50,24 @@ __all__ = [
 
 DEFAULT_REPLICATES = 10_000
 DEFAULT_W2_NODES = 512
+
+# Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC'11).
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+# Mixture-quantile kernel. The chunk size fixes which rows share a BLAS
+# call, so it must not depend on the worker count.
+_CHUNK_ROWS = 64
+_TABLE_POINTS = 256
+_WINDOW_SDS = 8.0
+_MIN_SWEEPS = 2
+_MAX_SWEEPS = 8
+_STEP_TOL = 1e-6  # times the smallest posterior component sd
+_MAX_STEP_CELLS = 4.0
+# Table logs are clipped to +/- this before the row-offset search; every
+# target log tail mass lies far inside it.
+_LOG_CLIP = 1000.0
 
 
 @dataclass(frozen=True)
@@ -128,13 +155,41 @@ def expected_learning_bound_sq(sigma_prior: float, sigma: float, n: int) -> floa
     return mean_term + scale_term
 
 
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of m * x, through 32-bit halves."""
+    m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
+    x_hi, x_lo = x >> np.uint64(32), x & _LOW32
+    low_low = m_lo * x_lo
+    hi_low = m_hi * x_lo
+    # At most 2 * (2^32 - 1) + (2^32 - 1)^2 = 2^64 - 1: no wrap.
+    cross = (low_low >> np.uint64(32)) + (hi_low & _LOW32) + m_lo * x_hi
+    hi = m_hi * x_hi + (hi_low >> np.uint64(32)) + (cross >> np.uint64(32))
+    return hi, np.uint64(m) * x
+
+
 def _replicate_uniforms(seed: int, replicates: int, cols: int) -> np.ndarray:
-    """One Philox stream per replicate, keyed (seed, index); fixed column layout."""
-    key_hi = np.uint64(int(seed) % (1 << 64))
-    out = np.empty((replicates, cols))
-    for i in range(replicates):
-        key = np.array([key_hi, i], dtype=np.uint64)
-        out[i] = Generator(Philox(key=key)).random(cols)
+    """One Philox stream per replicate, keyed (seed, index); fixed column layout.
+
+    Row i equals ``Generator(Philox(key=[seed mod 2^64, i])).random(cols)``
+    for cols <= 4: numpy increments the counter before its first block,
+    so that block is Philox4x64-10 at counter (1, 0, 0, 0), and doubles
+    are (word >> 11) * 2^-53. All rows come from one array pass.
+    """
+    k0 = np.full(replicates, int(seed) % (1 << 64), dtype=np.uint64)
+    k1 = np.arange(replicates, dtype=np.uint64)
+    c0 = np.ones(replicates, dtype=np.uint64)
+    c1 = np.zeros(replicates, dtype=np.uint64)
+    c2 = np.zeros(replicates, dtype=np.uint64)
+    c3 = np.zeros(replicates, dtype=np.uint64)
+    for r in range(10):
+        if r:
+            k0 += np.uint64(_PHILOX_W[0])
+            k1 += np.uint64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack((c0, c1, c2, c3)[:cols], axis=1)
+    out = (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
     # Quantile transforms need the open interval.
     np.clip(out, 1e-16, 1.0 - 1e-16, out=out)
     return out
@@ -166,11 +221,7 @@ def _update_any(prior: Distribution1D, study: Study) -> Distribution1D:
 
 def _w2_normal_update(update_prior: NormalDist, reference: Distribution1D,
                       ybar: np.ndarray, se: float, nodes: int) -> np.ndarray:
-    prior_prec = 1.0 / update_prior.sigma**2
-    data_prec = 1.0 / se**2
-    post_var = 1.0 / (prior_prec + data_prec)
-    post_sd = math.sqrt(post_var)
-    post_mu = post_var * (update_prior.mu * prior_prec + ybar * data_prec)
+    post_mu, post_sd = _conjugate_moments(update_prior.mu, update_prior.sigma, ybar, se)
     if isinstance(reference, NormalDist):
         return np.hypot(post_mu - reference.mu, post_sd - reference.sigma)
     t, wq = t_nodes(nodes)
@@ -179,21 +230,98 @@ def _w2_normal_update(update_prior: NormalDist, reference: Distribution1D,
     return np.sqrt((q_post - q_ref[None, :]) ** 2 @ wq)
 
 
+def _available_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _invert_tables(tables: np.ndarray, targets: np.ndarray,
+                   x_lo: np.ndarray, cell: np.ndarray) -> np.ndarray:
+    """Where each row's nondecreasing table, sampled at x_lo + cell * j,
+    crosses each (increasing) target, by linear interpolation.
+
+    Row r is shifted by r * 4 * _LOG_CLIP so one searchsorted over the
+    flattened rows serves every row at once.
+    """
+    rows, points = tables.shape
+    tables = np.clip(tables, -_LOG_CLIP, _LOG_CLIP)
+    shift = np.arange(rows)[:, None] * (4.0 * _LOG_CLIP)
+    found = np.searchsorted((tables + shift).ravel(), (targets + shift).ravel())
+    j = np.clip(found.reshape(rows, -1) - np.arange(rows)[:, None] * points, 1, points - 1)
+    below = np.take_along_axis(tables, j - 1, axis=1)
+    rise = np.take_along_axis(tables, j, axis=1) - below
+    frac = np.divide(targets - below, rise, out=np.zeros_like(rise), where=rise > 0.0)
+    return x_lo[:, None] + cell[:, None] * (j - 1 + np.clip(frac, 0.0, 1.0))
+
+
+def _mixture_quantiles(mu: np.ndarray, w: np.ndarray, sd: np.ndarray,
+                       t: np.ndarray) -> np.ndarray:
+    """Quantiles at t of each row's mixture sum_k w[r, k] Normal(mu[r, k], sd[k]).
+
+    Nodes below 1/2 solve log F(q) = log t and the rest log S(q) =
+    log(1 - t), with S the upper tail mass, so neither tail loses digits to
+    cancellation. A table of both log tail masses over each row's own
+    window gives the start by inverse interpolation; Newton on the log
+    tail mass polishes it, each step clipped to a few table cells.
+    """
+    half = t.size // 2
+    targets = np.concatenate([np.log(t[:half]), np.log(1.0 - t[half:])])
+    # +1 on lower-tail nodes, -1 on upper-tail ones: mass = sum w * ndtr(sign * z).
+    sign = np.concatenate([np.ones(half), -np.ones(t.size - half)])
+
+    x_lo = (mu - _WINDOW_SDS * sd).min(axis=1)
+    x_hi = (mu + _WINDOW_SDS * sd).max(axis=1)
+    cell = (x_hi - x_lo) / (_TABLE_POINTS - 1)
+    xs = x_lo[:, None] + cell[:, None] * np.arange(_TABLE_POINTS)
+    lower = np.zeros_like(xs)
+    upper = np.zeros_like(xs)
+    for k in range(sd.size):
+        z = (xs - mu[:, k:k + 1]) / sd[k]
+        lower += w[:, k:k + 1] * special.ndtr(z)
+        upper += w[:, k:k + 1] * special.ndtr(-z)
+    with np.errstate(divide="ignore"):
+        q = np.concatenate([
+            _invert_tables(np.log(lower), targets[:half], x_lo, cell),
+            _invert_tables(-np.log(upper), -targets[half:], x_lo, cell),
+        ], axis=1)
+
+    max_step = _MAX_STEP_CELLS * cell[:, None]
+    tol = _STEP_TOL * sd.min()
+    norm = 1.0 / math.sqrt(2.0 * math.pi)
+    for sweep in range(1, _MAX_SWEEPS + 1):
+        mass = np.zeros_like(q)
+        density = np.zeros_like(q)
+        for k in range(sd.size):
+            z = (q - mu[:, k:k + 1]) / sd[k]
+            mass += w[:, k:k + 1] * special.ndtr(sign * z)
+            density += w[:, k:k + 1] * (norm / sd[k]) * np.exp(-0.5 * z * z)
+        mass = np.maximum(mass, 1e-300)
+        step = sign * (np.log(mass) - targets) * mass / np.maximum(density, 1e-300)
+        np.clip(step, -max_step, max_step, out=step)
+        q -= step
+        if sweep >= _MIN_SWEEPS and np.abs(step).max() <= tol:
+            return q
+    raise ArithmeticError(
+        f"mixture quantile Newton did not settle within {_MAX_SWEEPS} sweeps"
+    )
+
+
 def _w2_mixture_update(update_prior: MixtureDist, reference: Distribution1D,
                        ybar: np.ndarray, se: float, nodes: int) -> np.ndarray:
     """Batched W2 for a mixture-of-normals update prior.
 
     Per replicate the posterior is again a normal mixture whose component
-    sds are replicate-independent; quantiles come from a shared-cdf table
-    inverted by interpolation and polished with Newton sweeps at the same
-    t-nodes the scalar quantile route uses.
+    sds are replicate-independent. Its quantiles at the t-nodes the scalar
+    quantile route uses come from ``_mixture_quantiles``, one fixed-size
+    chunk of replicates per task on a thread pool; the tasks run only
+    numpy and scipy ufuncs, which release the GIL, and every public call
+    happens here first.
     """
     weights = update_prior.weights()
     mus = np.array([comp.mu for _, comp in update_prior.components])
     sds = np.array([comp.sigma for _, comp in update_prior.components])
-    post_var = 1.0 / (1.0 / sds**2 + 1.0 / se**2)
-    post_sd = np.sqrt(post_var)
-    post_mu = post_var * (mus / sds**2 + ybar[:, None] / se**2)
+    post_mu, post_sd = _conjugate_moments(mus, sds, ybar[:, None], se)
     log_w = np.log(weights) + norm_logpdf(ybar[:, None], mus, np.hypot(sds, se))
     log_w -= log_w.max(axis=1, keepdims=True)
     post_w = np.exp(log_w)
@@ -201,38 +329,18 @@ def _w2_mixture_update(update_prior: MixtureDist, reference: Distribution1D,
 
     t, wq = t_nodes(nodes)
     q_ref = np.asarray(reference.quantile(t), dtype=float)
-    grid_size = max(2048, 4 * nodes)
-    x_lo = min(float((post_mu - 8.0 * post_sd).min()), float(q_ref[0]))
-    x_hi = max(float((post_mu + 8.0 * post_sd).max()), float(q_ref[-1]))
-    x_grid = np.linspace(x_lo, x_hi, grid_size)
-    cell = (x_hi - x_lo) / (grid_size - 1)
+    w2 = np.empty(ybar.size)
 
-    n_rep = ybar.size
-    n_comp = weights.size
-    w2_sq = np.empty(n_rep)
-    chunk = 512
-    for start in range(0, n_rep, chunk):
-        stop = min(start + chunk, n_rep)
-        mu_c = post_mu[start:stop]
-        w_c = post_w[start:stop]
-        rows = stop - start
-        cdf = np.zeros((rows, grid_size))
-        for k in range(n_comp):
-            cdf += w_c[:, k:k + 1] * special.ndtr((x_grid[None, :] - mu_c[:, k:k + 1]) / post_sd[k])
-        q = np.empty((rows, t.size))
-        for r in range(rows):
-            q[r] = np.interp(t, cdf[r], x_grid)
-        for _ in range(3):
-            f_cdf = np.zeros_like(q)
-            f_pdf = np.zeros_like(q)
-            for k in range(n_comp):
-                z = (q - mu_c[:, k:k + 1]) / post_sd[k]
-                f_cdf += w_c[:, k:k + 1] * special.ndtr(z)
-                f_pdf += w_c[:, k:k + 1] * np.exp(-0.5 * z * z) / (post_sd[k] * math.sqrt(2.0 * math.pi))
-            step = (f_cdf - t[None, :]) / np.maximum(f_pdf, 1e-300)
-            q -= np.clip(step, -4.0 * cell, 4.0 * cell)
-        w2_sq[start:stop] = (q - q_ref[None, :]) ** 2 @ wq
-    return np.sqrt(w2_sq)
+    def solve_chunk(start: int) -> None:
+        rows = slice(start, start + _CHUNK_ROWS)
+        q = _mixture_quantiles(post_mu[rows], post_w[rows], post_sd, t)
+        w2[rows] = np.sqrt((q - q_ref) ** 2 @ wq)
+
+    starts = range(0, ybar.size, _CHUNK_ROWS)
+    workers = min(len(starts), _available_cores())
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(solve_chunk, starts))  # re-raises any chunk's error
+    return w2
 
 
 def _batched_w2(update_prior: Distribution1D, reference: Distribution1D,

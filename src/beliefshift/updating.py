@@ -101,15 +101,27 @@ class PosteriorChain:
         return [post for _, post in self.steps]
 
 
+def _conjugate_moments(mu, sd, estimate, se):
+    """Posterior (mean, sd) of Normal(mu, sd) after a Normal(estimate, se)
+    likelihood; array arguments broadcast.
+
+    Precision addition written without squaring raw scales, so sds near
+    1e-300 or 1e300 neither underflow nor overflow: the posterior sd is
+    min(sd, se) * max(sd, se) / hypot(sd, se) and the data weight is
+    (sd / hypot(sd, se))**2.
+    """
+    h = np.hypot(sd, se)
+    post_sd = np.minimum(sd, se) * (np.maximum(sd, se) / h)
+    return mu + (sd / h) ** 2 * (estimate - mu), post_sd
+
+
 def update_conjugate(prior: NormalDist, study: Study) -> NormalDist:
     """Normal-normal conjugate update: precisions add, means precision-average."""
     if not isinstance(prior, NormalDist):
         raise UnsupportedPriorError("conjugate updating requires a NormalDist prior")
-    prior_prec = 1.0 / prior.sigma**2
-    data_prec = 1.0 / study.std_error**2
-    post_var = 1.0 / (prior_prec + data_prec)
-    post_mean = post_var * (prior.mu * prior_prec + study.estimate * data_prec)
-    return NormalDist(post_mean, math.sqrt(post_var))
+    post_mean, post_sd = _conjugate_moments(prior.mu, prior.sigma,
+                                            study.estimate, study.std_error)
+    return NormalDist(float(post_mean), float(post_sd))
 
 
 def _update_truncated_core(comp: TruncatedNormalDist, study: Study) -> TruncatedNormalDist:

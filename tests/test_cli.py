@@ -108,6 +108,8 @@ class TestScenarioSchema:
     def test_grid_validation(self):
         with pytest.raises(ScenarioError, match="grid"):
             parse_scenario({**TABLE3_DICT, "grid": {"lo": 2.0, "hi": -2.0}})
+        with pytest.raises(ScenarioError, match=r"grid\.nodes: must be at least 64"):
+            parse_scenario({**TABLE3_DICT, "grid": {"lo": -2.0, "hi": 2.0, "nodes": 10}})
 
     def test_boolean_rejected_as_number(self):
         with pytest.raises(ScenarioError, match="seed"):
@@ -304,6 +306,33 @@ class TestCommandLine:
                      "--grid-lo", "0", "--grid-hi", "2"])
         assert code == 2
         assert "numeric error" in capsys.readouterr().err
+
+    def test_extreme_prior_scales_exit_cleanly(self, tmp_path, capsys):
+        # sigma**2 underflows (1e-300) or overflows (1e300) in a naive update.
+        outcomes = {}
+        for sigma in (1e-300, 1e300):
+            scenario = tmp_path / f"scale_{sigma:g}.json"
+            scenario.write_text(json.dumps({
+                "kind": "compare",
+                "prior": {"type": "normal", "mu": 0, "sigma": sigma},
+                "posteriors": [{"label": "a", "study": {"estimate": 0.5, "std_error": 1.0}}],
+            }), encoding="utf-8")
+            out = tmp_path / f"scale_{sigma:g}.json.out"
+            code = main(["compare", "--scenario", str(scenario), "--format", "json",
+                         "--out", str(out)])
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            outcomes[sigma] = (code, err, out)
+        # A 1e-300 prior swamps the study: the posterior is the prior, so
+        # nothing is learned.
+        code, err, out = outcomes[1e-300]
+        assert code == 0 and err == ""
+        row = json.loads(out.read_text(encoding="utf-8"))[0]
+        assert row["w2"] == 0.0 and row["kl_sym"] == 0.0 and row["lindley"] == 0.0
+        # A 1e300 prior shrinks to sd 1, and sd_shift_sq is out of range.
+        code, err, _ = outcomes[1e300]
+        assert code == 2
+        assert err.startswith("numeric error:")
 
     def test_prospect_runs_are_byte_identical(self, tmp_path):
         scenario = tmp_path / "sweep.json"

@@ -2,6 +2,7 @@
 closed-form E[W2^2], the Monte Carlo estimator, and weight sweeps."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -26,14 +27,47 @@ from beliefshift import (
     weight_sweep,
     wp_quantile,
 )
-from beliefshift.prospective import _batched_w2, _replicate_uniforms, _theta_from_uniforms
+from beliefshift import prospective
+from beliefshift.prospective import (
+    _batched_w2,
+    _replicate_uniforms,
+    _theta_from_uniforms,
+    _w2_mixture_update,
+)
 
 CONSENSUS = NormalDist(3.0, 1.0)
 PIONEER = NormalDist(0.0, 3.0)
+BASE_SE = SamplingModel(2.0, 5).std_error()
 
 
 def make_setup(weight, sigma=1.0, n=50):
     return PioneerSetup(CONSENSUS, PIONEER, weight, SamplingModel(sigma, n))
+
+
+def simulated_ybar(prior, se, seed, replicates):
+    uniforms = _replicate_uniforms(seed, replicates, 3)
+    return _theta_from_uniforms(prior, uniforms) + se * ndtri(uniforms[:, -1])
+
+
+MIX_04 = decision_maker_prior(make_setup(0.4))
+# (update prior, se, ybar as prior-sd offsets from the prior mean or None
+# for simulated outcomes, quadrature nodes). The component sds are 1 and 3.
+MIXTURE_ROUTE_CASES = [
+    pytest.param(MIX_04, BASE_SE, None, 384, id="base"),
+    pytest.param(MIX_04, BASE_SE, np.linspace(-12.0, 12.0, 9), 384, id="ybar_12_sd_out"),
+    pytest.param(MIX_04, 1e-3, None, 384, id="se_1e-3_x_sd"),
+    pytest.param(MIX_04, 300.0, None, 384, id="se_1e2_x_sd"),
+    pytest.param(decision_maker_prior(make_setup(1e-6)), BASE_SE, None, 384,
+                 id="pioneer_weight_1e-6"),
+    pytest.param(decision_maker_prior(make_setup(1.0 - 1e-6)), BASE_SE, None, 384,
+                 id="pioneer_weight_1-1e-6"),
+    pytest.param(MixtureDist(((0.2, NormalDist(-2.0, 0.5)), (0.5, NormalDist(1.0, 1.0)),
+                              (0.3, NormalDist(4.0, 2.0)))),
+                 BASE_SE, None, 384, id="three_components"),
+    pytest.param(MIX_04, BASE_SE, None, 256, id="nodes_256"),
+    pytest.param(MIX_04, BASE_SE, None, 512, id="nodes_512"),
+    pytest.param(MIX_04, BASE_SE, None, 1024, id="nodes_1024"),
+]
 
 
 class TestDecisionMakerPrior:
@@ -155,10 +189,16 @@ class TestExpectedLearningMc:
 
 class TestReplicateStreams:
     def test_philox_key_layout(self):
-        u = _replicate_uniforms(5, 4, 2)
-        for i in range(4):
-            direct = Generator(Philox(key=[5, i])).random(2)
-            np.testing.assert_array_equal(u[i], np.clip(direct, 1e-16, 1.0 - 1e-16))
+        # 2**63 + 5 sets the top key bit; -1 wraps to 2**64 - 1.
+        for seed in (0, 7, 2**63 + 5, -1):
+            for cols in (2, 3):
+                direct = np.array([
+                    Generator(Philox(key=np.array([seed % 2**64, i], dtype=np.uint64)))
+                    .random(cols)
+                    for i in range(1000)
+                ])
+                np.testing.assert_array_equal(_replicate_uniforms(seed, 1000, cols),
+                                              np.clip(direct, 1e-16, 1.0 - 1e-16))
 
     def test_negative_seed_wraps(self):
         u = _replicate_uniforms(-1, 2, 2)
@@ -175,19 +215,34 @@ class TestReplicateStreams:
 
 
 class TestBatchedW2:
-    def test_mixture_route_matches_scalar_route(self):
-        mix = decision_maker_prior(make_setup(0.4))
-        se = SamplingModel(2.0, 5).std_error()
-        uniforms = _replicate_uniforms(3, 64, 3)
-        theta = _theta_from_uniforms(mix, uniforms)
-        ybar = theta + se * ndtri(uniforms[:, -1])
-        batched = _batched_w2(mix, CONSENSUS, ybar, se, 384)
+    @pytest.mark.parametrize("mix, se, sd_offsets, nodes", MIXTURE_ROUTE_CASES)
+    def test_mixture_route_matches_scalar_route(self, mix, se, sd_offsets, nodes):
+        if sd_offsets is None:
+            ybar = simulated_ybar(mix, se, seed=3, replicates=64)
+        else:
+            mean, sd = mix.moments()
+            ybar = mean + sd * sd_offsets
+        batched = _batched_w2(mix, CONSENSUS, ybar, se, nodes)
         scalar = np.array([
             wp_quantile(CONSENSUS, update_mixture(mix, Study(float(y), se)),
-                        p=2.0, nodes=384)
+                        p=2.0, nodes=nodes)
             for y in ybar
         ])
         np.testing.assert_allclose(batched, scalar, atol=1e-9)
+
+    def test_mixture_route_is_bitwise_independent_of_core_count(self, monkeypatch):
+        ybar = simulated_ybar(MIX_04, BASE_SE, seed=9, replicates=200)
+        results = []
+        for cores in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=cores: set(range(n)), raising=False)
+            results.append(_w2_mixture_update(MIX_04, CONSENSUS, ybar, BASE_SE, 512).tobytes())
+        assert results[0] == results[1]
+
+    def test_mixture_solver_raises_at_sweep_cap(self, monkeypatch):
+        monkeypatch.setattr(prospective, "_MAX_SWEEPS", 1)
+        with pytest.raises(ArithmeticError):
+            _batched_w2(MIX_04, CONSENSUS, np.zeros(8), BASE_SE, 256)
 
     def test_normal_route_matches_closed_form(self):
         se = SamplingModel(1.0, 4).std_error()

@@ -86,6 +86,24 @@ class TestConjugate:
             np.testing.assert_allclose(post.mu, mean, rtol=1e-12)
             np.testing.assert_allclose(post.sigma, sd, rtol=1e-12)
 
+    def test_extreme_scales_match_precision_oracle(self):
+        # Scaling every input by c scales the posterior by c, so the oracle
+        # runs at unit scale, where its squared scales stay representable.
+        rng = default_rng(7)
+        for c in (1e-300, 1e300):
+            for _ in range(20):
+                mu, est = rng.uniform(-5, 5, size=2)
+                sd, se = rng.uniform(0.2, 4.0, size=2)
+                post = update_conjugate(NormalDist(c * mu, c * sd), Study(c * est, c * se))
+                mean, post_sd = oracles.conjugate_posterior(mu, sd, est, se)
+                np.testing.assert_allclose(post.mu, c * mean, rtol=1e-12)
+                np.testing.assert_allclose(post.sigma, c * post_sd, rtol=1e-12)
+        # Scales 1e300 apart: the narrower side wins outright.
+        assert update_conjugate(NormalDist(0.0, 1e-300), Study(0.5, 1.0)) \
+            == NormalDist(0.0, 1e-300)
+        assert update_conjugate(NormalDist(0.0, 1e300), Study(0.5, 1.0)) \
+            == NormalDist(0.5, 1.0)
+
     def test_sd_strictly_decreases(self):
         rng = default_rng(42)
         for _ in range(50):
