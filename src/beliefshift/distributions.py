@@ -10,6 +10,10 @@ Each family exposes the same method surface (``pdf``, ``cdf``,
 ``quantile``, ``sample``, ``moments``, ``support``); the module-level
 functions of the same names are thin dispatch wrappers. Methods accept
 scalars or numpy arrays and return matching shapes.
+
+The truncated family is closed form on ``scipy.special`` alone and tail
+safe: the kept mass is measured from the tail the interval lies in, so a
+truncation 40 latent sd from the mass keeps its digits.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Union
 
 import numpy as np
 from numpy.random import Generator
-from scipy import special, stats
+from scipy import special
 
 from .errors import TailMassError
 
@@ -41,6 +45,7 @@ __all__ = [
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 # Mass a grid window may clip before to_grid refuses to discretize.
 GRID_TAIL_TOL = 1e-6
 # Fewest nodes to_grid accepts; scenario grids and --grid-nodes are held to it.
@@ -105,9 +110,52 @@ class NormalDist:
         return -math.inf, math.inf
 
 
+# Gauss-Legendre rule for truncated-normal moments on intervals whose width
+# times the largest standardized bound is at most _NARROW_SPAN.
+_NARROW_SPAN = 4.0
+_NARROW_NODES, _NARROW_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def _mills_ratio(x: float) -> float:
+    """(1 - Phi(x)) / phi(x), exact to rounding for large x."""
+    return _SQRT_HALF_PI * float(special.erfcx(x / math.sqrt(2.0)))
+
+
+def _log_lower_mass(lo, hi):
+    """log(Phi(hi) - Phi(lo)) for lo < hi <= 0, from the lower tail."""
+    log_hi = special.log_ndtr(hi)
+    return log_hi + np.log1p(-np.exp(special.log_ndtr(lo) - log_hi))
+
+
+def _log_gauss_mass(a, b) -> np.ndarray:
+    """log(Phi(b) - Phi(a)) for a <= b; arrays broadcast.
+
+    An interval entirely in one tail is measured from that tail (the upper
+    tail by symmetry), so a truncation 40 sd from the mass keeps its
+    digits instead of reading as ndtr(b) - ndtr(a) = 0. An interval
+    holding the median subtracts both tails from 1. Intervals too far out
+    for a double (log mass below -1.8e308) give -inf or nan.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    out = np.empty(a.shape)
+    left = b <= 0.0
+    right = a > 0.0
+    central = ~(left | right)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[left] = _log_lower_mass(a[left], b[left])
+        out[right] = _log_lower_mass(-b[right], -a[right])
+        out[central] = np.log1p(-special.ndtr(a[central]) - special.ndtr(-b[central]))
+    return out
+
+
 @dataclass(frozen=True)
 class TruncatedNormalDist:
-    """Latent Normal(mu, sigma) restricted to (lower, upper) and renormalized."""
+    """Latent Normal(mu, sigma) restricted to (lower, upper) and renormalized.
+
+    Closed form on the standardized bounds (a, b), with the kept mass
+    measured by ``_log_gauss_mass``, so truncations far from the latent
+    mass stay finite and accurate.
+    """
 
     mu: float
     sigma: float
@@ -125,9 +173,10 @@ class TruncatedNormalDist:
             raise ValueError("sigma must be positive")
         if not self.lower < self.upper:
             raise ValueError("lower bound must be below upper bound")
-        a, b = self.std_bounds()
-        if special.ndtr(b) - special.ndtr(a) <= 0.0:
+        log_mass = float(_log_gauss_mass(*self.std_bounds()))
+        if not math.isfinite(log_mass):
             raise ValueError("latent normal carries no mass between the bounds")
+        object.__setattr__(self, "_log_mass", log_mass)
 
     def std_bounds(self) -> tuple[float, float]:
         """Truncation bounds on the standardized latent scale."""
@@ -135,37 +184,81 @@ class TruncatedNormalDist:
 
     def pdf(self, x):
         arr, scalar = _as_float_array(x)
-        a, b = self.std_bounds()
-        return _restore_shape(
-            stats.truncnorm.pdf(arr, a, b, loc=self.mu, scale=self.sigma), scalar
-        )
+        out = np.zeros(arr.shape)
+        inside = (arr >= self.lower) & (arr <= self.upper)
+        z = (arr[inside] - self.mu) / self.sigma
+        out[inside] = np.exp(-0.5 * z * z - _LOG_SQRT_2PI - self._log_mass) / self.sigma
+        return _restore_shape(out, scalar)
 
     def cdf(self, x):
         arr, scalar = _as_float_array(x)
+        out = np.zeros(arr.shape)
+        out[arr >= self.upper] = 1.0
+        inside = (arr > self.lower) & (arr < self.upper)
         a, b = self.std_bounds()
-        return _restore_shape(
-            stats.truncnorm.cdf(arr, a, b, loc=self.mu, scale=self.sigma), scalar
-        )
+        z = (arr[inside] - self.mu) / self.sigma
+        log_cdf = _log_gauss_mass(a, z) - self._log_mass
+        # Near 1 the upper-tail complement keeps the digits.
+        high = log_cdf > -0.1
+        log_cdf[high] = np.log1p(-np.exp(_log_gauss_mass(z[high], b) - self._log_mass))
+        out[inside] = np.exp(log_cdf)
+        return _restore_shape(out, scalar)
 
     def quantile(self, t):
         arr, scalar = _as_float_array(t)
         _check_prob_open(arr)
         a, b = self.std_bounds()
-        return _restore_shape(
-            stats.truncnorm.ppf(arr, a, b, loc=self.mu, scale=self.sigma), scalar
+        # Invert the lower tail below the median of the latent mass and the
+        # upper tail above it, so that neither reads a tail mass off a log
+        # that rounds to 0. An interval inside one tail uses that tail.
+        from_below = (b <= 0.0) | ((a < 0.0) & (arr < 0.5))
+        z = np.where(
+            from_below,
+            special.ndtri_exp(np.logaddexp(special.log_ndtr(a), np.log(arr) + self._log_mass)),
+            -special.ndtri_exp(np.logaddexp(special.log_ndtr(-b), np.log1p(-arr) + self._log_mass)),
         )
+        q = np.clip(self.mu + self.sigma * z, self.lower, self.upper)
+        return _restore_shape(q, scalar)
 
     def sample(self, rng: Generator, count: int) -> np.ndarray:
-        a, b = self.std_bounds()
-        draws = stats.truncnorm.rvs(
-            a, b, loc=self.mu, scale=self.sigma, size=int(count), random_state=rng
-        )
-        return np.atleast_1d(np.asarray(draws, dtype=float))
+        return self.quantile(rng.uniform(size=int(count)))
 
     def moments(self) -> tuple[float, float]:
         a, b = self.std_bounds()
-        mean, var = stats.truncnorm.stats(a, b, loc=self.mu, scale=self.sigma, moments="mv")
-        return float(mean), float(math.sqrt(var))
+        # Mirror an interval below the latent mean to above it; the mean flips.
+        sign = -1.0 if b <= 0.0 else 1.0
+        lo, hi = (-b, -a) if sign < 0.0 else (a, b)
+        if (hi - lo) * max(1.0, abs(lo), abs(hi)) <= _NARROW_SPAN:
+            # The closed form cancels to nothing on a narrow interval (a
+            # negative variance 35 sd out). There the log density moves by
+            # at most ~_NARROW_SPAN + 2, so Gauss-Legendre is exact to
+            # rounding, and centred sums keep every digit.
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            u = half * _NARROW_NODES
+            log_w = -mid * u - 0.5 * u * u
+            w = _NARROW_WEIGHTS * np.exp(log_w - log_w.max())
+            w /= w.sum()
+            shift = float(w @ u)
+            m1 = mid + shift
+            var = float(w @ (u - shift) ** 2)
+        else:
+            # Standardized densities at the bounds over the kept mass (zero
+            # at an infinite bound). In a tail, Mills ratios give them to
+            # rounding; exp(log density - log mass) would lose eps * lo**2
+            # of them, 1e-7 of the sd 40 sd out.
+            if lo > 0.0:
+                ratio = math.exp(-0.5 * (hi - lo) * (hi + lo))  # phi(hi) / phi(lo)
+                kept = _mills_ratio(lo) - ratio * _mills_ratio(hi)
+                p_lo, p_hi = 1.0 / kept, ratio / kept
+            else:
+                p_lo, p_hi = np.exp(-0.5 * np.square([lo, hi]) - _LOG_SQRT_2PI - self._log_mass)
+            m1 = p_lo - p_hi
+            var = 1.0
+            if p_lo > 0.0:
+                var += (lo - m1) * p_lo
+            if p_hi > 0.0:
+                var -= (hi - m1) * p_hi
+        return float(self.mu + self.sigma * sign * m1), float(self.sigma * math.sqrt(var))
 
     def support(self) -> tuple[float, float]:
         return self.lower, self.upper

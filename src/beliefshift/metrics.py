@@ -16,8 +16,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .distributions import (
     Distribution1D,
@@ -205,6 +203,11 @@ def wasserstein_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure,
     Cost is the Euclidean distance to the p-th power; the returned value
     is the optimal cost to the power 1/p along with the optimal plan.
     """
+    # Deferred: scipy.optimize roughly doubles the package's import time
+    # and this is its only user.
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     p = float(p)
     if p < 1.0:
         raise ValueError("wasserstein order p must be at least 1")

@@ -23,6 +23,7 @@ from .distributions import (
     MixtureDist,
     NormalDist,
     TruncatedNormalDist,
+    _log_gauss_mass,
     norm_logpdf,
     to_grid,
 )
@@ -138,16 +139,10 @@ def _log_marginal(comp, study: Study) -> float:
         # Normal marginal of the latent core, corrected by the ratio of
         # truncation constants before and after the update.
         post = _update_truncated_core(comp, study)
-        a0, b0 = comp.std_bounds()
-        a1, b1 = post.std_bounds()
-        z0 = special.ndtr(b0) - special.ndtr(a0)
-        z1 = special.ndtr(b1) - special.ndtr(a1)
-        if z1 <= 0.0:
-            return -math.inf
         return float(
             norm_logpdf(study.estimate, comp.mu, math.hypot(comp.sigma, se))
-            + math.log(z1)
-            - math.log(z0)
+            + _log_gauss_mass(*post.std_bounds())
+            - _log_gauss_mass(*comp.std_bounds())
         )
     if isinstance(comp, GridDensity):
         with np.errstate(divide="ignore"):
@@ -205,17 +200,20 @@ def _likelihood_coverage_check(prior: Distribution1D, study: Study,
     eff_lo, eff_hi = max(lo, supp_lo), min(hi, supp_hi)
     se = study.std_error
 
-    def lik_mass(a: float, b: float) -> float:
+    def log_lik_mass(a: float, b: float) -> float:
         za = -math.inf if math.isinf(a) else (a - study.estimate) / se
         zb = math.inf if math.isinf(b) else (b - study.estimate) / se
-        return float(special.ndtr(zb) - special.ndtr(za))
+        return float(_log_gauss_mass(za, zb))
 
-    total = lik_mass(supp_lo, supp_hi)
-    inside = lik_mass(eff_lo, eff_hi) if eff_lo < eff_hi else 0.0
-    if total <= 0.0 or (total - inside) > 1e-6 * total:
+    # In logs, so an estimate far outside a truncated support keeps its
+    # (tiny) mass there instead of reading as 0 of 0.
+    log_total = log_lik_mass(supp_lo, supp_hi)
+    log_inside = log_lik_mass(eff_lo, eff_hi) if eff_lo < eff_hi else -math.inf
+    clipped = -math.expm1(log_inside - log_total) if math.isfinite(log_total) else 1.0
+    if clipped > 1e-6:
         raise TailMassError(
             f"window [{lo:g}, {hi:g}] clips likelihood mass around the estimate "
-            f"{study.estimate:g} (covered {inside:.6g} of {total:.6g} within the support)"
+            f"{study.estimate:g} (clipped {clipped:.6g} of the mass within the support)"
         )
 
 

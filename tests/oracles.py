@@ -107,6 +107,50 @@ def truncnorm_frozen(mu: float, sigma: float, lower: float, upper: float):
     return stats.truncnorm(a, b, loc=mu, scale=sigma)
 
 
+def truncnorm_quantile(mu: float, sigma: float, lower: float, upper: float, t):
+    """scipy's truncated-normal ppf, taken on the reflected distribution
+    above t = 1/2.
+
+    scipy inverts log Phi(x) whenever the lower bound lies below the mean,
+    which loses the digits of an upper-tail level like 1 - 1e-12; reflecting
+    x -> -x turns that level into the exactly representable 1 - t.
+    """
+    t = np.asarray(t, dtype=float)
+    upper_half = t > 0.5
+    direct = truncnorm_frozen(mu, sigma, lower, upper).ppf(np.where(upper_half, 0.5, t))
+    mirrored = truncnorm_frozen(-mu, sigma, -upper, -lower).ppf(np.where(upper_half, 1.0 - t, 0.5))
+    return np.where(upper_half, -mirrored, direct)
+
+
+def truncnorm_moments_exact(mu: float, sigma: float, lower: float,
+                            upper: float) -> tuple[float, float]:
+    """(mean, sd) of a truncated normal from its textbook closed form in
+    80-digit arithmetic.
+
+    Double precision cannot be the oracle here: scipy's truncnorm.stats
+    evaluates the same closed form and loses every digit of the sd on an
+    interval 1e-3 latent sd wide far in a tail.
+    """
+    import mpmath
+
+    ctx = mpmath.mp.clone()
+    ctx.dps = 80
+    a = -ctx.inf if math.isinf(lower) else (ctx.mpf(lower) - mu) / sigma
+    b = ctx.inf if math.isinf(upper) else (ctx.mpf(upper) - mu) / sigma
+    # Mass from the tail the interval sits in, so no digits cancel.
+    if a > 0:
+        mass = (ctx.erfc(a / ctx.sqrt(2)) - ctx.erfc(b / ctx.sqrt(2))) / 2
+    else:
+        mass = (ctx.erfc(-b / ctx.sqrt(2)) - ctx.erfc(-a / ctx.sqrt(2))) / 2
+    p_a = ctx.npdf(a) / mass if ctx.isfinite(a) else ctx.zero
+    p_b = ctx.npdf(b) / mass if ctx.isfinite(b) else ctx.zero
+    a_term = a * p_a if ctx.isfinite(a) else ctx.zero
+    b_term = b * p_b if ctx.isfinite(b) else ctx.zero
+    m1 = p_a - p_b
+    var = 1 + a_term - b_term - m1**2
+    return float(mu + sigma * m1), float(sigma * ctx.sqrt(var))
+
+
 def pdf_moments_quad(pdf, lo: float, hi: float) -> tuple[float, float]:
     """(mean, sd) of a density by adaptive quadrature."""
     mass, _ = integrate.quad(pdf, lo, hi, limit=400)

@@ -334,6 +334,36 @@ class TestCommandLine:
         assert code == 2
         assert err.startswith("numeric error:")
 
+    def test_truncated_consensus_cell_runs(self, tmp_path, capsys):
+        # Some replicates move the consensus core 11.8 sd below its bound.
+        scenario = tmp_path / "truncated.json"
+        scenario.write_text(json.dumps({
+            "kind": "prospective",
+            "seed": 7,
+            "prospective_config": {
+                "consensus": {"type": "trunc_normal", "mu": 0.2, "sigma": 0.4, "lower": 0},
+                "pioneer": {"type": "normal", "mu": 0, "sigma": 1},
+                "weights": [0.5],
+                "ns": [50],
+                "sigma": 1,
+                "replicates": 100,
+            },
+        }), encoding="utf-8")
+        out = tmp_path / "cell.csv"
+        code = main(["prospect", "--scenario", str(scenario), "--seed", "7", "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        header, *rows = out.read_text(encoding="utf-8").splitlines()
+        assert header == "w,n,expected_learning,mc_std_error"
+        assert len(rows) == 1
+        assert all(math.isfinite(float(v)) for v in rows[0].split(","))
+
+    def test_import_loads_neither_scipy_stats_nor_optimize(self):
+        probe = ("import sys, beliefshift, beliefshift.cli.main; "
+                 "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              cwd=str(REPO_ROOT), check=True)
+        assert proc.stdout.strip() == "[]"
+
     def test_prospect_runs_are_byte_identical(self, tmp_path):
         scenario = tmp_path / "sweep.json"
         scenario.write_text(json.dumps({

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import default_rng
 from scipy import special, stats
 
@@ -27,6 +29,20 @@ from beliefshift import (
 
 STD_NORMAL = NormalDist(0.0, 1.0)
 TRUNC = TruncatedNormalDist(0.2, 0.4, 0.0, math.inf)
+# Truncated cases as constructor arguments, so that a constructor that
+# refuses one fails its tests, not the collection of this module.
+TRUNC_CASES = {
+    "body": (0.2, 0.4, 0.0, math.inf),
+    # A posterior core of TRUNC (ybar = -1.7, n = 50): the bound sits 11.8
+    # latent sd above the mean, where ndtr(b) - ndtr(a) rounds to 0.
+    "far_tail": (-1.574641270607759, 0.13333333333333336, 0.0, math.inf),
+    "two_sided": (1.0, 2.0, -3.0, 4.0),
+    "narrow_far": (0.0, 1.0, -35.79, -35.789),
+}
+
+
+def trunc_cases(*names):
+    return pytest.mark.parametrize("args", [TRUNC_CASES[n] for n in names], ids=names)
 BIMODAL = MixtureDist(((0.5, NormalDist(0.0, 1.0)), (0.5, NormalDist(10.0, 1.0))))
 THREE_POINT = GridDensity([1.0, 2.0, 3.0], [1 / 3, 1 / 3, 1 / 3])
 
@@ -150,6 +166,13 @@ class TestQuantile:
             ps = np.clip(cdf(d, xs), 1e-12, 1.0 - 1e-12)
             assert np.all(quantile(d, ps) <= xs + 1e-9 * (1.0 + np.abs(xs)))
 
+    @trunc_cases("body", "far_tail", "two_sided", "narrow_far")
+    def test_truncated_matches_oracle_into_both_tails(self, args):
+        dist = TruncatedNormalDist(*args)
+        ts = np.array([1e-12, 1e-6, 0.01, 0.5, 0.99, 1.0 - 1e-6, 1.0 - 1e-12])
+        expected = oracles.truncnorm_quantile(dist.mu, dist.sigma, dist.lower, dist.upper, ts)
+        np.testing.assert_allclose(quantile(dist, ts), expected, rtol=1e-13, atol=1e-15)
+
     def test_mixture_quantile_inverts_cdf(self):
         ts = np.linspace(0.01, 0.99, 25)
         qs = quantile(BIMODAL, ts)
@@ -170,6 +193,14 @@ class TestSample:
     def test_truncated_respects_support(self):
         draws = sample(TRUNC, default_rng(42), 50_000)
         assert draws.min() >= 0.0
+
+    def test_truncated_draws_invert_the_same_uniforms_as_scipy(self):
+        for name in ("body", "far_tail", "two_sided"):
+            d = TruncatedNormalDist(*TRUNC_CASES[name])
+            oracle = oracles.truncnorm_frozen(d.mu, d.sigma, d.lower, d.upper)
+            np.testing.assert_allclose(sample(d, default_rng(3), 1000),
+                                       oracle.rvs(size=1000, random_state=default_rng(3)),
+                                       rtol=1e-12, atol=1e-15)
 
     def test_deterministic_given_seed(self):
         for d in (STD_NORMAL, TRUNC, BIMODAL, THREE_POINT):
@@ -208,6 +239,18 @@ class TestMoments:
         np.testing.assert_allclose(mean, quad_mean, atol=1e-7)
         np.testing.assert_allclose(sd, quad_sd, atol=1e-7)
 
+    @trunc_cases("far_tail", "two_sided", "narrow_far")
+    def test_truncated_matches_exact_oracle(self, args):
+        dist = TruncatedNormalDist(*args)
+        mean, sd = moments(dist)
+        exact_mean, exact_sd = oracles.truncnorm_moments_exact(
+            dist.mu, dist.sigma, dist.lower, dist.upper)
+        # mean = mu + sigma * m1 cancels when the bound is far out; scale by
+        # the terms, not the result.
+        np.testing.assert_allclose(mean, exact_mean, rtol=0.0,
+                                   atol=1e-13 * (abs(dist.mu) + dist.sigma * abs(mean - dist.mu)))
+        np.testing.assert_allclose(sd, exact_sd, rtol=1e-10)
+
     def test_mixture_matches_sampling_oracle(self):
         mix = MixtureDist(((0.3, NormalDist(-1.0, 0.5)), (0.7, TruncatedNormalDist(2.0, 1.0, 0.0, math.inf))))
         mean, sd = moments(mix)
@@ -221,6 +264,74 @@ class TestMoments:
         mean, sd = moments(THREE_POINT)
         np.testing.assert_allclose(mean, 2.0, rtol=1e-12)
         np.testing.assert_allclose(sd, math.sqrt(2.0 / 3.0), rtol=1e-12)
+
+
+@st.composite
+def truncations(draw):
+    """Latent scales 1e-3 to 1e3; one lower, one upper or two bounds up to
+    40 latent sd on either side of the mean; intervals down to 1e-3 sd."""
+    sigma = 10.0 ** draw(st.floats(-3.0, 3.0))
+    mu = sigma * draw(st.floats(-5.0, 5.0))
+    a = draw(st.floats(-40.0, 40.0))
+    kind = draw(st.sampled_from(["lower", "upper", "both"]))
+    if kind == "lower":
+        return TruncatedNormalDist(mu, sigma, mu + sigma * a, math.inf)
+    if kind == "upper":
+        return TruncatedNormalDist(mu, sigma, -math.inf, mu + sigma * a)
+    width = 10.0 ** draw(st.floats(-3.0, math.log10(80.0)))
+    return TruncatedNormalDist(mu, sigma, mu + sigma * a, mu + sigma * (a + width))
+
+
+def distance_from_mass(dist) -> float:
+    """Latent sd between the interval and the mean (0 if it holds the mean)."""
+    a, b = dist.std_bounds()
+    return max(a, -b, 0.0)
+
+
+LEVELS = np.array([1e-12, 1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1.0 - 1e-6, 1.0 - 1e-12])
+PROPERTY_SETTINGS = settings(max_examples=300, deadline=None)
+
+
+class TestTruncatedProperties:
+    """The closed forms against scipy's truncnorm (and 80-digit moments),
+    from the body of the latent normal out to 40 sd."""
+
+    @PROPERTY_SETTINGS
+    @given(truncations())
+    def test_quantile_matches_oracle(self, dist):
+        expected = oracles.truncnorm_quantile(dist.mu, dist.sigma, dist.lower, dist.upper, LEVELS)
+        np.testing.assert_allclose(quantile(dist, LEVELS), expected,
+                                   rtol=1e-12, atol=1e-12 * dist.sigma)
+
+    @PROPERTY_SETTINGS
+    @given(truncations())
+    def test_pdf_and_cdf_match_oracle(self, dist):
+        oracle = oracles.truncnorm_frozen(dist.mu, dist.sigma, dist.lower, dist.upper)
+        xs = oracles.truncnorm_quantile(dist.mu, dist.sigma, dist.lower, dist.upper, LEVELS)
+        # Off the support too, on both sides.
+        lo, hi = dist.support()
+        xs = np.concatenate([xs, [lo - dist.sigma, hi + dist.sigma]])
+        np.testing.assert_allclose(pdf(dist, xs), oracle.pdf(xs), rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(cdf(dist, xs), oracle.cdf(xs), rtol=0.0, atol=1e-12)
+
+    @PROPERTY_SETTINGS
+    @given(truncations())
+    def test_cdf_inverts_quantile(self, dist):
+        qs = quantile(dist, LEVELS)
+        # A level is only as sharp as the spacing of doubles near its quantile.
+        slack = 4.0 * np.spacing(np.abs(qs)) * pdf(dist, qs)
+        assert np.all(np.abs(cdf(dist, qs) - LEVELS) <= 1e-12 + slack)
+
+    @PROPERTY_SETTINGS
+    @given(truncations())
+    def test_moments_match_exact_oracle(self, dist):
+        mean, sd = moments(dist)
+        exact_mean, exact_sd = oracles.truncnorm_moments_exact(
+            dist.mu, dist.sigma, dist.lower, dist.upper)
+        # mean = mu + sigma * m1 may cancel, and far out the variance keeps
+        # about eps * distance**4 of its digits.
+        assert abs(mean - exact_mean) <= 1e-13 * (abs(dist.mu) + abs(mean - dist.mu)) + 1e-12 * sd
+        np.testing.assert_allclose(sd, exact_sd, rtol=1e-12 + 1e-15 * distance_from_mass(dist) ** 4)
 
 
 class TestToGrid:
@@ -273,6 +384,15 @@ class TestValidation:
     def test_truncated_requires_ordered_bounds(self):
         with pytest.raises(ValueError):
             TruncatedNormalDist(0.0, 1.0, 2.0, 1.0)
+
+    def test_truncated_far_from_the_mass_is_accepted(self):
+        # 11.8 sd out the kept mass is 2e-32: small, not absent.
+        d = TruncatedNormalDist(*TRUNC_CASES["far_tail"])
+        mean, sd = d.moments()
+        assert 0.0 < mean < 0.02 and 0.0 < sd < mean
+        # Only an interval whose mass underflows the log is refused.
+        with pytest.raises(ValueError, match="no mass"):
+            TruncatedNormalDist(0.0, 1.0, 1e160, math.inf)
 
     def test_grid_requires_increasing_nodes_and_unit_mass(self):
         with pytest.raises(ValueError):

@@ -23,6 +23,7 @@ from beliefshift import (
     decision_maker_prior,
     expected_learning_bound_sq,
     expected_learning_mc,
+    update_grid,
     update_mixture,
     weight_sweep,
     wp_quantile,
@@ -243,6 +244,17 @@ class TestBatchedW2:
         monkeypatch.setattr(prospective, "_MAX_SWEEPS", 1)
         with pytest.raises(ArithmeticError):
             _batched_w2(MIX_04, CONSENSUS, np.zeros(8), BASE_SE, 256)
+
+    @pytest.mark.parametrize("ybar", [-1.7, -0.3, 0.5, 2.5])
+    def test_truncated_blend_matches_grid_route(self, ybar):
+        # The consensus core sits 11.8 sd below its bound after ybar = -1.7.
+        consensus = TruncatedNormalDist(0.2, 0.4, 0.0, math.inf)
+        setup = PioneerSetup(consensus, NormalDist(0.0, 1.0), 0.5, SamplingModel(1.0, 50))
+        blended = decision_maker_prior(setup)
+        se = setup.model.std_error()
+        batched = _batched_w2(blended, consensus, np.array([ybar]), se, 512)
+        grid_post = update_grid(blended, Study(ybar, se), -6.0, 6.0, 20001)
+        np.testing.assert_allclose(batched[0], wp_quantile(consensus, grid_post), atol=5e-4)
 
     def test_normal_route_matches_closed_form(self):
         se = SamplingModel(1.0, 4).std_error()

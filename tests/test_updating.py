@@ -186,6 +186,17 @@ class TestUpdateGrid:
         assert abs(mean - float(exact.mean())) < 1e-3
         assert abs(sd - float(exact.std())) < 1e-3
 
+    def test_estimate_far_below_the_support(self):
+        # 12 se below the bound the likelihood keeps 2e-33 of its mass on
+        # the support: small, not none, so the window check passes.
+        trunc = TruncatedNormalDist(0.2, 0.4, 0.0, math.inf)
+        study = Study(-12.0, 1.0)
+        core_mean, core_sd = oracles.conjugate_posterior(0.2, 0.4, study.estimate, study.std_error)
+        exact_mean, exact_sd = oracles.truncnorm_moments_exact(core_mean, core_sd, 0.0, math.inf)
+        mean, sd = moments(update_grid(trunc, study))
+        assert abs(mean - exact_mean) < 1e-5
+        assert abs(sd - exact_sd) < 1e-5
+
     def test_window_clipping_likelihood_raises(self):
         with pytest.raises(TailMassError):
             update_grid(NormalDist(0.0, 1.0), Study(20.0, 0.5), -8.0, 8.0, 1024)
