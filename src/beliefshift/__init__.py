@@ -67,6 +67,7 @@ from .updating import (
     predictive_density,
     prior_predictive,
     sequential_update,
+    update,
     update_conjugate,
     update_grid,
     update_mixture,
@@ -106,6 +107,7 @@ __all__ = [
     "update_conjugate",
     "update_mixture",
     "update_grid",
+    "update",
     "sequential_update",
     "default_grid_window",
     "prior_predictive",

@@ -18,15 +18,8 @@ from typing import Optional, Sequence
 from ..errors import NumericError, ScenarioError
 from ..metrics import LearningReport, learning_report
 from ..prospective import CurvePoint, PioneerSetup, curve_points_to_csv, weight_sweep
-from ..updating import (
-    DEFAULT_GRID_NODES,
-    SamplingModel,
-    sequential_update,
-    update_conjugate,
-    update_grid,
-    update_mixture,
-)
-from ..distributions import MIN_GRID_NODES, MixtureDist, NormalDist
+from ..updating import DEFAULT_GRID_NODES, SamplingModel, sequential_update, update
+from ..distributions import MIN_GRID_NODES
 from .replication import ReplicationResult, run_replicate_paper
 from .scenarios import Scenario, load_scenario
 
@@ -172,14 +165,9 @@ def run_compare(scenario: Scenario,
     """One learning report per posterior spec (direct or via a study)."""
     rows: list[tuple[str, LearningReport]] = []
     for spec in scenario.posteriors:
-        if spec.dist is not None:
-            post = spec.dist
-        elif isinstance(scenario.prior, NormalDist) and lo is None and hi is None:
-            post = update_conjugate(scenario.prior, spec.study)
-        elif isinstance(scenario.prior, MixtureDist) and lo is None and hi is None:
-            post = update_mixture(scenario.prior, spec.study)
-        else:
-            post = update_grid(scenario.prior, spec.study, lo, hi, nodes)
+        post = spec.dist
+        if post is None:
+            post = update(scenario.prior, spec.study, lo, hi, nodes)
         rows.append((spec.label, learning_report(scenario.prior, post)))
     return rows
 
@@ -187,17 +175,7 @@ def run_compare(scenario: Scenario,
 def _report_csv(rows: list[tuple[str, LearningReport]],
                 columns: Sequence[str], label_header: str) -> str:
     lines = [label_header + "," + ",".join(columns)]
-    for label, report in rows:
-        cells = [label]
-        for name in columns:
-            value = getattr(report, name)
-            if value is None:
-                cells.append("")
-            elif isinstance(value, bool):
-                cells.append("true" if value else "false")
-            else:
-                cells.append(repr(float(value)))
-        lines.append(",".join(cells))
+    lines.extend(f"{label},{report.to_csv_row(columns)}" for label, report in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -315,10 +293,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericError, ArithmeticError) as exc:

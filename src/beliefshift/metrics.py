@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -331,9 +331,10 @@ class LearningReport:
         """Flat JSON-ready mapping in CSV column order."""
         return {name: getattr(self, name) for name in self.CSV_COLUMNS}
 
-    def to_csv_row(self) -> str:
+    def to_csv_row(self, columns: Sequence[str] = CSV_COLUMNS) -> str:
+        """CSV cells of ``columns``: None empty, bools true/false, numbers repr."""
         cells = []
-        for name in self.CSV_COLUMNS:
+        for name in columns:
             value = getattr(self, name)
             if value is None:
                 cells.append("")
@@ -430,24 +431,17 @@ def learning_report(prior: Distribution1D, post: Distribution1D) -> LearningRepo
         kl_forward = kl_normal(post, prior)
         kl_reverse = kl_normal(prior, post)
         lindley = lindley_normal(prior, post)
-    elif decomposition_exact:
-        # Same-family truncated pair: entropy differences reduce to the
-        # scale ratio exactly as in the normal case.
-        lindley = math.log(prior_sd / post_sd) if post_sd > 0.0 else None
-        kl_forward = kl_reverse = None
-        grids = _as_shared_grids(prior, post)
-        if grids is not None:
-            try:
-                kl_forward = kl_grid(grids[1], grids[0])
-                kl_reverse = kl_grid(grids[0], grids[1])
-            except AbsoluteContinuityError:
-                kl_forward = kl_reverse = None
     else:
         kl_forward = kl_reverse = lindley = None
+        if decomposition_exact and post_sd > 0.0:
+            # Same-family truncated pair: entropy differences reduce to the
+            # scale ratio exactly as in the normal case.
+            lindley = math.log(prior_sd / post_sd)
         grids = _as_shared_grids(prior, post)
         if grids is not None:
             gp, gq = grids
-            lindley = lindley_grid(gp, gq)
+            if not decomposition_exact:
+                lindley = lindley_grid(gp, gq)
             try:
                 kl_forward = kl_grid(gq, gp)
                 kl_reverse = kl_grid(gp, gq)

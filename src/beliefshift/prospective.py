@@ -7,7 +7,8 @@ own counter-based RNG stream keyed by (seed, replicate index), so runs
 are deterministic. Normal-mixture replicates run on all available cores
 in fixed-size chunks, with identical results on any core count; the
 all-normal identity case has an exact closed form to check the machinery
-against.
+against. ``scipy.special`` loads on the engine's first call, before any
+worker thread starts.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from .distributions import (
     Distribution1D,
@@ -28,14 +28,7 @@ from .distributions import (
     norm_logpdf,
 )
 from .metrics import t_nodes, w2_normal, wp_quantile
-from .updating import (
-    SamplingModel,
-    Study,
-    _conjugate_moments,
-    update_conjugate,
-    update_grid,
-    update_mixture,
-)
+from .updating import SamplingModel, Study, _conjugate_moments, update
 
 __all__ = [
     "PioneerSetup",
@@ -211,16 +204,9 @@ def _theta_from_uniforms(predictive_prior: Distribution1D, uniforms: np.ndarray)
     return np.asarray(predictive_prior.quantile(uniforms[:, 0]), dtype=float)
 
 
-def _update_any(prior: Distribution1D, study: Study) -> Distribution1D:
-    if isinstance(prior, NormalDist):
-        return update_conjugate(prior, study)
-    if isinstance(prior, MixtureDist):
-        return update_mixture(prior, study)
-    return update_grid(prior, study)
-
-
 def _w2_normal_update(update_prior: NormalDist, reference: Distribution1D,
                       ybar: np.ndarray, se: float, nodes: int) -> np.ndarray:
+    from scipy import special
     post_mu, post_sd = _conjugate_moments(update_prior.mu, update_prior.sigma, ybar, se)
     if isinstance(reference, NormalDist):
         return np.hypot(post_mu - reference.mu, post_sd - reference.sigma)
@@ -265,6 +251,7 @@ def _mixture_quantiles(mu: np.ndarray, w: np.ndarray, sd: np.ndarray,
     window gives the start by inverse interpolation; Newton on the log
     tail mass polishes it, each step clipped to a few table cells.
     """
+    from scipy import special
     half = t.size // 2
     targets = np.concatenate([np.log(t[:half]), np.log(1.0 - t[half:])])
     # +1 on lower-tail nodes, -1 on upper-tail ones: mass = sum w * ndtr(sign * z).
@@ -354,7 +341,7 @@ def _batched_w2(update_prior: Distribution1D, reference: Distribution1D,
     # General fallback: exact per-replicate updates, no silent skipping.
     out = np.empty(ybar.size)
     for i, y in enumerate(ybar):
-        post = _update_any(update_prior, Study(float(y), se))
+        post = update(update_prior, Study(float(y), se))
         if isinstance(reference, NormalDist) and isinstance(post, NormalDist):
             out[i] = w2_normal(reference, post)
         else:
@@ -377,6 +364,8 @@ def expected_learning_mc(predictive_prior: Distribution1D,
     ``reference_prior`` to that posterior. Deterministic given the seed;
     a replicate failure aborts the run.
     """
+    # Loads scipy.special, if nothing has, before any worker thread needs it.
+    from scipy import special
     replicates = int(replicates)
     if replicates < 100:
         raise ValueError("expected_learning_mc needs at least 100 replicates")

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import special
 
 from .distributions import (
     Distribution1D,
@@ -36,6 +35,7 @@ __all__ = [
     "update_conjugate",
     "update_mixture",
     "update_grid",
+    "update",
     "sequential_update",
     "prior_predictive",
     "predictive_density",
@@ -132,6 +132,7 @@ def _update_truncated_core(comp: TruncatedNormalDist, study: Study) -> Truncated
 
 def _log_marginal(comp, study: Study) -> float:
     """Log marginal likelihood of the study under one mixture component."""
+    from scipy import special
     se = study.std_error
     if isinstance(comp, NormalDist):
         return float(norm_logpdf(study.estimate, comp.mu, math.hypot(comp.sigma, se)))
@@ -160,17 +161,16 @@ def update_mixture(prior: MixtureDist, study: Study) -> MixtureDist:
     bounds are preserved) and grid components reweight on their nodes;
     weights are reweighted by the component marginal likelihoods.
     """
+    from scipy import special
     if not isinstance(prior, MixtureDist):
         raise UnsupportedPriorError("update_mixture requires a MixtureDist prior")
     posts = []
     logw = []
     for weight, comp in prior.components:
-        if isinstance(comp, NormalDist):
-            posts.append(update_conjugate(comp, study))
-        elif isinstance(comp, TruncatedNormalDist):
+        if isinstance(comp, TruncatedNormalDist):
             posts.append(_update_truncated_core(comp, study))
         else:
-            posts.append(update_grid(comp, study))
+            posts.append(update(comp, study))
         logw.append(math.log(weight) + _log_marginal(comp, study))
     logw = np.array(logw)
     if not np.any(np.isfinite(logw)):
@@ -246,6 +246,20 @@ def update_grid(prior: Distribution1D, study: Study,
     return GridDensity(grid.xs, w / w.sum())
 
 
+def update(prior: Distribution1D, study: Study,
+           lo: Optional[float] = None, hi: Optional[float] = None,
+           nodes: int = DEFAULT_GRID_NODES) -> Distribution1D:
+    """One Bayes step: conjugate for a normal prior, componentwise for a
+    mixture, and ``update_grid`` for any other prior or whenever a grid
+    window edge is given."""
+    if lo is None and hi is None:
+        if isinstance(prior, NormalDist):
+            return update_conjugate(prior, study)
+        if isinstance(prior, MixtureDist):
+            return update_mixture(prior, study)
+    return update_grid(prior, study, lo, hi, nodes)
+
+
 def sequential_update(prior: Distribution1D, studies: Sequence[Study],
                       lo: Optional[float] = None, hi: Optional[float] = None,
                       nodes: int = DEFAULT_GRID_NODES) -> PosteriorChain:
@@ -258,16 +272,10 @@ def sequential_update(prior: Distribution1D, studies: Sequence[Study],
     studies = list(studies)
     if not studies:
         raise ValueError("sequential_update needs at least one study")
-    explicit_window = lo is not None or hi is not None
     current: Distribution1D = prior
     steps = []
     for study in studies:
-        if isinstance(current, NormalDist) and not explicit_window:
-            current = update_conjugate(current, study)
-        elif isinstance(current, MixtureDist) and not explicit_window:
-            current = update_mixture(current, study)
-        else:
-            current = update_grid(current, study, lo, hi, nodes)
+        current = update(current, study, lo, hi, nodes)
         steps.append((study, current))
     return PosteriorChain(prior, tuple(steps))
 
@@ -304,6 +312,7 @@ def log_predictive_density(prior: Distribution1D, model: SamplingModel,
 
     Evaluated fully in log space so tail values do not underflow.
     """
+    from scipy import special
     pseudo = Study(float(ybar), model.std_error())
     if isinstance(prior, MixtureDist):
         terms = [math.log(w) + _log_marginal(comp, pseudo) for w, comp in prior.components]

@@ -364,6 +364,54 @@ class TestCommandLine:
                               cwd=str(REPO_ROOT), check=True)
         assert proc.stdout.strip() == "[]"
 
+    def test_import_loads_neither_scipy_nor_numpy_random(self):
+        probe = ("import sys, beliefshift, beliefshift.cli.main; "
+                 "print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'random']))")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              cwd=str(REPO_ROOT), check=True)
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["retro", "--scenario", str(SCENARIO_DIR / "lawn_signs.json")],
+        ["compare", "--scenario", str(SCENARIO_DIR / "table3_compare.json"), "--metric", "all"],
+    ], ids=["retro", "compare"])
+    def test_normal_readings_leave_scipy_special_unloaded(self, argv):
+        probe = ("import sys; from beliefshift.cli.main import main; code = main(sys.argv[1:]); "
+                 "sys.stderr.write(str('scipy.special' in sys.modules)); sys.exit(code)")
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                              text=True, cwd=str(REPO_ROOT))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "False"
+
+    def test_fresh_mixture_prospect_matches_in_process_run(self, tmp_path, capsys):
+        # In a fresh process scipy.special first loads inside the MC engine,
+        # ahead of the threaded mixture route.
+        scenario = tmp_path / "mixture.json"
+        scenario.write_text(json.dumps({
+            "kind": "prospective",
+            "seed": 5,
+            "prospective_config": {
+                "consensus": {"type": "normal", "mu": 3, "sigma": 1},
+                "pioneer": {"type": "normal", "mu": 0, "sigma": 3},
+                "weights": [0.2, 0.5, 0.8],
+                "ns": [10],
+                "sigma": 3.0,
+                "replicates": 300,
+            },
+        }), encoding="utf-8")
+        fresh, here = tmp_path / "fresh.csv", tmp_path / "here.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "beliefshift.cli", "prospect",
+             "--scenario", str(scenario), "--out", str(fresh)],
+            capture_output=True, text=True, cwd=str(REPO_ROOT),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert main(["prospect", "--scenario", str(scenario), "--out", str(here)]) == 0
+        capsys.readouterr()
+        assert fresh.read_bytes() == here.read_bytes()
+        assert len(fresh.read_text(encoding="utf-8").splitlines()) == 4
+
     def test_prospect_runs_are_byte_identical(self, tmp_path):
         scenario = tmp_path / "sweep.json"
         scenario.write_text(json.dumps({

@@ -81,6 +81,18 @@ class TestPdf:
         expected = oracles.normal_pdf(0.2, 0.2, 0.4) / keep
         np.testing.assert_allclose(pdf(TRUNC, 0.2), expected, rtol=1e-12)
 
+    @pytest.mark.parametrize("lower, upper", [(10.0, 10.0 + 1e-9), (-5e-10, 5e-10)])
+    def test_razor_thin_truncation_keeps_its_mass(self, lower, upper):
+        # A difference of two cdf values lost 1e-7 of the kept mass here.
+        dist = TruncatedNormalDist(0.0, 1.0, lower, upper)
+        xs = lower + (upper - lower) * np.array([0.0, 0.25, 0.5, 0.75])
+        exact_pdf, exact_cdf = oracles.truncnorm_pdf_cdf_exact(0.0, 1.0, lower, upper, xs)
+        np.testing.assert_allclose(pdf(dist, xs), exact_pdf, rtol=1e-12)
+        np.testing.assert_allclose(cdf(dist, xs), exact_cdf, rtol=1e-12, atol=1e-15)
+        mid = 0.5 * (lower + upper)
+        assert abs(pdf(dist, mid) * (upper - lower) - 1.0) <= 1e-12
+        assert abs(cdf(dist, upper) - 1.0) <= 1e-12
+
     def test_mixture_is_weighted_sum(self):
         xs = np.linspace(-3.0, 13.0, 23)
         expected = 0.5 * pdf(NormalDist(0.0, 1.0), xs) + 0.5 * pdf(NormalDist(10.0, 1.0), xs)
@@ -293,8 +305,9 @@ PROPERTY_SETTINGS = settings(max_examples=300, deadline=None)
 
 
 class TestTruncatedProperties:
-    """The closed forms against scipy's truncnorm (and 80-digit moments),
-    from the body of the latent normal out to 40 sd."""
+    """Quantiles against scipy's truncnorm, pdf, cdf and moments against
+    60- and 80-digit arithmetic, from the body of the latent normal out to
+    40 sd."""
 
     @PROPERTY_SETTINGS
     @given(truncations())
@@ -306,13 +319,14 @@ class TestTruncatedProperties:
     @PROPERTY_SETTINGS
     @given(truncations())
     def test_pdf_and_cdf_match_oracle(self, dist):
-        oracle = oracles.truncnorm_frozen(dist.mu, dist.sigma, dist.lower, dist.upper)
         xs = oracles.truncnorm_quantile(dist.mu, dist.sigma, dist.lower, dist.upper, LEVELS)
         # Off the support too, on both sides.
         lo, hi = dist.support()
         xs = np.concatenate([xs, [lo - dist.sigma, hi + dist.sigma]])
-        np.testing.assert_allclose(pdf(dist, xs), oracle.pdf(xs), rtol=1e-11, atol=0.0)
-        np.testing.assert_allclose(cdf(dist, xs), oracle.cdf(xs), rtol=0.0, atol=1e-12)
+        exact_pdf, exact_cdf = oracles.truncnorm_pdf_cdf_exact(
+            dist.mu, dist.sigma, dist.lower, dist.upper, xs)
+        np.testing.assert_allclose(pdf(dist, xs), exact_pdf, rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(cdf(dist, xs), exact_cdf, rtol=0.0, atol=1e-12)
 
     @PROPERTY_SETTINGS
     @given(truncations())

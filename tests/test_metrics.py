@@ -395,6 +395,7 @@ class TestLearningReport:
         )
         cells = mixed.to_csv_row().split(",")
         assert cells[4] == "" and cells[-1] == "false"
+        assert mixed.to_csv_row(("kl_sym", "w2")) == f",{mixed.w2!r}"
 
     def test_continuity_bound_at_quadratic_loss(self):
         rng = default_rng(42)

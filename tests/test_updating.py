@@ -29,6 +29,7 @@ from beliefshift import (
     sample,
     sequential_update,
     to_grid,
+    update,
     update_conjugate,
     update_grid,
     update_mixture,
@@ -309,6 +310,23 @@ class TestSequential:
         mix = MixtureDist(((0.5, NormalDist(0.0, 3.0)), (0.5, NormalDist(3.0, 1.0))))
         chain = sequential_update(mix, [Study(1.0, 1.0), Study(2.0, 0.5)])
         assert all(isinstance(post, MixtureDist) for post in chain.posteriors())
+
+
+class TestUpdateDispatch:
+    MIX = MixtureDist(((0.5, NormalDist(0.0, 3.0)), (0.5, NormalDist(3.0, 1.0))))
+    TRUNC = TruncatedNormalDist(0.2, 0.4, 0.0, math.inf)
+
+    def test_routes_by_family(self):
+        study = Study(1.0, 1.0)
+        assert update(LAWN_PRIOR, study) == update_conjugate(LAWN_PRIOR, study)
+        assert update(self.MIX, study) == update_mixture(self.MIX, study)
+        assert update(self.TRUNC, study) == update_grid(self.TRUNC, study)
+
+    def test_a_window_sends_every_prior_to_the_grid(self):
+        study = Study(1.0, 1.0)
+        for prior in (LAWN_PRIOR, self.MIX, self.TRUNC):
+            post = update(prior, study, -40.0, 40.0, 512)
+            assert post == update_grid(prior, study, -40.0, 40.0, 512)
 
 
 class TestPredictive:
