@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 
 from ..errors import NumericError, ScenarioError
 from ..metrics import LearningReport, learning_report
-from ..prospective import CurvePoint, PioneerSetup, curve_points_to_csv, weight_sweep
+from ..prospective import (MIN_REPLICATES, CurvePoint, PioneerSetup, curve_points_to_csv,
+                           weight_sweep)
 from ..updating import DEFAULT_GRID_NODES, SamplingModel, sequential_update, update
 from ..distributions import MIN_GRID_NODES
 from .replication import ReplicationResult, run_replicate_paper
@@ -292,6 +293,8 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "replicates", None) is not None and args.replicates < MIN_REPLICATES:
+            raise ScenarioError(f"--replicates: must be at least {MIN_REPLICATES}")
         return _COMMANDS[args.command](args)
     except (ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,6 +13,7 @@ from typing import Optional
 
 from ..distributions import MIN_GRID_NODES, Distribution1D, dist_from_literal, dist_to_literal
 from ..errors import ScenarioError
+from ..prospective import MIN_REPLICATES
 from ..updating import Study
 
 __all__ = [
@@ -62,7 +63,7 @@ class PosteriorSpec:
 
 @dataclass(frozen=True)
 class ProspectiveConfig:
-    """Decision-maker sweep inputs for a prospective scenario."""
+    """Decision-maker sweep inputs for a prospective scenario; errors name the field."""
 
     consensus: Distribution1D
     pioneer: Distribution1D
@@ -76,16 +77,17 @@ class ProspectiveConfig:
         object.__setattr__(self, "ns", tuple(int(n) for n in self.ns))
         object.__setattr__(self, "sigma", float(self.sigma))
         object.__setattr__(self, "replicates", int(self.replicates))
-        if not self.weights or not self.ns:
-            raise ValueError("weights and ns must be nonempty")
-        if any(not 0.0 <= w <= 1.0 for w in self.weights):
-            raise ValueError("weights must lie in [0, 1]")
-        if any(n < 1 for n in self.ns):
-            raise ValueError("sample sizes must be at least 1")
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
-        if self.replicates < 100:
-            raise ValueError("replicates must be at least 100")
+        for name, low, high, rule in (("weights", 0.0, 1.0, "lie in [0, 1]"),
+                                      ("ns", 1, float("inf"), "be at least 1")):
+            if not getattr(self, name):
+                raise ValueError(f"{name}: must be nonempty")
+            for j, value in enumerate(getattr(self, name)):
+                if not low <= value <= high:
+                    raise ValueError(f"{name}[{j}]: must {rule}")
+        if not 0.0 < self.sigma < float("inf"):
+            raise ValueError("sigma: must be positive and finite")
+        if self.replicates < MIN_REPLICATES:
+            raise ValueError(f"replicates: must be at least {MIN_REPLICATES}")
 
 
 @dataclass(frozen=True)
@@ -193,28 +195,20 @@ def _parse_prospective_config(obj) -> ProspectiveConfig:
             raise ScenarioError(f"{path}.{key}: missing")
     consensus = _parse_dist(cfg["consensus"], f"{path}.consensus")
     pioneer = _parse_dist(cfg["pioneer"], f"{path}.pioneer")
-    if not isinstance(cfg["weights"], list) or not cfg["weights"]:
-        raise ScenarioError(f"{path}.weights: expected a nonempty list")
-    weights = []
-    for j, w in enumerate(cfg["weights"]):
-        if isinstance(w, bool) or not isinstance(w, (int, float)):
-            raise ScenarioError(f"{path}.weights[{j}]: expected a number")
-        if not 0.0 <= w <= 1.0:
-            raise ScenarioError(f"{path}.weights[{j}]: must lie in [0, 1]")
-        weights.append(float(w))
-    if not isinstance(cfg["ns"], list) or not cfg["ns"]:
-        raise ScenarioError(f"{path}.ns: expected a nonempty list")
-    ns = []
-    for j, n in enumerate(cfg["ns"]):
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ScenarioError(f"{path}.ns[{j}]: expected an integer sample size >= 1")
-        ns.append(n)
+    # Types here; ProspectiveConfig checks the ranges.
+    for key, kind, types in (("weights", "a number", (int, float)), ("ns", "an integer", int)):
+        if not isinstance(cfg[key], list):
+            raise ScenarioError(f"{path}.{key}: expected a list")
+        for j, value in enumerate(cfg[key]):
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ScenarioError(f"{path}.{key}[{j}]: expected {kind}")
     sigma = _get_number(cfg, "sigma", path)
     replicates = _get_int(cfg, "replicates", path, default=10_000)
     try:
-        return ProspectiveConfig(consensus, pioneer, tuple(weights), tuple(ns), sigma, replicates)
+        return ProspectiveConfig(consensus, pioneer, tuple(cfg["weights"]), tuple(cfg["ns"]),
+                                 sigma, replicates)
     except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+        raise ScenarioError(f"{path}.{exc}") from exc
 
 
 def _parse_grid(obj) -> GridSpec:

@@ -12,10 +12,11 @@ functions of the same names are thin dispatch wrappers. Methods accept
 scalars or numpy arrays and return matching shapes.
 
 The truncated family is closed form on ``scipy.special`` alone and tail
-safe: the kept mass is measured from the tail the interval lies in, so a
-truncation 40 latent sd from the mass keeps its digits, and a narrow
-interval's mass is integrated directly. Importing it costs only numpy:
-``scipy.special`` is imported by the functions that evaluate it.
+safe: the kept mass is measured from the tail the interval lies in, and a
+narrow interval's mass is integrated from its bounds. ``_mixture_quantiles``
+is the one mixture-quantile solver, here and in prospective Monte Carlo:
+Newton on each level's own log tail in a bisection bracket. Importing costs
+only numpy: ``scipy.special`` is imported by the functions that evaluate it.
 """
 
 from __future__ import annotations
@@ -102,6 +103,10 @@ class NormalDist:
         _check_prob_open(arr)
         return _restore_shape(self.mu + self.sigma * special.ndtri(arr), scalar)
 
+    def _tail(self, x, upper):
+        from scipy import special
+        return special.ndtr(np.where(upper, -1.0, 1.0) * (x - self.mu) / self.sigma)
+
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.normal(self.mu, self.sigma, size=int(count))
 
@@ -138,12 +143,12 @@ def _log_lower_mass(lo, hi):
     return log_hi + np.log1p(-np.exp(special.log_ndtr(lo) - log_hi))
 
 
-def _log_narrow_mass(lo, hi):
-    """log(Phi(hi) - Phi(lo)) for 1-D arrays of narrow intervals, by
-    Gauss-Legendre around each midpoint with the peak factor in logs."""
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    u = half[:, None] * _NARROW_NODES
-    total = np.exp(-mid[:, None] * u - 0.5 * u * u) @ _NARROW_WEIGHTS
+def _log_narrow_mass(lo, width):
+    """log(Phi(lo + width) - Phi(lo)), narrow, by Gauss-Legendre; peak factor in logs."""
+    half = 0.5 * np.asarray(width, dtype=float)
+    mid = lo + half
+    u = half[..., None] * _NARROW_NODES
+    total = np.exp(-mid[..., None] * u - 0.5 * u * u) @ _NARROW_WEIGHTS
     return np.log(half * total) - 0.5 * mid * mid - _LOG_SQRT_2PI
 
 
@@ -170,7 +175,7 @@ def _log_gauss_mass(a, b) -> np.ndarray:
         right = wide & (a > 0.0)
         central = wide ^ left ^ right
         for mask, log_mass in (
-                (narrow, _log_narrow_mass), (left, _log_lower_mass),
+                (narrow, lambda lo, hi: _log_narrow_mass(lo, hi - lo)), (left, _log_lower_mass),
                 (right, lambda lo, hi: _log_lower_mass(-hi, -lo)),
                 (central, lambda lo, hi: np.log1p(-special.ndtr(lo) - special.ndtr(-hi)))):
             if np.count_nonzero(mask):
@@ -203,7 +208,9 @@ class TruncatedNormalDist:
             raise ValueError("sigma must be positive")
         if not self.lower < self.upper:
             raise ValueError("lower bound must be below upper bound")
-        log_mass = float(_log_gauss_mass(*self.std_bounds()))
+        a, b = self.std_bounds()
+        log_mass = float(_log_narrow_mass(a, (self.upper - self.lower) / self.sigma)
+                         if _is_narrow(a, b) else _log_gauss_mass(a, b))
         if not math.isfinite(log_mass):
             raise ValueError("latent normal carries no mass between the bounds")
         object.__setattr__(self, "_log_mass", log_mass)
@@ -220,17 +227,29 @@ class TruncatedNormalDist:
         out[inside] = np.exp(-0.5 * z * z - _LOG_SQRT_2PI - self._log_mass) / self.sigma
         return _restore_shape(out, scalar)
 
+    def _log_tail(self, x, upper):
+        """log P(X > x) where ``upper`` is True, else log P(X <= x); x in the support."""
+        a, b = self.std_bounds()
+        z = (x - self.mu) / self.sigma
+        if _is_narrow(a, b):
+            # Offsets from the bounds: 1/width amplifies rounding x and a bound apart.
+            width = np.where(upper, self.upper - x, x - self.lower) / self.sigma
+            return _log_narrow_mass(np.where(upper, z, a), width) - self._log_mass
+        return _log_gauss_mass(np.where(upper, z, a), np.where(upper, b, z)) - self._log_mass
+
+    def _tail(self, x, upper):  # exactly 1 past the support: a mixture's flat stretches stay flat
+        return np.where(np.where(upper, x <= self.lower, x >= self.upper), 1.0,
+                        np.exp(self._log_tail(np.clip(x, self.lower, self.upper), upper)))
+
     def cdf(self, x):
         arr, scalar = _as_float_array(x)
         out = np.zeros(arr.shape)
         out[arr >= self.upper] = 1.0
         inside = (arr > self.lower) & (arr < self.upper)
-        a, b = self.std_bounds()
-        z = (arr[inside] - self.mu) / self.sigma
-        log_cdf = _log_gauss_mass(a, z) - self._log_mass
+        log_cdf = self._log_tail(arr[inside], False)
         # Near 1 the upper-tail complement keeps the digits.
         high = log_cdf > -0.1
-        log_cdf[high] = np.log1p(-np.exp(_log_gauss_mass(z[high], b) - self._log_mass))
+        log_cdf[high] = np.log1p(-np.exp(self._log_tail(arr[inside][high], True)))
         out[inside] = np.exp(log_cdf)
         return _restore_shape(out, scalar)
 
@@ -360,6 +379,10 @@ class GridDensity:
         cum = np.concatenate(([0.0], self._cum))
         return _restore_shape(np.minimum(cum[idx], 1.0), scalar)
 
+    def _tail(self, x, upper):
+        lower = self.cdf(x)
+        return np.where(upper, 1.0 - lower, lower)
+
     def quantile(self, t):
         arr, scalar = _as_float_array(t)
         _check_prob_open(arr)
@@ -382,6 +405,72 @@ class GridDensity:
 
 
 MixtureComponent = Union[NormalDist, TruncatedNormalDist, GridDensity]
+
+# Mixture-quantile solver (MixtureDist.quantile and prospective's batched route).
+_TABLE_POINTS = 256
+_MIN_SWEEPS = 2
+_MAX_SWEEPS = 200  # Newton takes 2 to 4; bisection to a jump, log2(cell / 1e-14) or so
+# Table logs are clipped to +/- this; every target log tail lies far inside.
+_LOG_CLIP = 1000.0
+
+
+@np.errstate(divide="ignore")
+def _mixture_quantiles(tails, t, x_lo, x_hi, tol) -> np.ndarray:
+    """Quantiles at levels t of each row's distribution, shape (rows, t.size).
+
+    ``tails(x, upper, slope)`` gives P(X > x) where ``upper`` and P(X <= x)
+    elsewhere, without cancellation, for x of shape (rows, m), and if ``slope``
+    the slope of P(X <= x) (0 on a grid's steps). Levels below 1/2 solve
+    log P(X <= q) = log t, the rest log P(X > q) = log(1 - t). A table over
+    each row's window [x_lo, x_hi] starts and brackets each level; Newton on
+    the log tail polishes it. A step that leaves the bracket or is not half
+    the last (on a jump, say) bisects it, unless the level has settled: a step
+    within ``tol`` (if 0: 1e-14 of q, relative) where the cdf rises. Others end
+    at the bracket's upper end, inf{x : F(x) >= t}, once it is 1e-14 tight."""
+    upper = t >= 0.5
+    sign = np.where(upper, -1.0, 1.0)
+    cell = ((x_hi - x_lo) / (_TABLE_POINTS - 1))[:, None]
+    xs = np.ascontiguousarray(np.linspace(x_lo, x_hi, _TABLE_POINTS, axis=1))  # ends at x_hi
+    goal = np.where(upper, -np.log(1.0 - t), np.log(t))
+    # Rows 2r, 2r + 1: log P(X <= x), -log P(X > x); both increase, as sign*log - goal.
+    table = np.stack([np.log(tails(xs, False, False)[0]),
+                      -np.log(tails(xs, True, False)[0])], axis=1)
+    table = np.clip(table, -_LOG_CLIP, _LOG_CLIP).reshape(-1, _TABLE_POINTS)
+    # Level (r, c) searches row 2r + upper[c], shifted 4 * _LOG_CLIP above the row before.
+    band = (2 * np.arange(x_lo.size)[:, None] + upper) * _TABLE_POINTS
+    j = np.searchsorted((table + 4.0 * _LOG_CLIP * np.arange(len(table))[:, None]).ravel(),
+                        goal + 4.0 * _LOG_CLIP / _TABLE_POINTS * band)
+    j = np.clip(j, band + 1, band + _TABLE_POINTS - 1)
+    below = table.ravel()[j - 1]
+    rise = table.ravel()[j] - below
+    frac = np.divide(goal - below, rise, out=rise, where=rise > 0.0)
+    q = x_lo[:, None] + cell * (j - band - 1 + np.clip(frac, 0.0, 1.0))
+    lo, hi = (np.take_along_axis(xs, j - band - end, axis=1) for end in (1, 0))
+    del xs, table, band, j, below, rise, frac  # before the sweeps' own temporaries
+    step = np.inf
+
+    for sweep in range(1, _MAX_SWEEPS + 1):
+        mass, slope = tails(q, upper, True)
+        settled = slope > 0.0  # not flat: a flat stretch's zero step misses its left end
+        np.maximum(mass, 1e-300, out=mass)
+        last, step = step, sign * np.log(mass) - goal  # the residual, then in place the step
+        under = step < 0.0
+        np.divide(np.multiply(step, mass, out=step), np.maximum(slope, 1e-300), out=step)
+        newton = q - step
+        settled &= np.abs(step) <= (tol or 1e-14 * (1.0 + 2.0 * np.abs(q)))
+        if sweep >= _MIN_SWEEPS and settled.all():
+            return np.clip(newton, lo, hi)  # q is in the bracket: updating it clips nothing
+        np.copyto(lo, q, where=under)
+        np.copyto(hi, q, where=~under)
+        q = np.clip(newton, lo, hi)
+        stray = ~settled & ((newton <= lo) | (newton >= hi) | (np.abs(step) > 0.5 * np.abs(last)))
+        if stray.any():
+            q = np.where(stray, 0.5 * (lo + hi), q)
+        if sweep >= _MIN_SWEEPS and np.all(
+                settled | (hi - lo <= 1e-14 * (1.0 + np.abs(lo) + np.abs(hi)))):
+            return np.where(settled, q, hi)
+        del mass, slope, newton, last  # before the next sweep's temporaries
+    raise ArithmeticError(f"mixture quantile solver did not settle within {_MAX_SWEEPS} sweeps")
 
 
 @dataclass(frozen=True)
@@ -437,20 +526,18 @@ class MixtureDist:
     def quantile(self, t):
         arr, scalar = _as_float_array(t)
         _check_prob_open(arr)
-        flat = np.atleast_1d(arr)
-        comp_q = np.stack([np.atleast_1d(comp.quantile(flat)) for _, comp in self.components])
-        # The mixture quantile is bracketed by the extreme component quantiles.
-        lo = comp_q.min(axis=0)
-        hi = comp_q.max(axis=0)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            below = self.cdf(mid) < flat
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-            if np.all(hi - lo <= 1e-14 * (1.0 + np.abs(lo) + np.abs(hi))):
-                break
-        # hi keeps cdf(hi) >= t, matching the generalized inverse convention.
-        return _restore_shape(hi.reshape(arr.shape), scalar)
+        flat = arr.ravel()
+        # Between the extreme component quantiles (initial=0.5 keeps an empty t valid).
+        span = np.array([flat.min(initial=0.5), flat.max(initial=0.5)])
+        ends = np.array([comp.quantile(span) for _, comp in self.components])
+        x_lo, x_hi = ends[:, :1].min(axis=0), ends[:, 1:].max(axis=0)
+
+        def tails(x, upper, slope):  # each family's _tail: P(X > x) where upper, else P(X <= x)
+            mass = sum(w * comp._tail(x, upper) for w, comp in self.components)
+            return mass, slope and sum(w * comp.pdf(x) for w, comp in self.components
+                                       if not isinstance(comp, GridDensity))
+        q = _mixture_quantiles(tails, flat, x_lo, x_hi, 0.0)
+        return _restore_shape(q.reshape(arr.shape), scalar)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         count = int(count)
@@ -596,7 +683,8 @@ def dist_from_literal(obj) -> Distribution1D:
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict) or "weight" not in entry or "dist" not in entry:
                 raise ValueError(f"components[{i}] must carry weight and dist")
-            comps.append((float(entry["weight"]), dist_from_literal(entry["dist"])))
+            weight = _number(entry, "weight", f"components[{i}].weight")
+            comps.append((weight, dist_from_literal(entry["dist"])))
         return MixtureDist(tuple(comps))
     if kind == "grid":
         _require_keys(obj, {"type", "xs", "ws"})
@@ -611,8 +699,8 @@ def _require_keys(obj: dict, allowed: set) -> None:
         raise ValueError(f"unexpected keys {sorted(extra)} in {obj.get('type')!r} literal")
 
 
-def _number(obj: dict, key: str) -> float:
+def _number(obj: dict, key: str, name: str = "") -> float:
     value = obj.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"field {key!r} must be a number")
+        raise ValueError(f"field {name or repr(key)} must be a number")
     return float(value)

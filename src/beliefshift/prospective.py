@@ -4,11 +4,11 @@ A decision maker blends a consensus prior with a pioneer prior, imagines
 the data a proposed design would produce, and asks how far beliefs are
 expected to move. The Monte Carlo engine draws each replicate from its
 own counter-based RNG stream keyed by (seed, replicate index), so runs
-are deterministic. Normal-mixture replicates run on all available cores
-in fixed-size chunks, with identical results on any core count; the
-all-normal identity case has an exact closed form to check the machinery
-against. ``scipy.special`` loads on the engine's first call, before any
-worker thread starts.
+are deterministic. Normal-mixture replicates get posterior quantiles from
+``distributions._mixture_quantiles`` in fixed-size chunks on all cores,
+identical on any core count; the all-normal identity case has an exact
+closed form to check the machinery against. ``scipy.special`` loads on
+the engine's first call, before any worker thread starts.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .distributions import (
     Distribution1D,
     MixtureDist,
     NormalDist,
+    _mixture_quantiles,
     norm_logpdf,
 )
 from .metrics import t_nodes, w2_normal, wp_quantile
@@ -42,6 +43,7 @@ __all__ = [
 ]
 
 DEFAULT_REPLICATES = 10_000
+MIN_REPLICATES = 100  # also the floor of scenario files and --replicates
 DEFAULT_W2_NODES = 512
 
 # Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC'11).
@@ -49,18 +51,11 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LOW32 = np.uint64(0xFFFFFFFF)
 
-# Mixture-quantile kernel. The chunk size fixes which rows share a BLAS
+# Batched mixture quantiles. The chunk size fixes which rows share a BLAS
 # call, so it must not depend on the worker count.
 _CHUNK_ROWS = 64
-_TABLE_POINTS = 256
 _WINDOW_SDS = 8.0
-_MIN_SWEEPS = 2
-_MAX_SWEEPS = 8
 _STEP_TOL = 1e-6  # times the smallest posterior component sd
-_MAX_STEP_CELLS = 4.0
-# Table logs are clipped to +/- this before the row-offset search; every
-# target log tail mass lies far inside it.
-_LOG_CLIP = 1000.0
 
 
 @dataclass(frozen=True)
@@ -222,89 +217,18 @@ def _available_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _invert_tables(tables: np.ndarray, targets: np.ndarray,
-                   x_lo: np.ndarray, cell: np.ndarray) -> np.ndarray:
-    """Where each row's nondecreasing table, sampled at x_lo + cell * j,
-    crosses each (increasing) target, by linear interpolation.
-
-    Row r is shifted by r * 4 * _LOG_CLIP so one searchsorted over the
-    flattened rows serves every row at once.
-    """
-    rows, points = tables.shape
-    tables = np.clip(tables, -_LOG_CLIP, _LOG_CLIP)
-    shift = np.arange(rows)[:, None] * (4.0 * _LOG_CLIP)
-    found = np.searchsorted((tables + shift).ravel(), (targets + shift).ravel())
-    j = np.clip(found.reshape(rows, -1) - np.arange(rows)[:, None] * points, 1, points - 1)
-    below = np.take_along_axis(tables, j - 1, axis=1)
-    rise = np.take_along_axis(tables, j, axis=1) - below
-    frac = np.divide(targets - below, rise, out=np.zeros_like(rise), where=rise > 0.0)
-    return x_lo[:, None] + cell[:, None] * (j - 1 + np.clip(frac, 0.0, 1.0))
-
-
-def _mixture_quantiles(mu: np.ndarray, w: np.ndarray, sd: np.ndarray,
-                       t: np.ndarray) -> np.ndarray:
-    """Quantiles at t of each row's mixture sum_k w[r, k] Normal(mu[r, k], sd[k]).
-
-    Nodes below 1/2 solve log F(q) = log t and the rest log S(q) =
-    log(1 - t), with S the upper tail mass, so neither tail loses digits to
-    cancellation. A table of both log tail masses over each row's own
-    window gives the start by inverse interpolation; Newton on the log
-    tail mass polishes it, each step clipped to a few table cells.
-    """
-    from scipy import special
-    half = t.size // 2
-    targets = np.concatenate([np.log(t[:half]), np.log(1.0 - t[half:])])
-    # +1 on lower-tail nodes, -1 on upper-tail ones: mass = sum w * ndtr(sign * z).
-    sign = np.concatenate([np.ones(half), -np.ones(t.size - half)])
-
-    x_lo = (mu - _WINDOW_SDS * sd).min(axis=1)
-    x_hi = (mu + _WINDOW_SDS * sd).max(axis=1)
-    cell = (x_hi - x_lo) / (_TABLE_POINTS - 1)
-    xs = x_lo[:, None] + cell[:, None] * np.arange(_TABLE_POINTS)
-    lower = np.zeros_like(xs)
-    upper = np.zeros_like(xs)
-    for k in range(sd.size):
-        z = (xs - mu[:, k:k + 1]) / sd[k]
-        lower += w[:, k:k + 1] * special.ndtr(z)
-        upper += w[:, k:k + 1] * special.ndtr(-z)
-    with np.errstate(divide="ignore"):
-        q = np.concatenate([
-            _invert_tables(np.log(lower), targets[:half], x_lo, cell),
-            _invert_tables(-np.log(upper), -targets[half:], x_lo, cell),
-        ], axis=1)
-
-    max_step = _MAX_STEP_CELLS * cell[:, None]
-    tol = _STEP_TOL * sd.min()
-    norm = 1.0 / math.sqrt(2.0 * math.pi)
-    for sweep in range(1, _MAX_SWEEPS + 1):
-        mass = np.zeros_like(q)
-        density = np.zeros_like(q)
-        for k in range(sd.size):
-            z = (q - mu[:, k:k + 1]) / sd[k]
-            mass += w[:, k:k + 1] * special.ndtr(sign * z)
-            density += w[:, k:k + 1] * (norm / sd[k]) * np.exp(-0.5 * z * z)
-        mass = np.maximum(mass, 1e-300)
-        step = sign * (np.log(mass) - targets) * mass / np.maximum(density, 1e-300)
-        np.clip(step, -max_step, max_step, out=step)
-        q -= step
-        if sweep >= _MIN_SWEEPS and np.abs(step).max() <= tol:
-            return q
-    raise ArithmeticError(
-        f"mixture quantile Newton did not settle within {_MAX_SWEEPS} sweeps"
-    )
-
-
 def _w2_mixture_update(update_prior: MixtureDist, reference: Distribution1D,
                        ybar: np.ndarray, se: float, nodes: int) -> np.ndarray:
     """Batched W2 for a mixture-of-normals update prior.
 
     Per replicate the posterior is again a normal mixture whose component
     sds are replicate-independent. Its quantiles at the t-nodes the scalar
-    quantile route uses come from ``_mixture_quantiles``, one fixed-size
-    chunk of replicates per task on a thread pool; the tasks run only
-    numpy and scipy ufuncs, which release the GIL, and every public call
-    happens here first.
+    quantile route uses come from MixtureDist.quantile's solver, one
+    fixed-size chunk of replicates per task on a thread pool; the tasks run
+    only numpy and scipy ufuncs, which release the GIL, and every public
+    call happens here first.
     """
+    from scipy import special
     weights = update_prior.weights()
     mus = np.array([comp.mu for _, comp in update_prior.components])
     sds = np.array([comp.sigma for _, comp in update_prior.components])
@@ -317,10 +241,24 @@ def _w2_mixture_update(update_prior: MixtureDist, reference: Distribution1D,
     t, wq = t_nodes(nodes)
     q_ref = np.asarray(reference.quantile(t), dtype=float)
     w2 = np.empty(ybar.size)
+    tol = _STEP_TOL * post_sd.min()
+    norm = 1.0 / math.sqrt(2.0 * math.pi)
 
     def solve_chunk(start: int) -> None:
         rows = slice(start, start + _CHUNK_ROWS)
-        q = _mixture_quantiles(post_mu[rows], post_w[rows], post_sd, t)
+        mu, w = post_mu[rows], post_w[rows]
+
+        def tails(x, upper, slope):
+            sign = np.where(upper, -1.0, 1.0)
+            mass, density = np.zeros_like(x), np.zeros_like(x)
+            for k in range(post_sd.size):
+                z = (x - mu[:, k:k + 1]) / post_sd[k]
+                mass += w[:, k:k + 1] * special.ndtr(sign * z)
+                if slope:
+                    density += w[:, k:k + 1] * (norm / post_sd[k]) * np.exp(-0.5 * z * z)
+            return mass, density
+        q = _mixture_quantiles(tails, t, (mu - _WINDOW_SDS * post_sd).min(axis=1),
+                               (mu + _WINDOW_SDS * post_sd).max(axis=1), tol)
         w2[rows] = np.sqrt((q - q_ref) ** 2 @ wq)
 
     starts = range(0, ybar.size, _CHUNK_ROWS)
@@ -367,8 +305,8 @@ def expected_learning_mc(predictive_prior: Distribution1D,
     # Loads scipy.special, if nothing has, before any worker thread needs it.
     from scipy import special
     replicates = int(replicates)
-    if replicates < 100:
-        raise ValueError("expected_learning_mc needs at least 100 replicates")
+    if replicates < MIN_REPLICATES:
+        raise ValueError(f"expected_learning_mc needs at least {MIN_REPLICATES} replicates")
     se = model.std_error()
     cols = 3 if isinstance(predictive_prior, MixtureDist) else 2
     uniforms = _replicate_uniforms(seed, replicates, cols)

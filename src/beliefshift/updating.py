@@ -140,11 +140,8 @@ def _log_marginal(comp, study: Study) -> float:
         # Normal marginal of the latent core, corrected by the ratio of
         # truncation constants before and after the update.
         post = _update_truncated_core(comp, study)
-        return float(
-            norm_logpdf(study.estimate, comp.mu, math.hypot(comp.sigma, se))
-            + _log_gauss_mass(*post.std_bounds())
-            - _log_gauss_mass(*comp.std_bounds())
-        )
+        return float(norm_logpdf(study.estimate, comp.mu, math.hypot(comp.sigma, se))
+                     + post._log_mass - comp._log_mass)
     if isinstance(comp, GridDensity):
         with np.errstate(divide="ignore"):
             logw = np.where(comp.ws > 0.0, np.log(comp.ws), -np.inf)

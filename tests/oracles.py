@@ -155,10 +155,9 @@ def truncnorm_pdf_cdf_exact(mu: float, sigma: float, lower: float, upper: float,
                             xs) -> tuple[np.ndarray, np.ndarray]:
     """pdf and cdf of a truncated normal at ``xs`` in 60-digit arithmetic.
 
-    Bounds and points are standardized in doubles first, as scipy's
-    truncnorm (``truncnorm_frozen``) takes them, so rounding the inputs to
-    the latent scale is not counted as error. scipy itself cannot be the
-    oracle: it takes each mass as a difference of two cdf values in double
+    Bounds and points are standardized in 60 digits, so rounding the inputs
+    to the latent scale counts as error. scipy itself cannot be the oracle:
+    it takes each mass as a difference of two cdf values in double
     precision, which loses the digits the bounds share, 1.8e-12 of the cdf
     on [12, 12.001].
     """
@@ -174,16 +173,83 @@ def truncnorm_pdf_cdf_exact(mu: float, sigma: float, lower: float, upper: float,
             return (ctx.erfc(lo / root2) - ctx.erfc(hi / root2)) / 2
         return (ctx.erfc(-hi / root2) - ctx.erfc(-lo / root2)) / 2
 
-    a = -ctx.inf if math.isinf(lower) else ctx.mpf((lower - mu) / sigma)
-    b = ctx.inf if math.isinf(upper) else ctx.mpf((upper - mu) / sigma)
+    def standardize(x):
+        return (ctx.mpf(x) - mu) / sigma
+
+    a = -ctx.inf if math.isinf(lower) else standardize(lower)
+    b = ctx.inf if math.isinf(upper) else standardize(upper)
     kept = mass(a, b)
     pdf, cdf = [], []
     for x in np.asarray(xs, dtype=float):
-        z = ctx.mpf((x - mu) / sigma)
+        z = standardize(x)
         inside = a <= z <= b
         pdf.append(float(ctx.npdf(z) / (sigma * kept)) if inside else 0.0)
         cdf.append(0.0 if z <= a else 1.0 if z >= b else float(mass(a, z) / kept))
     return np.array(pdf), np.array(cdf)
+
+
+def mixture_quantile_exact(parts, t: float) -> float:
+    """Quantile at level t of a mixture of normals, each part
+    (weight, mu, sigma, lower) truncated below ``lower`` (-inf for none),
+    as the root of its tail equation in 50-digit arithmetic.
+
+    Levels below 1/2 solve sum w P(X <= x) = t and the rest
+    sum w P(X > x) = 1 - t, so a level like 1 - 1e-12 keeps its digits.
+    """
+    import mpmath
+
+    ctx = mpmath.mp.clone()
+    ctx.dps = 50
+    root2 = ctx.sqrt(2)
+
+    def sf(z):
+        return ctx.erfc(z / root2) / 2
+
+    def tail(x, upper):
+        total = ctx.zero
+        for w, mu, sigma, lower in parts:
+            z = (x - mu) / sigma
+            a = -ctx.inf if math.isinf(lower) else (ctx.mpf(lower) - mu) / sigma
+            kept = sf(a)
+            above = sf(max(z, a)) / kept
+            total += w * (above if upper else (kept - sf(max(z, a))) / kept)
+        return total
+
+    level = ctx.mpf(t)
+    if level < 0.5:
+        equation = lambda x: tail(x, False) - level
+    else:
+        equation = lambda x: (1 - level) - tail(x, True)
+    lo = ctx.mpf(min(mu - 12 * sigma for _, mu, sigma, _ in parts))
+    hi = ctx.mpf(max(mu + 12 * sigma for _, mu, sigma, _ in parts))
+    # Plain bisection: the equation increases in x, and 200 halvings of
+    # the bracket leave far less than a double's spacing.
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if equation(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return float(hi)
+
+
+def normal_grid_jump_quantile(weight: float, mu: float, sigma: float, xs, ws,
+                              t: float) -> float:
+    """inf{x : F(x) >= t} for F = weight * Normal(mu, sigma) + (1 - weight) *
+    grid(xs, ws), at a level t on one of the grid's jumps: a scan for the
+    first node whose cdf reaches t in 50-digit arithmetic."""
+    import mpmath
+
+    ctx = mpmath.mp.clone()
+    ctx.dps = 50
+    level = ctx.mpf(t)
+    below_node = ctx.zero
+    for x, w in zip(xs, ws):
+        normal = weight * ctx.ncdf((ctx.mpf(x) - mu) / sigma)
+        if normal + (1 - weight) * below_node < level <= normal + (1 - weight) * (below_node + w):
+            return float(x)
+        below_node += w
+    raise ValueError(f"level {t!r} is on no jump of the grid")
 
 
 def pdf_moments_quad(pdf, lo: float, hi: float) -> tuple[float, float]:

@@ -300,6 +300,45 @@ class TestCommandLine:
         assert code == 1
         assert "grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weight", ["0.5", True], ids=["string", "bool"])
+    def test_mixture_weight_must_be_a_number(self, tmp_path, capsys, weight):
+        # A string weight used to run with exit 0, and true read as 1.0.
+        scenario = tmp_path / "weights.json"
+        scenario.write_text(json.dumps({
+            "kind": "compare",
+            "prior": {"type": "mixture", "components": [
+                {"weight": weight, "dist": {"type": "normal", "mu": 0, "sigma": 1}},
+                {"weight": 0.5, "dist": {"type": "normal", "mu": 1, "sigma": 1}},
+            ]},
+            "posteriors": [{"study": {"estimate": 1.0, "std_error": 1.0}}],
+        }), encoding="utf-8")
+        assert main(["compare", "--scenario", str(scenario)]) == 1
+        assert "components[0].weight" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, argv, field", [
+        ({"sigma": math.nan}, [], "prospective_config.sigma"),
+        ({"sigma": math.inf}, [], "prospective_config.sigma"),
+        ({"weights": []}, [], "prospective_config.weights"),
+        ({"ns": []}, [], "prospective_config.ns"),
+        ({}, ["--replicates", "5"], "--replicates"),
+    ], ids=["sigma_nan", "sigma_inf", "weights_empty", "ns_empty", "replicates_flag"])
+    def test_prospective_range_errors_name_the_field(self, tmp_path, capsys, change, argv, field):
+        scenario = tmp_path / "cell.json"
+        scenario.write_text(json.dumps({
+            "kind": "prospective",
+            "prospective_config": {
+                "consensus": {"type": "normal", "mu": 3, "sigma": 1},
+                "pioneer": {"type": "normal", "mu": 0, "sigma": 3},
+                "weights": [0.5],
+                "ns": [10],
+                "sigma": 1.0,
+                "replicates": 100,
+                **change,
+            },
+        }), encoding="utf-8")
+        assert main(["prospect", "--scenario", str(scenario), *argv]) == 1
+        assert f"error: {field}: " in capsys.readouterr().err
+
     def test_numeric_error_exits_two(self, capsys):
         code = main(["compare",
                      "--scenario", str(SCENARIO_DIR / "citizenship_truncated.json"),

@@ -93,6 +93,15 @@ class TestPdf:
         assert abs(pdf(dist, mid) * (upper - lower) - 1.0) <= 1e-12
         assert abs(cdf(dist, upper) - 1.0) <= 1e-12
 
+    def test_narrow_truncation_far_from_mu_matches_exact_inputs(self):
+        # Standardizing x and each bound separately cost 1.1e-12 of the cdf.
+        dist = TruncatedNormalDist(0.0, 1000.0, 9000.0, 9001.0)
+        xs = np.linspace(9000.0, 9001.0, 41)
+        exact_pdf, exact_cdf = oracles.truncnorm_pdf_cdf_exact(
+            0.0, 1000.0, 9000.0, 9001.0, xs)
+        np.testing.assert_allclose(pdf(dist, xs), exact_pdf, rtol=1e-13)
+        np.testing.assert_allclose(cdf(dist, xs), exact_cdf, rtol=0.0, atol=1e-13)
+
     def test_mixture_is_weighted_sum(self):
         xs = np.linspace(-3.0, 13.0, 23)
         expected = 0.5 * pdf(NormalDist(0.0, 1.0), xs) + 0.5 * pdf(NormalDist(10.0, 1.0), xs)
@@ -190,6 +199,47 @@ class TestQuantile:
         qs = quantile(BIMODAL, ts)
         np.testing.assert_allclose(cdf(BIMODAL, qs), ts, atol=1e-9)
         assert np.all(np.diff(qs) >= 0.0)
+
+    # (weight, mu, sigma, lower) parts; the second blend is the prospective
+    # truncated cell's decision-maker prior at w = 0.5.
+    @pytest.mark.parametrize("parts", [
+        [(0.3, 0.0, 3.0, -math.inf), (0.7, 3.0, 1.0, -math.inf)],
+        [(0.5, 0.2, 0.4, 0.0), (0.5, 0.0, 1.0, -math.inf)],
+    ], ids=["normal_normal", "truncated_normal"])
+    def test_mixture_matches_exact_tail_root(self, parts):
+        # Reading the upper tail as 1 - cdf lost 1.2e-5 at 1 - 1e-12.
+        mix = MixtureDist(tuple(
+            (w, NormalDist(mu, sigma) if math.isinf(lower)
+             else TruncatedNormalDist(mu, sigma, lower)) for w, mu, sigma, lower in parts))
+        ts = np.array([1e-12, 1e-6, 0.3, 0.5, 0.7, 1.0 - 1e-6, 1.0 - 1e-12])
+        expected = [oracles.mixture_quantile_exact(parts, t) for t in ts]
+        np.testing.assert_allclose(quantile(mix, ts), expected, rtol=0.0,
+                                   atol=1e-13 * moments(mix)[1])
+
+    # Nodes 1e12 apart make the table cells 8e9 wide and put the top node at
+    # the window's end.
+    @pytest.mark.parametrize("xs", [[0.0, 1.0, 2.0], [-1e12, 0.0, 1e12]],
+                             ids=["unit_nodes", "nodes_1e12_apart"])
+    def test_mixture_jumps_match_bruteforce_inverse(self, xs):
+        ws = [1 / 3, 1 / 3, 1 / 3]
+        mix = MixtureDist(((0.5, STD_NORMAL), (0.5, GridDensity(xs, ws))))
+        # Levels just above the foot, in the middle and just below the top of
+        # each jump, where the cdf has no slope for Newton to follow.
+        foot = 0.5 * special.ndtr(np.array(xs)) + 0.5 * np.array([0.0, 1 / 3, 2 / 3])
+        ts = (foot[:, None] + (0.5 / 3) * np.array([1e-9, 0.5, 1.0 - 1e-9])).ravel()
+        expected = [oracles.normal_grid_jump_quantile(0.5, 0.0, 1.0, xs, ws, t) for t in ts]
+        np.testing.assert_allclose(quantile(mix, ts), expected, rtol=1e-14, atol=1e-14)
+
+    def test_mixture_flat_stretches_give_their_left_end(self):
+        # Where the cdf is flat at t, inf{x : F(x) >= t} is the stretch's
+        # left end; Newton sees no slope there and a zero step.
+        grid = MixtureDist(((1.0, GridDensity([0.0, 1.0, 2.0, 3.0], [0.25] * 4)),))
+        np.testing.assert_allclose(quantile(grid, [0.25, 0.5, 0.75]), [0.0, 1.0, 2.0],
+                                   rtol=0.0, atol=1e-14)
+        apart = MixtureDist(((0.5, TruncatedNormalDist(0.0, 1.0, -1.0, 0.0)),
+                             (0.5, TruncatedNormalDist(0.0, 1.0, 1.0, 2.0))))
+        assert abs(quantile(apart, 0.5)) <= 1e-14
+        assert abs(quantile(apart, [0.5, 0.25, 0.75])[0]) <= 1e-14
 
 
 class TestSample:

@@ -28,7 +28,7 @@ from beliefshift import (
     weight_sweep,
     wp_quantile,
 )
-from beliefshift import prospective
+from beliefshift import distributions
 from beliefshift.prospective import (
     _batched_w2,
     _replicate_uniforms,
@@ -241,7 +241,7 @@ class TestBatchedW2:
         assert results[0] == results[1]
 
     def test_mixture_solver_raises_at_sweep_cap(self, monkeypatch):
-        monkeypatch.setattr(prospective, "_MAX_SWEEPS", 1)
+        monkeypatch.setattr(distributions, "_MAX_SWEEPS", 1)
         with pytest.raises(ArithmeticError):
             _batched_w2(MIX_04, CONSENSUS, np.zeros(8), BASE_SE, 256)
 
