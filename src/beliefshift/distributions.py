@@ -14,8 +14,8 @@ scalars or numpy arrays and return matching shapes.
 The truncated family is closed form on ``scipy.special`` alone and tail
 safe: the kept mass is measured from the tail the interval lies in, and a
 narrow interval's mass is integrated from its bounds. ``_mixture_quantiles``
-is the one mixture-quantile solver, here and in prospective Monte Carlo:
-Newton on each level's own log tail in a bisection bracket. Importing costs
+is the mixture-quantile solver: Newton on each level's own log tail in a
+bisection bracket. Importing costs
 only numpy: ``scipy.special`` is imported by the functions that evaluate it.
 """
 
@@ -282,7 +282,10 @@ class TruncatedNormalDist:
             # The closed form cancels to nothing on a narrow interval (a
             # negative variance 35 sd out); Gauss-Legendre with centred
             # sums keeps every digit.
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            # The width from the raw bounds, as _log_tail takes it: hi - lo
+            # keeps only eps * |lo| / width of its digits far from mu.
+            half = 0.5 * (self.upper - self.lower) / self.sigma
+            mid = 0.5 * (lo + hi)
             u = half * _NARROW_NODES
             log_w = -mid * u - 0.5 * u * u
             w = _NARROW_WEIGHTS * np.exp(log_w - log_w.max())
@@ -406,7 +409,7 @@ class GridDensity:
 
 MixtureComponent = Union[NormalDist, TruncatedNormalDist, GridDensity]
 
-# Mixture-quantile solver (MixtureDist.quantile and prospective's batched route).
+# Mixture-quantile solver (MixtureDist.quantile).
 _TABLE_POINTS = 256
 _MIN_SWEEPS = 2
 _MAX_SWEEPS = 200  # Newton takes 2 to 4; bisection to a jump, log2(cell / 1e-14) or so
@@ -415,7 +418,7 @@ _LOG_CLIP = 1000.0
 
 
 @np.errstate(divide="ignore")
-def _mixture_quantiles(tails, t, x_lo, x_hi, tol) -> np.ndarray:
+def _mixture_quantiles(tails, t, x_lo, x_hi) -> np.ndarray:
     """Quantiles at levels t of each row's distribution, shape (rows, t.size).
 
     ``tails(x, upper, slope)`` gives P(X > x) where ``upper`` and P(X <= x)
@@ -425,8 +428,8 @@ def _mixture_quantiles(tails, t, x_lo, x_hi, tol) -> np.ndarray:
     each row's window [x_lo, x_hi] starts and brackets each level; Newton on
     the log tail polishes it. A step that leaves the bracket or is not half
     the last (on a jump, say) bisects it, unless the level has settled: a step
-    within ``tol`` (if 0: 1e-14 of q, relative) where the cdf rises. Others end
-    at the bracket's upper end, inf{x : F(x) >= t}, once it is 1e-14 tight."""
+    within 1e-14 of q, relative, where the cdf rises. Others end at the
+    bracket's upper end, inf{x : F(x) >= t}, once it is 1e-14 tight."""
     upper = t >= 0.5
     sign = np.where(upper, -1.0, 1.0)
     cell = ((x_hi - x_lo) / (_TABLE_POINTS - 1))[:, None]
@@ -457,7 +460,7 @@ def _mixture_quantiles(tails, t, x_lo, x_hi, tol) -> np.ndarray:
         under = step < 0.0
         np.divide(np.multiply(step, mass, out=step), np.maximum(slope, 1e-300), out=step)
         newton = q - step
-        settled &= np.abs(step) <= (tol or 1e-14 * (1.0 + 2.0 * np.abs(q)))
+        settled &= np.abs(step) <= 1e-14 * (1.0 + 2.0 * np.abs(q))
         if sweep >= _MIN_SWEEPS and settled.all():
             return np.clip(newton, lo, hi)  # q is in the bracket: updating it clips nothing
         np.copyto(lo, q, where=under)
@@ -536,7 +539,7 @@ class MixtureDist:
             mass = sum(w * comp._tail(x, upper) for w, comp in self.components)
             return mass, slope and sum(w * comp.pdf(x) for w, comp in self.components
                                        if not isinstance(comp, GridDensity))
-        q = _mixture_quantiles(tails, flat, x_lo, x_hi, 0.0)
+        q = _mixture_quantiles(tails, flat, x_lo, x_hi)
         return _restore_shape(q.reshape(arr.shape), scalar)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:

@@ -4,18 +4,18 @@ A decision maker blends a consensus prior with a pioneer prior, imagines
 the data a proposed design would produce, and asks how far beliefs are
 expected to move. The Monte Carlo engine draws each replicate from its
 own counter-based RNG stream keyed by (seed, replicate index), so runs
-are deterministic. Normal-mixture replicates get posterior quantiles from
-``distributions._mixture_quantiles`` in fixed-size chunks on all cores,
-identical on any core count; the all-normal identity case has an exact
-closed form to check the machinery against. ``scipy.special`` loads on
-the engine's first call, before any worker thread starts.
+are deterministic. A normal or normal-mixture update prior against a
+normal, truncated-normal or mixture reference without grid components
+gets W2 from the 1-D optimal map, E_P[(X - G^-1(F_P(X)))^2], with the
+posterior cdf only evaluated forward, in fixed-size blocks of replicates
+on one thread; a normal pair is closed form, and everything else takes
+exact per-replicate updates and quantile quadrature. The all-normal
+identity case has an exact closed form to check the machinery against.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,12 +23,12 @@ import numpy as np
 
 from .distributions import (
     Distribution1D,
+    GridDensity,
     MixtureDist,
     NormalDist,
-    _mixture_quantiles,
     norm_logpdf,
 )
-from .metrics import t_nodes, w2_normal, wp_quantile
+from .metrics import w2_normal, wp_quantile
 from .updating import SamplingModel, Study, _conjugate_moments, update
 
 __all__ = [
@@ -51,11 +51,18 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LOW32 = np.uint64(0xFFFFFFFF)
 
-# Batched mixture quantiles. The chunk size fixes which rows share a BLAS
-# call, so it must not depend on the worker count.
-_CHUNK_ROWS = 64
-_WINDOW_SDS = 8.0
-_STEP_TOL = 1e-6  # times the smallest posterior component sd
+# Transport-map quadrature: panel breaks at each posterior component's mean
+# +/- these sds (a mixture reference's own breaks are 1 sd apart), 8-point
+# Gauss-Legendre in each panel. Rows go in blocks of a fixed size, one
+# thread, so the results do not depend on the machine.
+_BREAK_SDS = np.arange(-8.0, 9.0, 2.0)
+_REF_BREAK_SDS = np.arange(-8.0, 9.0)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_BLOCK_ROWS = 64
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_TINY = np.finfo(float).tiny  # levels are floored here: the map's far tail has no mass
+_TOP = 1.0 - 2.0**-53  # the largest double below 1
+_NEWTON_STEPS = 3  # carrying a mixture reference's breaks to x
 
 
 @dataclass(frozen=True)
@@ -199,83 +206,124 @@ def _theta_from_uniforms(predictive_prior: Distribution1D, uniforms: np.ndarray)
     return np.asarray(predictive_prior.quantile(uniforms[:, 0]), dtype=float)
 
 
-def _w2_normal_update(update_prior: NormalDist, reference: Distribution1D,
-                      ybar: np.ndarray, se: float, nodes: int) -> np.ndarray:
-    from scipy import special
+def _components(d: Distribution1D):
+    return d.components if isinstance(d, MixtureDist) else ((1.0, d),)
+
+
+def _w2_normal_update(update_prior: NormalDist, reference: NormalDist,
+                      ybar: np.ndarray, se: float) -> np.ndarray:
     post_mu, post_sd = _conjugate_moments(update_prior.mu, update_prior.sigma, ybar, se)
-    if isinstance(reference, NormalDist):
-        return np.hypot(post_mu - reference.mu, post_sd - reference.sigma)
-    t, wq = t_nodes(nodes)
-    q_ref = np.asarray(reference.quantile(t), dtype=float)
-    q_post = post_mu[:, None] + post_sd * special.ndtri(t)[None, :]
-    return np.sqrt((q_post - q_ref[None, :]) ** 2 @ wq)
+    return np.hypot(post_mu - reference.mu, post_sd - reference.sigma)
 
 
-def _available_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _sides(x, w, mu, sd):
+    """P(X <= x), P(X > x) and the pdf at x of each row's normal mixture
+    (weights w and means mu per row, sds sd shared)."""
+    from scipy import special
+    lower, upper, dens = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
+    for k in range(sd.size):
+        z = (x - mu[:, k:k + 1]) / sd[k]
+        wk = w[:, k:k + 1]
+        # One ndtr per component: its smaller tail keeps every digit, and its
+        # larger side, w minus that tail, is near w and needs none.
+        tail = wk * special.ndtr(-np.abs(z))
+        rest = wk - 2.0 * tail
+        above = z > 0.0
+        lower += tail + above * rest
+        upper += tail + ~above * rest
+        dens += wk / sd[k] * np.exp(-0.5 * z * z)
+    return lower, upper, dens * _INV_SQRT_2PI
 
 
-def _w2_mixture_update(update_prior: MixtureDist, reference: Distribution1D,
-                       ybar: np.ndarray, se: float, nodes: int) -> np.ndarray:
-    """Batched W2 for a mixture-of-normals update prior.
+def _carry_levels(levels, breaks, w, mu, sd):
+    """x with F_P(x) = level, per row and level: linear interpolation of F_P
+    between the row's sorted breaks, then Newton on the smaller tail, kept
+    between the two breaks that bracket the level."""
+    lower = _sides(breaks, w, mu, sd)[0]
+    j = np.clip((lower[:, :, None] < levels).sum(axis=1), 1, breaks.shape[1] - 1)
+    x_lo, f_lo = (np.take_along_axis(a, j - 1, axis=1) for a in (breaks, lower))
+    x_hi, f_hi = (np.take_along_axis(a, j, axis=1) for a in (breaks, lower))
+    rise = f_hi - f_lo
+    frac = np.divide(levels - f_lo, rise, out=np.zeros_like(rise), where=rise > 0.0)
+    x = x_lo + np.clip(frac, 0.0, 1.0) * (x_hi - x_lo)
+    below = levels < 0.5
+    for _ in range(_NEWTON_STEPS):
+        lower, upper, dens = _sides(x, w, mu, sd)
+        resid = np.where(below, lower - levels, (1.0 - levels) - upper)
+        x = np.clip(x - np.divide(resid, dens, out=np.zeros_like(dens), where=dens > 0.0),
+                    x_lo, x_hi)
+    return x
 
-    Per replicate the posterior is again a normal mixture whose component
-    sds are replicate-independent. Its quantiles at the t-nodes the scalar
-    quantile route uses come from MixtureDist.quantile's solver, one
-    fixed-size chunk of replicates per task on a thread pool; the tasks run
-    only numpy and scipy ufuncs, which release the GIL, and every public
-    call happens here first.
+
+def _transport_w2(w, mu, sd, inverse, ref_levels) -> np.ndarray:
+    """W2 from the reference to each row's posterior mixture, E_P[(X - T(X))^2]
+    with T = G^-1(F_P), by Gauss-Legendre on the panels between breaks."""
+    rows = mu.shape[0]
+    breaks = (mu[:, :, None] + sd[:, None] * _BREAK_SDS).reshape(rows, -1)
+    breaks.sort(axis=1)
+    if ref_levels is not None:
+        breaks = np.concatenate([breaks, _carry_levels(ref_levels, breaks, w, mu, sd)], axis=1)
+        breaks.sort(axis=1)
+    half = 0.5 * (breaks[:, 1:] - breaks[:, :-1])
+    x = ((breaks[:, :-1] + half)[:, :, None] + half[:, :, None] * _GL_NODES).reshape(rows, -1)
+    quad = (half[:, :, None] * _GL_WEIGHTS).reshape(rows, -1)
+    lower, upper, dens = _sides(x, w, mu, sd)
+    below = lower <= upper
+    level = np.maximum(np.where(below, lower, upper), _TINY)
+    return np.sqrt(np.sum(quad * dens * (x - inverse(level, below)) ** 2, axis=1))
+
+
+def _w2_mixture_update(update_prior: Distribution1D, reference: Distribution1D,
+                       ybar: np.ndarray, se: float) -> np.ndarray:
+    """Batched W2 for a normal or normal-mixture update prior, by the 1-D
+    optimal map: W2^2(P, G) = E_P[(X - G^-1(F_P(X)))^2].
+
+    The monotone rearrangement is the optimal map in 1-D (Villani 2003,
+    Topics in Optimal Transportation, ch. 2). Per replicate the posterior P
+    is again a normal mixture whose component sds are replicate-independent;
+    a normal update prior is the one-component case. F_P is only evaluated
+    forward, and G^-1 is taken from the smaller tail: mu + sigma * ndtri for
+    a normal reference, ``quantile`` otherwise. The integral runs over panels
+    between each posterior component's mean +/- 0, 2, ..., 8 sds, 8-point
+    Gauss-Legendre in each; a mixture reference adds its components' mean
+    +/- 0, 1, ..., 8 sds, carried to x through F_P, where G^-1 bends. Rows
+    go in fixed-size blocks on one thread.
     """
     from scipy import special
-    weights = update_prior.weights()
-    mus = np.array([comp.mu for _, comp in update_prior.components])
-    sds = np.array([comp.sigma for _, comp in update_prior.components])
+    weights, mus, sds = (np.array(v) for v in zip(*(
+        (w, c.mu, c.sigma) for w, c in _components(update_prior))))
     post_mu, post_sd = _conjugate_moments(mus, sds, ybar[:, None], se)
     log_w = np.log(weights) + norm_logpdf(ybar[:, None], mus, np.hypot(sds, se))
     log_w -= log_w.max(axis=1, keepdims=True)
     post_w = np.exp(log_w)
     post_w /= post_w.sum(axis=1, keepdims=True)
 
-    t, wq = t_nodes(nodes)
-    q_ref = np.asarray(reference.quantile(t), dtype=float)
+    if isinstance(reference, NormalDist):
+        def inverse(level, below):
+            sign = np.where(below, 1.0, -1.0)
+            return reference.mu + reference.sigma * sign * special.ndtri(level)
+    else:
+        def inverse(level, below):
+            return reference.quantile(np.where(below, level, np.minimum(1.0 - level, _TOP)))
+    ref_levels = None
+    if isinstance(reference, MixtureDist):
+        breaks = [np.clip(c.mu + c.sigma * _REF_BREAK_SDS, *c.support())
+                  for _, c in reference.components]
+        ref_levels = reference.cdf(np.concatenate(breaks))
     w2 = np.empty(ybar.size)
-    tol = _STEP_TOL * post_sd.min()
-    norm = 1.0 / math.sqrt(2.0 * math.pi)
-
-    def solve_chunk(start: int) -> None:
-        rows = slice(start, start + _CHUNK_ROWS)
-        mu, w = post_mu[rows], post_w[rows]
-
-        def tails(x, upper, slope):
-            sign = np.where(upper, -1.0, 1.0)
-            mass, density = np.zeros_like(x), np.zeros_like(x)
-            for k in range(post_sd.size):
-                z = (x - mu[:, k:k + 1]) / post_sd[k]
-                mass += w[:, k:k + 1] * special.ndtr(sign * z)
-                if slope:
-                    density += w[:, k:k + 1] * (norm / post_sd[k]) * np.exp(-0.5 * z * z)
-            return mass, density
-        q = _mixture_quantiles(tails, t, (mu - _WINDOW_SDS * post_sd).min(axis=1),
-                               (mu + _WINDOW_SDS * post_sd).max(axis=1), tol)
-        w2[rows] = np.sqrt((q - q_ref) ** 2 @ wq)
-
-    starts = range(0, ybar.size, _CHUNK_ROWS)
-    workers = min(len(starts), _available_cores())
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(solve_chunk, starts))  # re-raises any chunk's error
+    for start in range(0, ybar.size, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        w2[rows] = _transport_w2(post_w[rows], post_mu[rows], post_sd, inverse, ref_levels)
     return w2
 
 
 def _batched_w2(update_prior: Distribution1D, reference: Distribution1D,
                 ybar: np.ndarray, se: float, nodes: int) -> np.ndarray:
-    if isinstance(update_prior, NormalDist):
-        return _w2_normal_update(update_prior, reference, ybar, se, nodes)
-    if isinstance(update_prior, MixtureDist) and all(
-        isinstance(comp, NormalDist) for _, comp in update_prior.components
-    ):
-        return _w2_mixture_update(update_prior, reference, ybar, se, nodes)
+    if isinstance(update_prior, NormalDist) and isinstance(reference, NormalDist):
+        return _w2_normal_update(update_prior, reference, ybar, se)
+    if all(isinstance(c, NormalDist) for _, c in _components(update_prior)) and not any(
+            isinstance(c, GridDensity) for _, c in _components(reference)):
+        return _w2_mixture_update(update_prior, reference, ybar, se)
     # General fallback: exact per-replicate updates, no silent skipping.
     out = np.empty(ybar.size)
     for i, y in enumerate(ybar):
@@ -301,8 +349,12 @@ def expected_learning_mc(predictive_prior: Distribution1D,
     ``update_prior`` by Study(ybar, sigma/sqrt(n)), and measures W2 from
     ``reference_prior`` to that posterior. Deterministic given the seed;
     a replicate failure aborts the run.
+
+    ``w2_nodes`` is the node count of the quantile quadrature on the
+    per-replicate route, which serves update priors with truncated or grid
+    components and references with grid components. The other runs ignore
+    it: their W2 is closed form or the transport-map kernel.
     """
-    # Loads scipy.special, if nothing has, before any worker thread needs it.
     from scipy import special
     replicates = int(replicates)
     if replicates < MIN_REPLICATES:
@@ -337,6 +389,9 @@ def weight_sweep(setup: PioneerSetup,
     predictive and the update prior while the consensus prior is the
     reference. Point seeds are seed + row-major index, so a singleton
     sweep reproduces a direct expected_learning_mc call exactly.
+    ``w2_nodes`` only sets the per-replicate route's quadrature, as in
+    expected_learning_mc: cells whose blended prior has only normal
+    components, against a consensus with no grid component, ignore it.
     """
     weights = list(weights)
     ns = list(ns)

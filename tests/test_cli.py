@@ -403,6 +403,13 @@ class TestCommandLine:
                               cwd=str(REPO_ROOT), check=True)
         assert proc.stdout.strip() == "[]"
 
+    def test_import_loads_no_thread_pool(self):
+        probe = ("import sys, beliefshift, beliefshift.cli.main; "
+                 "print('concurrent.futures' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              cwd=str(REPO_ROOT), check=True)
+        assert proc.stdout.strip() == "False"
+
     def test_import_loads_neither_scipy_nor_numpy_random(self):
         probe = ("import sys, beliefshift, beliefshift.cli.main; "
                  "print(sorted(m for m in sys.modules "
@@ -424,8 +431,7 @@ class TestCommandLine:
         assert proc.stderr == "False"
 
     def test_fresh_mixture_prospect_matches_in_process_run(self, tmp_path, capsys):
-        # In a fresh process scipy.special first loads inside the MC engine,
-        # ahead of the threaded mixture route.
+        # In a fresh process scipy.special first loads inside the MC engine.
         scenario = tmp_path / "mixture.json"
         scenario.write_text(json.dumps({
             "kind": "prospective",

@@ -26,6 +26,7 @@ from beliefshift import (
     sample,
     to_grid,
 )
+from beliefshift import distributions
 
 STD_NORMAL = NormalDist(0.0, 1.0)
 TRUNC = TruncatedNormalDist(0.2, 0.4, 0.0, math.inf)
@@ -241,6 +242,11 @@ class TestQuantile:
         assert abs(quantile(apart, 0.5)) <= 1e-14
         assert abs(quantile(apart, [0.5, 0.25, 0.75])[0]) <= 1e-14
 
+    def test_mixture_solver_raises_at_sweep_cap(self, monkeypatch):
+        monkeypatch.setattr(distributions, "_MAX_SWEEPS", 1)
+        with pytest.raises(ArithmeticError):
+            quantile(BIMODAL, np.linspace(0.1, 0.9, 8))
+
 
 class TestSample:
     def test_zero_count_is_empty(self):
@@ -312,6 +318,13 @@ class TestMoments:
         np.testing.assert_allclose(mean, exact_mean, rtol=0.0,
                                    atol=1e-13 * (abs(dist.mu) + dist.sigma * abs(mean - dist.mu)))
         np.testing.assert_allclose(sd, exact_sd, rtol=1e-10)
+
+    def test_narrow_sd_far_from_a_wide_latent(self):
+        # Bounds 9 latent sds out and 1e-3 apart: the width must come from
+        # the raw bounds, not from two standardized ones.
+        dist = TruncatedNormalDist(0.0, 1000.0, 9000.0, 9001.0)
+        exact_sd = oracles.truncnorm_moments_exact(0.0, 1000.0, 9000.0, 9001.0)[1]
+        np.testing.assert_allclose(moments(dist)[1], exact_sd, rtol=1e-14)
 
     def test_mixture_matches_sampling_oracle(self):
         mix = MixtureDist(((0.3, NormalDist(-1.0, 0.5)), (0.7, TruncatedNormalDist(2.0, 1.0, 0.0, math.inf))))

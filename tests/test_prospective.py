@@ -2,7 +2,6 @@
 closed-form E[W2^2], the Monte Carlo estimator, and weight sweeps."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ import oracles
 from beliefshift import (
     CurvePoint,
     ExpectedLearning,
+    GridDensity,
     MixtureDist,
     NormalDist,
     PioneerSetup,
@@ -23,12 +23,13 @@ from beliefshift import (
     decision_maker_prior,
     expected_learning_bound_sq,
     expected_learning_mc,
+    update,
     update_grid,
     update_mixture,
     weight_sweep,
     wp_quantile,
 )
-from beliefshift import distributions
+from beliefshift import prospective
 from beliefshift.prospective import (
     _batched_w2,
     _replicate_uniforms,
@@ -218,6 +219,8 @@ class TestReplicateStreams:
 class TestBatchedW2:
     @pytest.mark.parametrize("mix, se, sd_offsets, nodes", MIXTURE_ROUTE_CASES)
     def test_mixture_route_matches_scalar_route(self, mix, se, sd_offsets, nodes):
+        # The transport map ignores ``nodes``; the scalar side is the quantile
+        # formula converged to 1e-10 (4-point Gauss-Legendre, 4096 panels).
         if sd_offsets is None:
             ybar = simulated_ybar(mix, se, seed=3, replicates=64)
         else:
@@ -225,25 +228,58 @@ class TestBatchedW2:
             ybar = mean + sd * sd_offsets
         batched = _batched_w2(mix, CONSENSUS, ybar, se, nodes)
         scalar = np.array([
-            wp_quantile(CONSENSUS, update_mixture(mix, Study(float(y), se)),
-                        p=2.0, nodes=nodes)
+            oracles.w2_quantile_gl4(CONSENSUS, update_mixture(mix, Study(float(y), se)))
             for y in ybar
         ])
         np.testing.assert_allclose(batched, scalar, atol=1e-9)
 
-    def test_mixture_route_is_bitwise_independent_of_core_count(self, monkeypatch):
-        ybar = simulated_ybar(MIX_04, BASE_SE, seed=9, replicates=200)
+    @pytest.mark.parametrize("mix, se", [
+        # At 512 nodes the midpoint quantile route reads this one 0.29 off,
+        # 4-point Gauss-Legendre 0.09: the quantile jumps between components.
+        (MixtureDist(((0.5, NormalDist(-50.0, 0.5)), (0.5, NormalDist(50.0, 2.0)))), 1000.0),
+        (MixtureDist(((0.5, NormalDist(0.0, 0.1)), (0.5, NormalDist(1.0, 3.0)))), BASE_SE),
+    ], ids=["separated_components", "sd_ratio_30"])
+    def test_mixture_route_matches_dense_transport(self, mix, se):
+        ybar = simulated_ybar(mix, se, seed=3, replicates=64)
+        batched = _batched_w2(mix, CONSENSUS, ybar, se, 512)
+        dense = []
+        for y in ybar:
+            post = update_mixture(mix, Study(float(y), se))
+            parts = [(w, comp.mu, comp.sigma) for w, comp in post.components]
+            dense.append(oracles.transport_w2_dense(parts, CONSENSUS.mu, CONSENSUS.sigma))
+        np.testing.assert_allclose(batched, dense, atol=1e-9)
+
+    @pytest.mark.parametrize("update_prior, reference, atol", [
+        # Tolerances just above the largest gap measured (1.5e-10, 9.1e-11).
+        (MIX_04, decision_maker_prior(make_setup(0.3)), 5e-10),
+        (PIONEER, decision_maker_prior(make_setup(0.3)), 5e-10),
+        (MIX_04, TruncatedNormalDist(0.2, 0.4, 0.0, math.inf), 2e-10),
+        (PIONEER, TruncatedNormalDist(0.2, 0.4, 0.0, math.inf), 2e-10),
+    ], ids=["mixture_reference", "normal_update_mixture_reference",
+            "truncated_reference", "normal_update_truncated_reference"])
+    def test_non_normal_references_match_scalar_route(self, update_prior, reference, atol):
+        ybar = simulated_ybar(update_prior, BASE_SE, seed=3, replicates=64)
+        batched = _batched_w2(update_prior, reference, ybar, BASE_SE, 512)
+        scalar = [oracles.w2_quantile_gl4(reference, update(update_prior, Study(float(y), BASE_SE)))
+                  for y in ybar]
+        np.testing.assert_allclose(batched, scalar, atol=atol)
+
+    def test_mixture_route_is_bitwise_independent_of_block_size(self, monkeypatch):
+        ybar = simulated_ybar(MIX_04, BASE_SE, seed=9, replicates=1000)
         results = []
-        for cores in (1, 2):
-            monkeypatch.setattr(os, "sched_getaffinity",
-                                lambda pid, n=cores: set(range(n)), raising=False)
-            results.append(_w2_mixture_update(MIX_04, CONSENSUS, ybar, BASE_SE, 512).tobytes())
+        for rows in (1000, 37):
+            monkeypatch.setattr(prospective, "_BLOCK_ROWS", rows)
+            results.append(_w2_mixture_update(MIX_04, CONSENSUS, ybar, BASE_SE).tobytes())
         assert results[0] == results[1]
 
-    def test_mixture_solver_raises_at_sweep_cap(self, monkeypatch):
-        monkeypatch.setattr(distributions, "_MAX_SWEEPS", 1)
-        with pytest.raises(ArithmeticError):
-            _batched_w2(MIX_04, CONSENSUS, np.zeros(8), BASE_SE, 256)
+    def test_grid_references_take_the_per_replicate_route(self):
+        grid = GridDensity([2.0, 3.0, 4.0], [0.25, 0.5, 0.25])
+        reference = MixtureDist(((0.5, CONSENSUS), (0.5, grid)))
+        ybar = simulated_ybar(MIX_04, BASE_SE, seed=3, replicates=4)
+        batched = _batched_w2(MIX_04, reference, ybar, BASE_SE, 512)
+        scalar = [wp_quantile(reference, update_mixture(MIX_04, Study(float(y), BASE_SE)),
+                              nodes=512) for y in ybar]
+        np.testing.assert_array_equal(batched, scalar)
 
     @pytest.mark.parametrize("ybar", [-1.7, -0.3, 0.5, 2.5])
     def test_truncated_blend_matches_grid_route(self, ybar):
