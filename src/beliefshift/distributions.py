@@ -11,12 +11,12 @@ Each family exposes the same method surface (``pdf``, ``cdf``,
 functions of the same names are thin dispatch wrappers. Methods accept
 scalars or numpy arrays and return matching shapes.
 
-The truncated family is closed form on ``scipy.special`` alone and tail
-safe: the kept mass is measured from the tail the interval lies in, and a
-narrow interval's mass is integrated from its bounds. ``_mixture_quantiles``
-is the mixture-quantile solver: Newton on each level's own log tail in a
-bisection bracket. Importing costs
-only numpy: ``scipy.special`` is imported by the functions that evaluate it.
+The truncated family is closed form on the numpy-only normal functions of
+``_normal`` and tail safe: the kept mass is measured from the tail the
+interval lies in, a narrow interval's mass is integrated from its bounds,
+and far in a tail the moments come from the Mills-ratio continued fraction.
+``_mixture_quantiles`` is the mixture-quantile solver: Newton on each
+level's own log tail in a bisection bracket.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from typing import Union
 
 import numpy as np
 
+from ._normal import erfcx, log_ndtr, ndtr, ndtri, ndtri_exp
 from .errors import TailMassError
 
 __all__ = [
@@ -93,19 +94,16 @@ class NormalDist:
         return _restore_shape(np.exp(norm_logpdf(arr, self.mu, self.sigma)), scalar)
 
     def cdf(self, x):
-        from scipy import special
         arr, scalar = _as_float_array(x)
-        return _restore_shape(special.ndtr((arr - self.mu) / self.sigma), scalar)
+        return _restore_shape(ndtr((arr - self.mu) / self.sigma), scalar)
 
     def quantile(self, t):
-        from scipy import special
         arr, scalar = _as_float_array(t)
         _check_prob_open(arr)
-        return _restore_shape(self.mu + self.sigma * special.ndtri(arr), scalar)
+        return _restore_shape(self.mu + self.sigma * ndtri(arr), scalar)
 
     def _tail(self, x, upper):
-        from scipy import special
-        return special.ndtr(np.where(upper, -1.0, 1.0) * (x - self.mu) / self.sigma)
+        return ndtr(np.where(upper, -1.0, 1.0) * (x - self.mu) / self.sigma)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.normal(self.mu, self.sigma, size=int(count))
@@ -132,15 +130,41 @@ def _is_narrow(a, b):
 
 def _mills_ratio(x: float) -> float:
     """(1 - Phi(x)) / phi(x), exact to rounding for large x."""
-    from scipy import special
-    return _SQRT_HALF_PI * float(special.erfcx(x / math.sqrt(2.0)))
+    return _SQRT_HALF_PI * float(erfcx(x / math.sqrt(2.0)))
+
+
+# From this standardized bound out the moments come from the Mills-ratio
+# continued fraction, which by this depth is exact to rounding.
+_FRACTION_FROM = 2.5
+_FRACTION_DEPTH = 96
+
+
+def _mills_fractions(x: float) -> tuple[float, float, float]:
+    """M(x), 1 - x M(x) and (1 + x^2) M(x) - x for x >= _FRACTION_FROM,
+    where M is the Mills ratio, each to rounding.
+
+    With C_k = x + k / C_{k+1} (Laplace's continued fraction, M = 1 / C_1)
+    the last two are 1 / (C_1 C_2) and 2 / (C_1 C_2 C_3): the differences
+    that cancel to 1/x^2 and 2/x^3 of their terms are never formed."""
+    c = x
+    for k in range(_FRACTION_DEPTH, 3, -1):
+        c = x + k / c
+    c3 = x + 3.0 / c
+    c2 = x + 2.0 / c3
+    c1 = x + 1.0 / c2
+    return 1.0 / c1, 1.0 / (c1 * c2), 2.0 / (c1 * c2 * c3)
 
 
 def _log_lower_mass(lo, hi):
     """log(Phi(hi) - Phi(lo)) for lo < hi <= 0, from the lower tail."""
-    from scipy import special
-    log_hi = special.log_ndtr(hi)
-    return log_hi + np.log1p(-np.exp(special.log_ndtr(lo) - log_hi))
+    log_hi, log_lo = log_ndtr(np.stack([hi, lo]))  # one call: its cost is mostly per call
+    return log_hi + np.log1p(-np.exp(log_lo - log_hi))
+
+
+def _log_central_mass(lo, hi):
+    """log(Phi(hi) - Phi(lo)) for lo <= 0 < hi: one minus both tails."""
+    below, above = ndtr(np.stack([lo, -hi]))
+    return np.log1p(-below - above)
 
 
 def _log_narrow_mass(lo, width):
@@ -163,7 +187,6 @@ def _log_gauss_mass(a, b) -> np.ndarray:
     median subtracts both tails from 1. Intervals too far out for a double
     (log mass below -1.8e308) give -inf or nan.
     """
-    from scipy import special
     # Adding zeros broadcasts at a fraction of np.broadcast_arrays' cost.
     zero = np.zeros(np.broadcast(a, b).shape)
     a, b = np.add(a, zero), np.add(b, zero)
@@ -177,7 +200,7 @@ def _log_gauss_mass(a, b) -> np.ndarray:
         for mask, log_mass in (
                 (narrow, lambda lo, hi: _log_narrow_mass(lo, hi - lo)), (left, _log_lower_mass),
                 (right, lambda lo, hi: _log_lower_mass(-hi, -lo)),
-                (central, lambda lo, hi: np.log1p(-special.ndtr(lo) - special.ndtr(-hi)))):
+                (central, _log_central_mass)):
             if np.count_nonzero(mask):
                 out[mask] = log_mass(a[mask], b[mask])
     return out
@@ -254,20 +277,17 @@ class TruncatedNormalDist:
         return _restore_shape(out, scalar)
 
     def quantile(self, t):
-        from scipy import special
         arr, scalar = _as_float_array(t)
         _check_prob_open(arr)
         a, b = self.std_bounds()
         # Invert the lower tail below the median of the latent mass and the
         # upper tail above it, so that neither reads a tail mass off a log
         # that rounds to 0. An interval inside one tail uses that tail.
-        from_below = (b <= 0.0) | ((a < 0.0) & (arr < 0.5))
-        z = np.where(
-            from_below,
-            special.ndtri_exp(np.logaddexp(special.log_ndtr(a), np.log(arr) + self._log_mass)),
-            -special.ndtri_exp(np.logaddexp(special.log_ndtr(-b), np.log1p(-arr) + self._log_mass)),
-        )
-        q = np.clip(self.mu + self.sigma * z, self.lower, self.upper)
+        below = (b <= 0.0) | ((a < 0.0) & (arr < 0.5))
+        log_a, log_b = log_ndtr(np.array([a, -b]))  # both bounds' tails in one call
+        z = ndtri_exp(np.where(below, np.logaddexp(log_a, np.log(arr) + self._log_mass),
+                               np.logaddexp(log_b, np.log1p(-arr) + self._log_mass)))
+        q = np.clip(self.mu + self.sigma * np.where(below, z, -z), self.lower, self.upper)
         return _restore_shape(q, scalar)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -293,6 +313,28 @@ class TruncatedNormalDist:
             shift = float(w @ u)
             m1 = mid + shift
             var = float(w @ (u - shift) ** 2)
+        elif lo >= _FRACTION_FROM:
+            # Far in a tail var = 1 + lo p_lo - hi p_hi - m1^2 cancels to
+            # about 1/lo^2 while each term carries eps * lo^2 of rounding.
+            # Instead the moments of the excess Y = X - lo, over the kept
+            # mass K = M(lo) - rho M(hi) with rho = phi(hi) / phi(lo) and
+            # width w from the raw bounds:
+            #   K E[Y]   = g(lo) - rho (g(hi) + w M(hi)),
+            #   K E[Y^2] = h(lo) - rho (h(hi) + w (2 g(hi) + w M(hi))),
+            # with g and h from _mills_fractions; off the narrow rule
+            # w hi > 4, so rho < e^-2 and neither difference cancels much.
+            m_lo, g_lo, h_lo = _mills_fractions(lo)
+            kept, excess, excess_sq = m_lo, g_lo, h_lo
+            if hi < math.inf:
+                w = (self.upper - self.lower) / self.sigma
+                rho = math.exp(-0.5 * w * (hi + lo))
+                m_hi, g_hi, h_hi = _mills_fractions(hi)
+                kept -= rho * m_hi
+                excess -= rho * (g_hi + w * m_hi)
+                excess_sq -= rho * (h_hi + w * (2.0 * g_hi + w * m_hi))
+            shift = excess / kept
+            m1 = lo + shift
+            var = excess_sq / kept - shift * shift
         else:
             # Standardized densities at the bounds over the kept mass (zero
             # at an infinite bound). In a tail, Mills ratios give them to

@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 DEFAULT_QUANTILE_NODES = 4096
+# Families whose every moment is finite: wp_quantile skips their tail probe.
+_ALL_MOMENTS = (NormalDist, TruncatedNormalDist, MixtureDist, GridDensity)
 # Innermost panel boundary of the endpoint-clustered quadrature.
 _T_EPS = 1e-12
 
@@ -116,7 +118,8 @@ def wp_quantile(a, b, p: float = 2.0, nodes: int = DEFAULT_QUANTILE_NODES) -> fl
     Grid-grid pairs are summed exactly over merged cumulative levels;
     everything else uses endpoint-clustered midpoint quadrature. Inputs
     only need a vectorized ``quantile`` method. Raises MomentError when
-    the tails reveal a divergent p-th moment.
+    the tails reveal a divergent p-th moment; the package's own families
+    have every moment, so only other inputs are probed.
     """
     p = float(p)
     if p < 1.0:
@@ -127,7 +130,8 @@ def wp_quantile(a, b, p: float = 2.0, nodes: int = DEFAULT_QUANTILE_NODES) -> fl
     qa = np.asarray(a.quantile(t), dtype=float)
     qb = np.asarray(b.quantile(t), dtype=float)
     total = float(np.dot(w, np.abs(qa - qb) ** p))
-    _check_tail_convergence(a, b, p, total)
+    if not all(isinstance(d, _ALL_MOMENTS) for d in (a, b)):
+        _check_tail_convergence(a, b, p, total)
     return total ** (1.0 / p)
 
 

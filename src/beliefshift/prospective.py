@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._normal import lower_tail, ndtri, ndtri_lower
 from .distributions import (
     Distribution1D,
     GridDensity,
@@ -219,19 +220,21 @@ def _w2_normal_update(update_prior: NormalDist, reference: NormalDist,
 def _sides(x, w, mu, sd):
     """P(X <= x), P(X > x) and the pdf at x of each row's normal mixture
     (weights w and means mu per row, sds sd shared)."""
-    from scipy import special
     lower, upper, dens = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
     for k in range(sd.size):
         z = (x - mu[:, k:k + 1]) / sd[k]
         wk = w[:, k:k + 1]
-        # One ndtr per component: its smaller tail keeps every digit, and its
-        # larger side, w minus that tail, is near w and needs none.
-        tail = wk * special.ndtr(-np.abs(z))
+        a = np.abs(z)
+        e = np.exp(-0.5 * a * a)
+        # One tail per component, from the density's own exponential: the
+        # smaller tail keeps every digit, and the larger side, w minus that
+        # tail, is near w and needs none.
+        tail = wk * lower_tail(a, e)
         rest = wk - 2.0 * tail
         above = z > 0.0
         lower += tail + above * rest
         upper += tail + ~above * rest
-        dens += wk / sd[k] * np.exp(-0.5 * z * z)
+        dens += wk / sd[k] * e
     return lower, upper, dens * _INV_SQRT_2PI
 
 
@@ -289,7 +292,6 @@ def _w2_mixture_update(update_prior: Distribution1D, reference: Distribution1D,
     +/- 0, 1, ..., 8 sds, carried to x through F_P, where G^-1 bends. Rows
     go in fixed-size blocks on one thread.
     """
-    from scipy import special
     weights, mus, sds = (np.array(v) for v in zip(*(
         (w, c.mu, c.sigma) for w, c in _components(update_prior))))
     post_mu, post_sd = _conjugate_moments(mus, sds, ybar[:, None], se)
@@ -299,9 +301,9 @@ def _w2_mixture_update(update_prior: Distribution1D, reference: Distribution1D,
     post_w /= post_w.sum(axis=1, keepdims=True)
 
     if isinstance(reference, NormalDist):
-        def inverse(level, below):
+        def inverse(level, below):  # level <= 1/2: the lower side of Phi^-1 alone
             sign = np.where(below, 1.0, -1.0)
-            return reference.mu + reference.sigma * sign * special.ndtri(level)
+            return reference.mu + reference.sigma * sign * ndtri_lower(level)
     else:
         def inverse(level, below):
             return reference.quantile(np.where(below, level, np.minimum(1.0 - level, _TOP)))
@@ -355,7 +357,6 @@ def expected_learning_mc(predictive_prior: Distribution1D,
     components and references with grid components. The other runs ignore
     it: their W2 is closed form or the transport-map kernel.
     """
-    from scipy import special
     replicates = int(replicates)
     if replicates < MIN_REPLICATES:
         raise ValueError(f"expected_learning_mc needs at least {MIN_REPLICATES} replicates")
@@ -363,7 +364,7 @@ def expected_learning_mc(predictive_prior: Distribution1D,
     cols = 3 if isinstance(predictive_prior, MixtureDist) else 2
     uniforms = _replicate_uniforms(seed, replicates, cols)
     theta = _theta_from_uniforms(predictive_prior, uniforms)
-    ybar = theta + se * special.ndtri(uniforms[:, -1])
+    ybar = theta + se * ndtri(uniforms[:, -1])
     w2 = _batched_w2(update_prior, reference_prior, ybar, se, w2_nodes)
     root_n = math.sqrt(replicates)
     w2_sq = w2**2

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._normal import logsumexp
 from .distributions import (
     Distribution1D,
     GridDensity,
@@ -132,7 +133,6 @@ def _update_truncated_core(comp: TruncatedNormalDist, study: Study) -> Truncated
 
 def _log_marginal(comp, study: Study) -> float:
     """Log marginal likelihood of the study under one mixture component."""
-    from scipy import special
     se = study.std_error
     if isinstance(comp, NormalDist):
         return float(norm_logpdf(study.estimate, comp.mu, math.hypot(comp.sigma, se)))
@@ -145,7 +145,7 @@ def _log_marginal(comp, study: Study) -> float:
     if isinstance(comp, GridDensity):
         with np.errstate(divide="ignore"):
             logw = np.where(comp.ws > 0.0, np.log(comp.ws), -np.inf)
-        return float(special.logsumexp(logw + norm_logpdf(study.estimate, comp.xs, se)))
+        return float(logsumexp(logw + norm_logpdf(study.estimate, comp.xs, se)))
     raise UnsupportedPriorError(
         f"no closed-form marginal for {type(comp).__name__} mixture components"
     )
@@ -158,7 +158,6 @@ def update_mixture(prior: MixtureDist, study: Study) -> MixtureDist:
     bounds are preserved) and grid components reweight on their nodes;
     weights are reweighted by the component marginal likelihoods.
     """
-    from scipy import special
     if not isinstance(prior, MixtureDist):
         raise UnsupportedPriorError("update_mixture requires a MixtureDist prior")
     posts = []
@@ -172,7 +171,7 @@ def update_mixture(prior: MixtureDist, study: Study) -> MixtureDist:
     logw = np.array(logw)
     if not np.any(np.isfinite(logw)):
         raise DegenerateError("every mixture component's marginal likelihood underflowed")
-    w = np.exp(logw - special.logsumexp(logw))
+    w = np.exp(logw - logsumexp(logw))
     keep = w > 0.0
     w = w[keep] / w[keep].sum()
     kept_posts = [p for p, k in zip(posts, keep) if k]
@@ -309,11 +308,10 @@ def log_predictive_density(prior: Distribution1D, model: SamplingModel,
 
     Evaluated fully in log space so tail values do not underflow.
     """
-    from scipy import special
     pseudo = Study(float(ybar), model.std_error())
     if isinstance(prior, MixtureDist):
         terms = [math.log(w) + _log_marginal(comp, pseudo) for w, comp in prior.components]
-        return float(special.logsumexp(np.array(terms)))
+        return float(logsumexp(np.array(terms)))
     if isinstance(prior, (NormalDist, TruncatedNormalDist, GridDensity)):
         return _log_marginal(prior, pseudo)
     raise UnsupportedPriorError(f"unknown prior kind {type(prior).__name__}")

@@ -326,6 +326,23 @@ class TestMoments:
         exact_sd = oracles.truncnorm_moments_exact(0.0, 1000.0, 9000.0, 9001.0)[1]
         np.testing.assert_allclose(moments(dist)[1], exact_sd, rtol=1e-14)
 
+    @pytest.mark.parametrize("args", [
+        (5.0, 3.0, -1e4, -9999.5),
+        (-2.0, 0.01, 5.0, 5.0001),
+        (0.0, 1.0, 5000.0, math.inf),
+        (3.0, 0.5, -math.inf, -2000.0),
+    ], ids=["two_sided_3335_sd_out", "two_sided_700_sd_out", "one_sided_5000_sd_out",
+            "one_sided_upper_4006_sd_out"])
+    def test_sd_far_in_a_tail_keeps_every_digit(self, args):
+        # The closed form cancels to 1/lo^2 here and read these sds 1.2%,
+        # 1.3e-5, 2.1e-3 and 1.7% off; the continued fraction gives them
+        # to rounding.
+        dist = TruncatedNormalDist(*args)
+        exact_mean, exact_sd = oracles.truncnorm_moments_exact(*args)
+        mean, sd = moments(dist)
+        np.testing.assert_allclose(sd, exact_sd, rtol=1e-12)
+        np.testing.assert_allclose(mean, exact_mean, rtol=1e-15)
+
     def test_mixture_matches_sampling_oracle(self):
         mix = MixtureDist(((0.3, NormalDist(-1.0, 0.5)), (0.7, TruncatedNormalDist(2.0, 1.0, 0.0, math.inf))))
         mean, sd = moments(mix)
@@ -355,12 +372,6 @@ def truncations(draw):
         return TruncatedNormalDist(mu, sigma, -math.inf, mu + sigma * a)
     width = 10.0 ** draw(st.floats(-3.0, math.log10(80.0)))
     return TruncatedNormalDist(mu, sigma, mu + sigma * a, mu + sigma * (a + width))
-
-
-def distance_from_mass(dist) -> float:
-    """Latent sd between the interval and the mean (0 if it holds the mean)."""
-    a, b = dist.std_bounds()
-    return max(a, -b, 0.0)
 
 
 LEVELS = np.array([1e-12, 1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1.0 - 1e-6, 1.0 - 1e-12])
@@ -405,10 +416,9 @@ class TestTruncatedProperties:
         mean, sd = moments(dist)
         exact_mean, exact_sd = oracles.truncnorm_moments_exact(
             dist.mu, dist.sigma, dist.lower, dist.upper)
-        # mean = mu + sigma * m1 may cancel, and far out the variance keeps
-        # about eps * distance**4 of its digits.
+        # mean = mu + sigma * m1 may cancel.
         assert abs(mean - exact_mean) <= 1e-13 * (abs(dist.mu) + abs(mean - dist.mu)) + 1e-12 * sd
-        np.testing.assert_allclose(sd, exact_sd, rtol=1e-12 + 1e-15 * distance_from_mass(dist) ** 4)
+        np.testing.assert_allclose(sd, exact_sd, rtol=1e-12)
 
 
 class TestToGrid:
