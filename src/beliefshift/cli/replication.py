@@ -207,7 +207,7 @@ def run_replicate_paper(seed: int = 0,
     setup = PioneerSetup(NormalDist(3.0, 1.0), NormalDist(0.0, 3.0), 0.0,
                          SamplingModel(3.0, 10))
     points = weight_sweep(setup, fig5_weights, fig5_ns,
-                          replicates=sweep_replicates, seed=seed, w2_nodes=384)
+                          replicates=sweep_replicates, seed=seed)
     notes.append(
         "Figure 5 prints no y-values and no observation noise sd; the sweep fixes "
         "sigma = 3 and checks shape only (monotone in w at 3 MC sigma, positive at w = 0)."
@@ -316,9 +316,9 @@ def run_replicate_paper(seed: int = 0,
     add(make_check("determinism_normal_path", 1.0, float(first == second), 0.0))
     blend = MixtureDist(((0.4, NormalDist(0.0, 3.0)), (0.6, NormalDist(3.0, 1.0))))
     first = expected_learning_mc(blend, blend, NormalDist(3.0, 1.0), model,
-                                 replicates=200, seed=seed, w2_nodes=256)
+                                 replicates=200, seed=seed)
     second = expected_learning_mc(blend, blend, NormalDist(3.0, 1.0), model,
-                                  replicates=200, seed=seed, w2_nodes=256)
+                                  replicates=200, seed=seed)
     add(make_check("determinism_mixture_path", 1.0, float(first == second), 0.0))
 
     return results, notes

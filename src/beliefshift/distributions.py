@@ -80,6 +80,7 @@ class NormalDist:
 
     mu: float
     sigma: float
+    _log_mass = 0.0  # log of the kept mass Z = 1, named as on TruncatedNormalDist
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mu", float(self.mu))

@@ -3,9 +3,11 @@
 The headline metric is the Wasserstein-2 distance: closed form for
 normal pairs, quantile-function quadrature for general 1D pairs, and an
 exact transportation LP for weighted point clouds in any dimension.
-KL divergence, Lindley information, surprisal, and quadratic-loss
-expectations ride along as comparators, and ``learning_report`` bundles
-everything for one prior-to-posterior transition.
+KL divergence and Lindley information (closed form for normals and
+truncated normals, summed on a shared grid otherwise), surprisal, and
+quadratic-loss expectations ride along as comparators, and
+``learning_report`` bundles everything for one prior-to-posterior
+transition.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from .distributions import (
     MixtureDist,
     NormalDist,
     TruncatedNormalDist,
-    to_grid,
 )
-from .errors import AbsoluteContinuityError, MomentError, TailMassError
+from .errors import AbsoluteContinuityError, MomentError
 from .updating import SamplingModel, log_predictive_density
 
 __all__ = [
@@ -236,13 +237,29 @@ def wasserstein_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure,
     return float(res.fun) ** (1.0 / p), plan
 
 
-def kl_normal(p_dist: NormalDist, q_dist: NormalDist) -> float:
-    """KL(p || q) between normals, in nats."""
-    # Ratios before squaring, so tiny or huge scales do not under/overflow.
+def _mean_sq_z(moments: tuple[float, float], d) -> float:
+    """E[((X - d.mu) / d.sigma)^2] of a law with these (mean, sd): ratios
+    before squaring, so tiny or huge scales do not under/overflow."""
+    mean, sd = moments
+    return (sd / d.sigma) ** 2 + ((mean - d.mu) / d.sigma) ** 2
+
+
+def kl_normal(p_dist, q_dist) -> float:
+    """KL(p || q) in nats between normals or truncated normals.
+
+    With z_d = (X - mu_d) / sigma_d and Z_d the kept mass (1 for a normal),
+    KL = log(sigma_q Z_q / (sigma_p Z_p)) + E_p[z_q^2] / 2 - E_p[z_p^2] / 2,
+    each expectation from p's moments. Raises AbsoluteContinuityError when
+    p's support is not inside q's.
+    """
+    (p_lo, p_hi), (q_lo, q_hi) = p_dist.support(), q_dist.support()
+    if p_lo < q_lo or p_hi > q_hi:
+        raise AbsoluteContinuityError("p's support is not inside q's")
+    moments = p_dist.moments()
     var_ratio = (p_dist.sigma / q_dist.sigma) ** 2
-    mean_term = ((q_dist.mu - p_dist.mu) / q_dist.sigma) ** 2
+    terms = _mean_sq_z(moments, q_dist) - math.log(var_ratio) - _mean_sq_z(moments, p_dist)
     # Mathematically nonnegative; clamp float residue near equality.
-    return max(0.0, 0.5 * (mean_term + var_ratio - math.log(var_ratio) - 1.0))
+    return max(0.0, 0.5 * terms + (q_dist._log_mass - p_dist._log_mass))
 
 
 def _require_same_grid(p_dist: GridDensity, q_dist: GridDensity) -> None:
@@ -260,22 +277,27 @@ def kl_grid(p_dist: GridDensity, q_dist: GridDensity) -> float:
         raise AbsoluteContinuityError(
             "p is not absolutely continuous with respect to q on this grid"
         )
-    return max(0.0, float(np.sum(pw[active] * np.log(pw[active] / qw[active]))))
+    # A difference of logs: the ratio overflows where a q mass is subnormal.
+    log_ratio = np.log(pw[active]) - np.log(qw[active])
+    return max(0.0, float(np.sum(pw[active] * log_ratio)))
 
 
-def lindley_normal(prior: NormalDist, post: NormalDist) -> float:
-    """Signed Lindley information ln(sigma_prior / sigma_post).
+def lindley_normal(prior, post) -> float:
+    """Signed Lindley information H(prior) - H(post) between normals or
+    truncated normals, with entropy H = log(sigma Z sqrt(2 pi)) + E[z^2] / 2
+    (Z and z as in ``kl_normal``); ln(sigma_prior / sigma_post) for normals.
 
     Positive when uncertainty shrinks; display layers show the magnitude.
     """
-    return math.log(prior.sigma / post.sigma)
+    return (math.log(prior.sigma / post.sigma) + (prior._log_mass - post._log_mass)
+            + 0.5 * (_mean_sq_z(prior.moments(), prior) - _mean_sq_z(post.moments(), post)))
 
 
 def _neg_entropy_grid(d: GridDensity) -> float:
     # E[ln density] with density = mass / cell width; zero-mass nodes drop out.
-    widths = d.cell_widths()
-    active = d.ws > 0.0
-    return float(np.sum(d.ws[active] * np.log(d.ws[active] / widths[active])))
+    # A difference of logs: a subnormal mass over a wide cell rounds to 0.
+    ws, widths = d.ws[d.ws > 0.0], d.cell_widths()[d.ws > 0.0]
+    return float(np.sum(ws * (np.log(ws) - np.log(widths))))
 
 
 def lindley_grid(prior: GridDensity, post: GridDensity) -> float:
@@ -303,9 +325,12 @@ def quadratic_expectation(d: Distribution1D, action: float) -> float:
 class LearningReport:
     """All learning values for one prior-to-posterior transition.
 
-    ``kl_*`` and ``lindley`` are None when the pair's representation does
-    not support them (mixtures, mismatched grids); absent beats silently
-    approximated. When ``decomposition_exact`` the pair shares a
+    ``kl_*`` are None when either side's support is not inside the
+    other's. ``kl_*`` and ``lindley`` are None for pairs with a mixture,
+    grids on different nodes, and a continuous side that leaves more than
+    1e-6 of its mass off the other side's grid; absent beats silently
+    approximated. ``decomposition_exact`` holds only for normals and
+    truncated normals with equal standardized bounds: the pair shares a
     location-scale family and w2^2 = mean_shift_sq + sd_shift_sq exactly.
     """
 
@@ -353,53 +378,29 @@ class LearningReport:
         return ",".join(cls.CSV_COLUMNS)
 
 
-def _std_bounds_of(d) -> Optional[tuple[float, float]]:
-    if isinstance(d, NormalDist):
-        return (-math.inf, math.inf)
-    if isinstance(d, TruncatedNormalDist):
-        return d.std_bounds()
-    return None
+def _same_std_bounds(prior, post) -> bool:
+    """Whether two normals or truncated normals share standardized bounds,
+    so each is a location-scale image of the other. An infinite bound
+    matches only the same infinity."""
+    bounds = [tuple((x - d.mu) / d.sigma for x in d.support()) for d in (prior, post)]
+    return all(x == y or (math.isfinite(x - y)
+                          and abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y)))
+               for x, y in zip(*bounds))
 
 
-def _same_location_scale_family(prior, post) -> bool:
-    ab_prior = _std_bounds_of(prior)
-    ab_post = _std_bounds_of(post)
-    if ab_prior is None or ab_post is None:
-        return False
-    return all(
-        (math.isinf(x) and math.isinf(y) and (x > 0) == (y > 0))
-        or abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y))
-        for x, y in zip(ab_prior, ab_post)
-    )
-
-
-def _as_shared_grids(prior, post,
-                     nodes: int = DEFAULT_QUANTILE_NODES
-                     ) -> Optional[tuple[GridDensity, GridDensity]]:
-    """Put both distributions on one grid for KL / Lindley, or None if the
+def _as_shared_grids(prior, post) -> Optional[tuple[GridDensity, GridDensity]]:
+    """Put a pair with a grid on one grid for KL / Lindley, or None if the
     pair has no faithful shared-grid representation."""
     if isinstance(prior, MixtureDist) or isinstance(post, MixtureDist):
         return None
     if isinstance(prior, GridDensity) and isinstance(post, GridDensity):
         return (prior, post) if np.array_equal(prior.xs, post.xs) else None
-    if isinstance(prior, GridDensity) or isinstance(post, GridDensity):
-        grid = prior if isinstance(prior, GridDensity) else post
-        other = post if isinstance(prior, GridDensity) else prior
-        regridded = _discretize_onto(other, grid)
-        if regridded is None:
-            return None
-        return (grid, regridded) if isinstance(prior, GridDensity) else (regridded, grid)
-    # Two continuous non-normal-pair distributions: share a default window.
-    lo, hi = math.inf, -math.inf
-    for d in (prior, post):
-        mean, sd = d.moments()
-        supp_lo, supp_hi = d.support()
-        lo = min(lo, max(mean - 8.0 * sd, supp_lo))
-        hi = max(hi, min(mean + 8.0 * sd, supp_hi))
-    try:
-        return to_grid(prior, lo, hi, nodes), to_grid(post, lo, hi, nodes)
-    except TailMassError:
+    grid = prior if isinstance(prior, GridDensity) else post
+    other = post if isinstance(prior, GridDensity) else prior
+    regridded = _discretize_onto(other, grid)
+    if regridded is None:
         return None
+    return (grid, regridded) if isinstance(prior, GridDensity) else (regridded, grid)
 
 
 def _discretize_onto(d, grid: GridDensity) -> Optional[GridDensity]:
@@ -416,41 +417,37 @@ def _discretize_onto(d, grid: GridDensity) -> Optional[GridDensity]:
 def learning_report(prior: Distribution1D, post: Distribution1D) -> LearningReport:
     """Assemble every learning value for the transition prior -> post.
 
-    Closed forms apply when both sides are normal; location-scale pairs
-    get the exact moment decomposition; other pairs use the quantile
-    route for W2 and a shared grid for KL / Lindley where one exists.
+    Pairs of normals and truncated normals take KL and Lindley in closed
+    form (``kl_normal``, ``lindley_normal``); those with equal standardized
+    bounds also get W2 from the exact moment decomposition. Other pairs use
+    the quantile route for W2, and a pair with a grid takes KL / Lindley on
+    that grid where one fits both sides.
     """
     prior_mean, prior_sd = prior.moments()
     post_mean, post_sd = post.moments()
     mean_shift_sq = (post_mean - prior_mean) ** 2
     sd_shift_sq = (post_sd - prior_sd) ** 2
 
-    decomposition_exact = _same_location_scale_family(prior, post)
+    normal_family = all(isinstance(d, (NormalDist, TruncatedNormalDist)) for d in (prior, post))
+    decomposition_exact = normal_family and _same_std_bounds(prior, post)
     if decomposition_exact:
         w2 = math.sqrt(mean_shift_sq + sd_shift_sq)
     else:
         w2 = wp_quantile(prior, post, p=2.0)
 
-    if isinstance(prior, NormalDist) and isinstance(post, NormalDist):
-        kl_forward = kl_normal(post, prior)
-        kl_reverse = kl_normal(prior, post)
-        lindley = lindley_normal(prior, post)
-    else:
-        kl_forward = kl_reverse = lindley = None
-        if decomposition_exact and post_sd > 0.0:
-            # Same-family truncated pair: entropy differences reduce to the
-            # scale ratio exactly as in the normal case.
-            lindley = math.log(prior_sd / post_sd)
-        grids = _as_shared_grids(prior, post)
-        if grids is not None:
-            gp, gq = grids
-            if not decomposition_exact:
+    kl_forward = kl_reverse = lindley = None
+    try:
+        if normal_family:
+            lindley = lindley_normal(prior, post)
+            kl_forward, kl_reverse = kl_normal(post, prior), kl_normal(prior, post)
+        elif isinstance(prior, GridDensity) or isinstance(post, GridDensity):
+            grids = _as_shared_grids(prior, post)
+            if grids is not None:
+                gp, gq = grids
                 lindley = lindley_grid(gp, gq)
-            try:
-                kl_forward = kl_grid(gq, gp)
-                kl_reverse = kl_grid(gp, gq)
-            except AbsoluteContinuityError:
-                kl_forward = kl_reverse = None
+                kl_forward, kl_reverse = kl_grid(gq, gp), kl_grid(gp, gq)
+    except AbsoluteContinuityError:
+        kl_forward = kl_reverse = None
 
     kl_sym = None if kl_forward is None else kl_forward + kl_reverse
     normalized = w2 / prior_sd if prior_sd > 0.0 else math.inf

@@ -29,7 +29,7 @@ from .distributions import (
     NormalDist,
     norm_logpdf,
 )
-from .metrics import w2_normal, wp_quantile
+from .metrics import wp_quantile
 from .updating import SamplingModel, Study, _conjugate_moments, update
 
 __all__ = [
@@ -320,7 +320,7 @@ def _w2_mixture_update(update_prior: Distribution1D, reference: Distribution1D,
 
 
 def _batched_w2(update_prior: Distribution1D, reference: Distribution1D,
-                ybar: np.ndarray, se: float, nodes: int) -> np.ndarray:
+                ybar: np.ndarray, se: float) -> np.ndarray:
     if isinstance(update_prior, NormalDist) and isinstance(reference, NormalDist):
         return _w2_normal_update(update_prior, reference, ybar, se)
     if all(isinstance(c, NormalDist) for _, c in _components(update_prior)) and not any(
@@ -330,10 +330,7 @@ def _batched_w2(update_prior: Distribution1D, reference: Distribution1D,
     out = np.empty(ybar.size)
     for i, y in enumerate(ybar):
         post = update(update_prior, Study(float(y), se))
-        if isinstance(reference, NormalDist) and isinstance(post, NormalDist):
-            out[i] = w2_normal(reference, post)
-        else:
-            out[i] = wp_quantile(reference, post, p=2.0, nodes=nodes)
+        out[i] = wp_quantile(reference, post, p=2.0, nodes=DEFAULT_W2_NODES)
     return out
 
 
@@ -342,8 +339,7 @@ def expected_learning_mc(predictive_prior: Distribution1D,
                          reference_prior: Distribution1D,
                          model: SamplingModel,
                          replicates: int = DEFAULT_REPLICATES,
-                         seed: int = 0,
-                         w2_nodes: int = DEFAULT_W2_NODES) -> ExpectedLearning:
+                         seed: int = 0) -> ExpectedLearning:
     """Monte Carlo E[W2(reference, posterior)] over imagined study outcomes.
 
     Each replicate draws theta from ``predictive_prior``, simulates the
@@ -352,10 +348,12 @@ def expected_learning_mc(predictive_prior: Distribution1D,
     ``reference_prior`` to that posterior. Deterministic given the seed;
     a replicate failure aborts the run.
 
-    ``w2_nodes`` is the node count of the quantile quadrature on the
-    per-replicate route, which serves update priors with truncated or grid
-    components and references with grid components. The other runs ignore
-    it: their W2 is closed form or the transport-map kernel.
+    W2 is closed form for a normal update prior against a normal
+    reference, and the transport-map kernel for normal or normal-mixture
+    update priors against references without grid components. Update
+    priors with truncated or grid components, and references with grid
+    components, take the per-replicate route: an exact update each, and the
+    quantile formula on ``DEFAULT_W2_NODES`` nodes.
     """
     replicates = int(replicates)
     if replicates < MIN_REPLICATES:
@@ -365,7 +363,7 @@ def expected_learning_mc(predictive_prior: Distribution1D,
     uniforms = _replicate_uniforms(seed, replicates, cols)
     theta = _theta_from_uniforms(predictive_prior, uniforms)
     ybar = theta + se * ndtri(uniforms[:, -1])
-    w2 = _batched_w2(update_prior, reference_prior, ybar, se, w2_nodes)
+    w2 = _batched_w2(update_prior, reference_prior, ybar, se)
     root_n = math.sqrt(replicates)
     w2_sq = w2**2
     return ExpectedLearning(
@@ -382,17 +380,14 @@ def weight_sweep(setup: PioneerSetup,
                  weights: Sequence[float],
                  ns: Sequence[int],
                  replicates: int = DEFAULT_REPLICATES,
-                 seed: int = 0,
-                 w2_nodes: int = DEFAULT_W2_NODES) -> list[CurvePoint]:
+                 seed: int = 0) -> list[CurvePoint]:
     """Expected-learning curve over pioneer weights and sample sizes.
 
     For each (w, n) the decision-maker prior (weight w) is both the
     predictive and the update prior while the consensus prior is the
     reference. Point seeds are seed + row-major index, so a singleton
-    sweep reproduces a direct expected_learning_mc call exactly.
-    ``w2_nodes`` only sets the per-replicate route's quadrature, as in
-    expected_learning_mc: cells whose blended prior has only normal
-    components, against a consensus with no grid component, ignore it.
+    sweep reproduces a direct expected_learning_mc call exactly, routes
+    included.
     """
     weights = list(weights)
     ns = list(ns)
@@ -408,7 +403,7 @@ def weight_sweep(setup: PioneerSetup,
             )
             result = expected_learning_mc(
                 blended, blended, setup.consensus, model,
-                replicates=replicates, seed=seed + index, w2_nodes=w2_nodes,
+                replicates=replicates, seed=seed + index,
             )
             points.append(CurvePoint(float(w), int(n), result.estimate, result.mc_std_error))
             index += 1

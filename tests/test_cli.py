@@ -1,16 +1,21 @@
 """Tests for the CLI layer: scenario schema, command wiring, exit codes,
 output formats, and the replication harness plumbing."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from beliefshift import LearningReport, ScenarioError
+from beliefshift import LearningReport, NormalDist, ScenarioError, dist_to_literal
 from beliefshift.cli import (
     ReplicationResult,
     load_scenario,
@@ -23,9 +28,35 @@ from beliefshift.cli import (
 )
 from beliefshift.cli import replication
 from beliefshift.cli.replication import make_check
+from test_distributions import truncations
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
+
+
+@st.composite
+def normals(draw):
+    """Normals on the latent domain of ``truncations``."""
+    sigma = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return NormalDist(sigma * draw(st.floats(-5.0, 5.0)), sigma)
+
+
+@st.composite
+def compare_scenarios(draw):
+    """A normal or truncated prior against a normal or truncated posterior
+    and the posterior of a study up to 40 prior sd away, its standard error
+    1e-3 to 1e3 prior sd."""
+    prior, post = (draw(st.one_of(normals(), truncations())) for _ in range(2))
+    estimate = prior.mu + prior.sigma * draw(st.floats(-40.0, 40.0))
+    std_error = prior.sigma * 10.0 ** draw(st.floats(-3.0, 3.0))
+    return {
+        "kind": "compare",
+        "prior": dist_to_literal(prior),
+        "posteriors": [
+            {"label": "dist", "dist": dist_to_literal(post)},
+            {"label": "study", "study": {"estimate": estimate, "std_error": std_error}},
+        ],
+    }
 
 TABLE3_DICT = {
     "kind": "compare",
@@ -272,6 +303,53 @@ class TestCommandLine:
         assert len(rows) == 4
         assert abs(rows[0]["w2"] - 7.071) < 0.005
         assert rows[0]["decomposition_exact"] is True
+
+    def test_compare_truncated_prior_against_normal_is_not_exact(self, tmp_path, capsys):
+        # A finite standardized bound once matched the normal's infinite one.
+        scenario = tmp_path / "pair.json"
+        scenario.write_text(json.dumps({
+            "kind": "compare",
+            "prior": {"type": "trunc_normal", "mu": 0.2, "sigma": 0.4, "lower": 0, "upper": 1},
+            "posteriors": [{"label": "normal", "dist": {"type": "normal", "mu": 0.3,
+                                                        "sigma": 0.5}}],
+        }), encoding="utf-8")
+        out = tmp_path / "pair.csv"
+        assert main(["compare", "--scenario", str(scenario), "--out", str(out)]) == 0
+        capsys.readouterr()
+        header, row = out.read_text(encoding="utf-8").splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["decomposition_exact"] == "false"
+        assert abs(float(cells["w2"]) - 0.275350) < 1e-5
+
+    @settings(max_examples=100, deadline=None)
+    @given(compare_scenarios())
+    def test_compare_fuzz_exits_cleanly(self, scenario):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "fuzz.json", Path(tmp) / "fuzz.out.json"
+            path.write_text(json.dumps(scenario), encoding="utf-8")
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(["compare", "--scenario", str(path), "--format", "json",
+                             "--out", str(out)])
+            assert code in (0, 1, 2)
+            if code != 0:
+                return
+            dist_row, study_row = json.loads(out.read_text(encoding="utf-8"))
+        prior, post = scenario["prior"], scenario["posteriors"][0]["dist"]
+        for row in (dist_row, study_row):
+            assert row["w2"] >= 0.0
+            for name in ("kl_forward", "kl_reverse"):
+                assert row[name] is None or row[name] >= 0.0
+            if row["kl_forward"] is None:
+                assert row["kl_reverse"] is None and row["kl_sym"] is None
+            else:
+                assert row["kl_sym"] == row["kl_forward"] + row["kl_reverse"]
+        if dist_row["decomposition_exact"]:
+            assert ("lower" in prior, "upper" in prior) == ("lower" in post, "upper" in post)
+        if study_row["decomposition_exact"]:
+            # Only a normal prior has a posterior of its own family; a
+            # truncated one is updated on a grid.
+            assert prior["type"] == "normal"
 
     def test_kind_mismatch_exits_one(self, capsys):
         code = main(["retro", "--scenario", str(SCENARIO_DIR / "table3_compare.json")])

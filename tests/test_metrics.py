@@ -34,7 +34,41 @@ from beliefshift import (
     wasserstein_discrete,
     wp_quantile,
 )
+from beliefshift import distributions, metrics
 from beliefshift.metrics import t_nodes
+
+INF = math.inf
+# (prior, posterior) as (mu, sigma, lower, upper), and the tolerance of KL
+# and Lindley against 50-digit quadrature; infinite bounds make a normal.
+NORMAL_FAMILY_PAIRS = [
+    pytest.param((0.0, 2.0, 0.0, INF), (0.0, 0.5, 0.0, INF), 1e-12, 1e-11,
+                 id="same_std_bounds"),
+    pytest.param((0.2, 0.4, 0.0, INF), (0.1, 0.2, 0.0, INF), 1e-12, 1e-11, id="same_bounds"),
+    pytest.param((0.0, 1.0, -1.0, INF), (0.3, 0.8, -0.5, INF), 1e-12, 1e-11,
+                 id="different_bounds"),
+    pytest.param((0.0, 1.0, -2.0, 2.0), (0.5, 0.7, -1.0, 1.5), 1e-12, 1e-11,
+                 id="nested_two_sided"),
+    pytest.param((0.0, 1.0, -INF, INF), (0.0, 1.0, -3.0, INF), 1e-12, 1e-11,
+                 id="normal_vs_truncated"),
+    pytest.param((0.2, 0.4, 0.0, 1.0), (0.3, 0.5, -INF, INF), 1e-12, 1e-11,
+                 id="truncated_vs_normal"),
+    pytest.param((0.0, 1e-3, 0.0, INF), (2e-4, 5e-4, 0.0, INF), 1e-12, 1e-11, id="scale_1e-3"),
+    pytest.param((0.0, 1.0, 38.0, INF), (0.5, 1.2, 38.0, INF), 1e-12, 1e-11,
+                 id="bound_38_sd_out"),
+    pytest.param((0.0, 1.0, 80.0, INF), (-1.0, 1.1, 80.0, 81.0), 1e-12, 1e-11,
+                 id="bound_80_sd_out"),
+    # A 1/6-sd interval 3,335 sd out: KL cancels terms of order 1e7.
+    pytest.param((5.0, 3.0, -1e4, -9999.5), (5.0, 2.0, -1e4, -9990.0), 1e-8, 0.0,
+                 id="narrow_3335_sd_out"),
+    pytest.param((0.0, 1.0, -1.0, 1.0), (0.0, 1.0, 0.0, 2.0), 1e-12, 1e-11,
+                 id="supports_not_nested"),
+]
+
+
+def normal_family(mu, sigma, lower, upper):
+    if math.isinf(lower) and math.isinf(upper):
+        return NormalDist(mu, sigma)
+    return TruncatedNormalDist(mu, sigma, lower, upper)
 
 
 class TestW2Normal:
@@ -236,6 +270,51 @@ class TestKl:
         # The reverse direction is fine: q puts mass only where p does.
         assert kl_grid(q, p) >= 0.0
 
+    def test_grid_with_a_subnormal_mass_stays_finite(self):
+        # 0.5 / 5e-324 overflows a double; log p - log q does not.
+        xs = [0.0, 1.0, 2.0]
+        p = GridDensity(xs, [0.25, 0.25, 0.5])
+        q = GridDensity(xs, [0.5, 0.5 - 5e-324, 5e-324])
+        expected = 2 * 0.25 * math.log(0.5) + 0.5 * (math.log(0.5) - math.log(5e-324))
+        np.testing.assert_allclose(kl_grid(p, q), expected, rtol=1e-14)
+
+    @pytest.mark.parametrize("prior_args, post_args, rtol, atol", NORMAL_FAMILY_PAIRS)
+    def test_normal_family_matches_mpmath(self, prior_args, post_args, rtol, atol):
+        prior, post = normal_family(*prior_args), normal_family(*post_args)
+        report = learning_report(prior, post)
+        expected = (oracles.truncnorm_entropy_exact(*prior_args)
+                    - oracles.truncnorm_entropy_exact(*post_args))
+        np.testing.assert_allclose(lindley_normal(prior, post), expected, rtol=rtol, atol=atol)
+        assert report.lindley == lindley_normal(prior, post)
+        kls = []
+        for p, q, p_args, q_args in ((post, prior, post_args, prior_args),
+                                     (prior, post, prior_args, post_args)):
+            if q_args[2] <= p_args[2] and p_args[3] <= q_args[3]:
+                kls.append(kl_normal(p, q))
+                np.testing.assert_allclose(kls[-1], oracles.truncnorm_kl_exact(p_args, q_args),
+                                           rtol=rtol, atol=atol)
+            else:
+                with pytest.raises(AbsoluteContinuityError):
+                    kl_normal(p, q)
+                kls.append(None)
+        if None in kls:
+            assert report.kl_forward is None and report.kl_reverse is None
+            assert report.kl_sym is None
+        else:
+            assert [report.kl_forward, report.kl_reverse] == kls
+
+    def test_normal_pairs_keep_the_written_out_forms(self):
+        rng = default_rng(11)
+        for _ in range(200):
+            prior = NormalDist(rng.uniform(-50, 50), math.exp(rng.uniform(-8, 8)))
+            post = NormalDist(rng.uniform(-50, 50), math.exp(rng.uniform(-8, 8)))
+            report = learning_report(prior, post)
+            for kl, p, q in ((report.kl_forward, post, prior), (report.kl_reverse, prior, post)):
+                var_ratio = (p.sigma / q.sigma) ** 2
+                mean_term = ((q.mu - p.mu) / q.sigma) ** 2
+                assert kl == max(0.0, 0.5 * (mean_term + var_ratio - math.log(var_ratio) - 1.0))
+            assert report.lindley == math.log(prior.sigma / post.sigma)
+
     def test_requires_identical_grids(self):
         p = GridDensity([0.0, 1.0], [0.5, 0.5])
         q = GridDensity([0.0, 1.5], [0.5, 0.5])
@@ -277,6 +356,16 @@ class TestLindley:
         value = lindley_grid(prior, post)
         assert abs(value - (-math.log(2.0))) < 0.01
         assert value < 0.0
+
+    def test_grid_with_a_subnormal_mass_stays_finite(self):
+        # 5e-324 over a cell 2 wide rounds to 0; its log less the width's does not.
+        xs = [0.0, 2.0, 4.0]
+        prior = GridDensity(xs, [0.25, 0.5, 0.25])
+        post = GridDensity(xs, [0.5, 5e-324, 0.5])
+        neg_entropy_prior = 0.5 * math.log(0.25) + 0.5 * (math.log(0.5) - math.log(2.0))
+        neg_entropy_post = 2 * 0.5 * math.log(0.5) + 5e-324 * (math.log(5e-324) - math.log(2.0))
+        np.testing.assert_allclose(lindley_grid(prior, post), neg_entropy_post - neg_entropy_prior,
+                                   rtol=1e-14)
 
 
 class TestSurprisal:
@@ -370,6 +459,25 @@ class TestLearningReport:
         assert abs(report.w2**2 - (report.mean_shift_sq + report.sd_shift_sq)) < 1e-9
         oracle = oracles.quad_wp(prior.quantile, scaled.quantile, p=2.0)
         np.testing.assert_allclose(report.w2, oracle, rtol=1e-5)
+        # A finite standardized bound never matches an infinite one.
+        for prior, post in ((TruncatedNormalDist(0.2, 0.4, 0.0, 1.0), NormalDist(0.3, 0.5)),
+                            (NormalDist(0.0, 1.0), TruncatedNormalDist(0.0, 1.0, -3.0, INF))):
+            report = learning_report(prior, post)
+            assert not report.decomposition_exact
+            assert abs(report.w2 - oracles.w2_quantile_gl4(prior, post)) < 1e-5
+
+    @pytest.mark.parametrize("prior_args, post_args, rtol, atol", NORMAL_FAMILY_PAIRS)
+    def test_normal_family_pairs_are_never_discretized(self, monkeypatch, prior_args,
+                                                        post_args, rtol, atol):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a normal-family pair reached a grid")
+
+        # metrics imports no to_grid; one patched in there would catch its return.
+        for owner in (distributions, metrics):
+            monkeypatch.setattr(owner, "to_grid", refuse, raising=False)
+        monkeypatch.setattr(metrics, "_discretize_onto", refuse)
+        report = learning_report(normal_family(*prior_args), normal_family(*post_args))
+        assert report.lindley is not None
 
     def test_mixture_fields_flagged_absent(self):
         post = MixtureDist(((0.5, NormalDist(0, 1)), (0.5, NormalDist(3, 1))))

@@ -31,6 +31,7 @@ from beliefshift import (
 )
 from beliefshift import prospective
 from beliefshift.prospective import (
+    DEFAULT_W2_NODES,
     _batched_w2,
     _replicate_uniforms,
     _theta_from_uniforms,
@@ -53,22 +54,19 @@ def simulated_ybar(prior, se, seed, replicates):
 
 MIX_04 = decision_maker_prior(make_setup(0.4))
 # (update prior, se, ybar as prior-sd offsets from the prior mean or None
-# for simulated outcomes, quadrature nodes). The component sds are 1 and 3.
+# for simulated outcomes). The component sds are 1 and 3.
 MIXTURE_ROUTE_CASES = [
-    pytest.param(MIX_04, BASE_SE, None, 384, id="base"),
-    pytest.param(MIX_04, BASE_SE, np.linspace(-12.0, 12.0, 9), 384, id="ybar_12_sd_out"),
-    pytest.param(MIX_04, 1e-3, None, 384, id="se_1e-3_x_sd"),
-    pytest.param(MIX_04, 300.0, None, 384, id="se_1e2_x_sd"),
-    pytest.param(decision_maker_prior(make_setup(1e-6)), BASE_SE, None, 384,
+    pytest.param(MIX_04, BASE_SE, None, id="base"),
+    pytest.param(MIX_04, BASE_SE, np.linspace(-12.0, 12.0, 9), id="ybar_12_sd_out"),
+    pytest.param(MIX_04, 1e-3, None, id="se_1e-3_x_sd"),
+    pytest.param(MIX_04, 300.0, None, id="se_1e2_x_sd"),
+    pytest.param(decision_maker_prior(make_setup(1e-6)), BASE_SE, None,
                  id="pioneer_weight_1e-6"),
-    pytest.param(decision_maker_prior(make_setup(1.0 - 1e-6)), BASE_SE, None, 384,
+    pytest.param(decision_maker_prior(make_setup(1.0 - 1e-6)), BASE_SE, None,
                  id="pioneer_weight_1-1e-6"),
     pytest.param(MixtureDist(((0.2, NormalDist(-2.0, 0.5)), (0.5, NormalDist(1.0, 1.0)),
                               (0.3, NormalDist(4.0, 2.0)))),
-                 BASE_SE, None, 384, id="three_components"),
-    pytest.param(MIX_04, BASE_SE, None, 256, id="nodes_256"),
-    pytest.param(MIX_04, BASE_SE, None, 512, id="nodes_512"),
-    pytest.param(MIX_04, BASE_SE, None, 1024, id="nodes_1024"),
+                 BASE_SE, None, id="three_components"),
 ]
 
 
@@ -177,7 +175,7 @@ class TestExpectedLearningMc:
     def test_truncated_priors_use_grid_fallback(self):
         trunc = TruncatedNormalDist(0.5, 1.0, 0.0, math.inf)
         result = expected_learning_mc(trunc, trunc, trunc, SamplingModel(1.0, 4),
-                                      replicates=100, seed=3, w2_nodes=384)
+                                      replicates=100, seed=3)
         assert result.estimate > 0.0
         assert math.isfinite(result.mc_std_error)
 
@@ -217,16 +215,16 @@ class TestReplicateStreams:
 
 
 class TestBatchedW2:
-    @pytest.mark.parametrize("mix, se, sd_offsets, nodes", MIXTURE_ROUTE_CASES)
-    def test_mixture_route_matches_scalar_route(self, mix, se, sd_offsets, nodes):
-        # The transport map ignores ``nodes``; the scalar side is the quantile
-        # formula converged to 1e-10 (4-point Gauss-Legendre, 4096 panels).
+    @pytest.mark.parametrize("mix, se, sd_offsets", MIXTURE_ROUTE_CASES)
+    def test_mixture_route_matches_scalar_route(self, mix, se, sd_offsets):
+        # The scalar side is the quantile formula converged to 1e-10
+        # (4-point Gauss-Legendre, 4096 panels).
         if sd_offsets is None:
             ybar = simulated_ybar(mix, se, seed=3, replicates=64)
         else:
             mean, sd = mix.moments()
             ybar = mean + sd * sd_offsets
-        batched = _batched_w2(mix, CONSENSUS, ybar, se, nodes)
+        batched = _batched_w2(mix, CONSENSUS, ybar, se)
         scalar = np.array([
             oracles.w2_quantile_gl4(CONSENSUS, update_mixture(mix, Study(float(y), se)))
             for y in ybar
@@ -241,7 +239,7 @@ class TestBatchedW2:
     ], ids=["separated_components", "sd_ratio_30"])
     def test_mixture_route_matches_dense_transport(self, mix, se):
         ybar = simulated_ybar(mix, se, seed=3, replicates=64)
-        batched = _batched_w2(mix, CONSENSUS, ybar, se, 512)
+        batched = _batched_w2(mix, CONSENSUS, ybar, se)
         dense = []
         for y in ybar:
             post = update_mixture(mix, Study(float(y), se))
@@ -259,7 +257,7 @@ class TestBatchedW2:
             "truncated_reference", "normal_update_truncated_reference"])
     def test_non_normal_references_match_scalar_route(self, update_prior, reference, atol):
         ybar = simulated_ybar(update_prior, BASE_SE, seed=3, replicates=64)
-        batched = _batched_w2(update_prior, reference, ybar, BASE_SE, 512)
+        batched = _batched_w2(update_prior, reference, ybar, BASE_SE)
         scalar = [oracles.w2_quantile_gl4(reference, update(update_prior, Study(float(y), BASE_SE)))
                   for y in ybar]
         np.testing.assert_allclose(batched, scalar, atol=atol)
@@ -276,9 +274,9 @@ class TestBatchedW2:
         grid = GridDensity([2.0, 3.0, 4.0], [0.25, 0.5, 0.25])
         reference = MixtureDist(((0.5, CONSENSUS), (0.5, grid)))
         ybar = simulated_ybar(MIX_04, BASE_SE, seed=3, replicates=4)
-        batched = _batched_w2(MIX_04, reference, ybar, BASE_SE, 512)
+        batched = _batched_w2(MIX_04, reference, ybar, BASE_SE)
         scalar = [wp_quantile(reference, update_mixture(MIX_04, Study(float(y), BASE_SE)),
-                              nodes=512) for y in ybar]
+                              nodes=DEFAULT_W2_NODES) for y in ybar]
         np.testing.assert_array_equal(batched, scalar)
 
     @pytest.mark.parametrize("ybar", [-1.7, -0.3, 0.5, 2.5])
@@ -288,14 +286,14 @@ class TestBatchedW2:
         setup = PioneerSetup(consensus, NormalDist(0.0, 1.0), 0.5, SamplingModel(1.0, 50))
         blended = decision_maker_prior(setup)
         se = setup.model.std_error()
-        batched = _batched_w2(blended, consensus, np.array([ybar]), se, 512)
+        batched = _batched_w2(blended, consensus, np.array([ybar]), se)
         grid_post = update_grid(blended, Study(ybar, se), -6.0, 6.0, 20001)
         np.testing.assert_allclose(batched[0], wp_quantile(consensus, grid_post), atol=5e-4)
 
     def test_normal_route_matches_closed_form(self):
         se = SamplingModel(1.0, 4).std_error()
         ybar = np.linspace(-2.0, 8.0, 32)
-        batched = _batched_w2(CONSENSUS, PIONEER, ybar, se, 512)
+        batched = _batched_w2(CONSENSUS, PIONEER, ybar, se)
         scalar = []
         for y in ybar:
             mean, sd = oracles.conjugate_posterior(
