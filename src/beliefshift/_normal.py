@@ -21,8 +21,9 @@ once, so every element gets the same IEEE operations whatever array it
 sits in: a power matrix times the coefficients through BLAS gave some
 elements other bits by their position (and, 10^4 columns wide,
 page-faulted on every call). The range most points of the transport
-kernel fall in is evaluated over the whole array and the others replace
-it on masked subsets, so the kernel's blocks are not copied out and back.
+kernel fall in is evaluated over the whole array, with the points of other
+ranges clipped into it so that it stays finite, and only those points are
+then replaced, on masked subsets: no block is copied out and back.
 """
 
 from __future__ import annotations
@@ -161,13 +162,11 @@ def _erfcx_tail(t):
 
 
 def _erfcx_big(t):
-    """exp(t^2) erfc(t) for t >= 1 (or nan)."""
-    tail = t >= 8.0
-    if not tail.any():
-        return _rational(t, _ERFCX_MID)
-    out = np.empty_like(t)
-    _fill(out, ~tail, lambda tm: _rational(tm, _ERFCX_MID), t)
-    _fill(out, tail, _erfcx_tail, t)
+    """exp(t^2) erfc(t) for t >= 1 (or nan): the 1 <= t < 8 rational over the
+    whole array (t clipped at 8, which keeps it finite), then the tail form
+    on the t >= 8 subset."""
+    out = _rational(np.minimum(t, 8.0), _ERFCX_MID)
+    _fill(out, t >= 8.0, _erfcx_tail, t)
     return out
 
 

@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 from ..errors import NumericError, ScenarioError
 from ..metrics import LearningReport, learning_report
-from ..prospective import (MIN_REPLICATES, CurvePoint, PioneerSetup, curve_points_to_csv,
-                           weight_sweep)
+from ..prospective import (DEFAULT_REPLICATES, MIN_REPLICATES, CurvePoint, PioneerSetup,
+                           curve_points_to_csv, weight_sweep)
 from ..updating import DEFAULT_GRID_NODES, SamplingModel, sequential_update, update
 from ..distributions import MIN_GRID_NODES
 from .replication import ReplicationResult, run_replicate_paper
@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("replicate-paper", help="run every replication check")
     _add_io_flags(rep, scenario_required=False)
-    rep.add_argument("--replicates", type=int, default=10_000,
+    rep.add_argument("--replicates", type=int, default=DEFAULT_REPLICATES,
                      help="Monte Carlo replicates per prospective cell")
 
     return parser

@@ -28,6 +28,7 @@ from ..metrics import (
     quadratic_expectation,
 )
 from ..prospective import (
+    DEFAULT_REPLICATES,
     PioneerSetup,
     expected_learning_bound_sq,
     expected_learning_mc,
@@ -74,7 +75,7 @@ def _sorted_matching_wp(x: np.ndarray, y: np.ndarray, p: float) -> float:
 
 
 def run_replicate_paper(seed: int = 0,
-                        replicates: int = 10_000,
+                        replicates: int = DEFAULT_REPLICATES,
                         sweep_replicates: Optional[int] = None
                         ) -> tuple[list[ReplicationResult], list[str]]:
     """Run every replication check; returns (results, notes).

@@ -13,7 +13,7 @@ from typing import Optional
 
 from ..distributions import MIN_GRID_NODES, Distribution1D, dist_from_literal, dist_to_literal
 from ..errors import ScenarioError
-from ..prospective import MIN_REPLICATES
+from ..prospective import DEFAULT_REPLICATES, MIN_REPLICATES
 from ..updating import Study
 
 __all__ = [
@@ -70,7 +70,7 @@ class ProspectiveConfig:
     weights: tuple[float, ...]
     ns: tuple[int, ...]
     sigma: float
-    replicates: int = 10_000
+    replicates: int = DEFAULT_REPLICATES
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
@@ -203,7 +203,7 @@ def _parse_prospective_config(obj) -> ProspectiveConfig:
             if isinstance(value, bool) or not isinstance(value, types):
                 raise ScenarioError(f"{path}.{key}[{j}]: expected {kind}")
     sigma = _get_number(cfg, "sigma", path)
-    replicates = _get_int(cfg, "replicates", path, default=10_000)
+    replicates = _get_int(cfg, "replicates", path, default=DEFAULT_REPLICATES)
     try:
         return ProspectiveConfig(consensus, pioneer, tuple(cfg["weights"]), tuple(cfg["ns"]),
                                  sigma, replicates)

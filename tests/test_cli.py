@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from beliefshift import LearningReport, NormalDist, ScenarioError, dist_to_literal
+from beliefshift import LearningReport, MixtureDist, NormalDist, ScenarioError, dist_to_literal
 from beliefshift.cli import (
     ReplicationResult,
     load_scenario,
@@ -28,6 +28,7 @@ from beliefshift.cli import (
 )
 from beliefshift.cli import replication
 from beliefshift.cli.replication import make_check
+from beliefshift.prospective import DEFAULT_REPLICATES, MIN_REPLICATES
 from test_distributions import truncations
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -58,6 +59,80 @@ def compare_scenarios(draw):
         ],
     }
 
+
+@st.composite
+def mixture_priors(draw):
+    """Two or three normal or truncated components, weights drawn from
+    [0.05, 1] and normalized: (literal, mean, sd)."""
+    comps = draw(st.lists(st.one_of(normals(), truncations()), min_size=2, max_size=3))
+    raw = [draw(st.floats(0.05, 1.0)) for _ in comps]
+    total = sum(raw)
+    mix = MixtureDist(tuple((r / total, c) for r, c in zip(raw, comps)))
+    return (dist_to_literal(mix), *mix.moments())
+
+
+@st.composite
+def grid_priors(draw):
+    """2 to 40 strictly increasing nodes on a scale of 1e-3 to 1e3, masses
+    drawn from [0, 1] and normalized (all zero is left as it is):
+    (literal, first node, scale)."""
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    steps = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=39))
+    xs = [scale * draw(st.floats(-5.0, 5.0))]
+    for step in steps:
+        xs.append(xs[-1] + scale * step)
+    masses = [draw(st.floats(0.0, 1.0)) for _ in xs]
+    total = sum(masses)
+    ws = [m / total for m in masses] if total else masses
+    return {"type": "grid", "xs": xs, "ws": ws}, xs[0], scale
+
+
+@st.composite
+def retro_scenarios(draw):
+    """A normal, mixture or grid literal prior and one to three studies up
+    to 40 prior scales away, their standard errors 1e-3 to 1e3 scales."""
+    prior, center, scale = draw(st.one_of(
+        normals().map(lambda d: (dist_to_literal(d), d.mu, d.sigma)),
+        mixture_priors(), grid_priors()))
+    studies = [{"estimate": center + scale * draw(st.floats(-40.0, 40.0)),
+                "std_error": scale * 10.0 ** draw(st.floats(-3.0, 3.0))}
+               for _ in range(draw(st.integers(1, 3)))]
+    return {"kind": "retrospective", "prior": prior, "studies": studies}
+
+
+@st.composite
+def prospect_scenarios(draw):
+    """Normal consensus and pioneer priors, one to three weights in [0, 1],
+    one or two sample sizes up to 10^4, a noise sd 1e-3 to 1e3 consensus sd,
+    at the replicate floor."""
+    consensus, pioneer = draw(normals()), draw(normals())
+    return {
+        "kind": "prospective",
+        "seed": draw(st.integers(0, 2**63)),
+        "prospective_config": {
+            "consensus": dist_to_literal(consensus),
+            "pioneer": dist_to_literal(pioneer),
+            "weights": draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3)),
+            "ns": draw(st.lists(st.integers(1, 10_000), min_size=1, max_size=2)),
+            "sigma": consensus.sigma * 10.0 ** draw(st.floats(-3.0, 3.0)),
+            "replicates": MIN_REPLICATES,
+        },
+    }
+
+
+def run_fuzz_scenario(command, scenario):
+    """Exit code of ``command`` on ``scenario`` and its JSON --out rows (None
+    unless it exited 0)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "fuzz.json", Path(tmp) / "fuzz.out.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--scenario", str(path), "--format", "json",
+                         "--out", str(out)])
+        return code, json.loads(out.read_text(encoding="utf-8")) if code == 0 else None
+
+
 TABLE3_DICT = {
     "kind": "compare",
     "prior": {"type": "normal", "mu": 0.0, "sigma": 10.0},
@@ -81,6 +156,19 @@ class TestScenarioSchema:
         scenario = load_scenario(str(SCENARIO_DIR / name))
         again = parse_scenario(serialize_scenario(scenario))
         assert again == scenario
+
+    def test_prospective_replicates_default(self):
+        scenario = parse_scenario({
+            "kind": "prospective",
+            "prospective_config": {
+                "consensus": {"type": "normal", "mu": 3, "sigma": 1},
+                "pioneer": {"type": "normal", "mu": 0, "sigma": 3},
+                "weights": [0.5],
+                "ns": [10],
+                "sigma": 1.0,
+            },
+        })
+        assert scenario.prospective_config.replicates == DEFAULT_REPLICATES
 
     def test_missing_kind(self):
         with pytest.raises(ScenarioError, match="kind"):
@@ -324,17 +412,11 @@ class TestCommandLine:
     @settings(max_examples=100, deadline=None)
     @given(compare_scenarios())
     def test_compare_fuzz_exits_cleanly(self, scenario):
-        with tempfile.TemporaryDirectory() as tmp:
-            path, out = Path(tmp) / "fuzz.json", Path(tmp) / "fuzz.out.json"
-            path.write_text(json.dumps(scenario), encoding="utf-8")
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                code = main(["compare", "--scenario", str(path), "--format", "json",
-                             "--out", str(out)])
-            assert code in (0, 1, 2)
-            if code != 0:
-                return
-            dist_row, study_row = json.loads(out.read_text(encoding="utf-8"))
+        code, rows = run_fuzz_scenario("compare", scenario)
+        assert code in (0, 1, 2)
+        if code != 0:
+            return
+        dist_row, study_row = rows
         prior, post = scenario["prior"], scenario["posteriors"][0]["dist"]
         for row in (dist_row, study_row):
             assert row["w2"] >= 0.0
@@ -350,6 +432,36 @@ class TestCommandLine:
             # Only a normal prior has a posterior of its own family; a
             # truncated one is updated on a grid.
             assert prior["type"] == "normal"
+
+    @settings(max_examples=50, deadline=None)
+    @given(retro_scenarios())
+    def test_retro_fuzz_exits_cleanly(self, scenario):
+        code, rows = run_fuzz_scenario("retro", scenario)
+        assert code in (0, 1, 2)
+        if code != 0:
+            return
+        assert len(rows) == len(scenario["studies"]) + 1
+        for row in rows:
+            assert row["w2"] >= 0.0
+            for name, value in row.items():
+                # A prior with no spread (a grid with one positive mass) has
+                # no scale to normalize by: normalized_w2 reads inf.
+                if isinstance(value, float):
+                    assert math.isfinite(value) or (
+                        name == "normalized_w2" and value == math.inf), (name, value)
+
+    @settings(max_examples=50, deadline=None)
+    @given(prospect_scenarios())
+    def test_prospect_fuzz_exits_cleanly(self, scenario):
+        code, rows = run_fuzz_scenario("prospect", scenario)
+        assert code in (0, 1, 2)
+        if code != 0:
+            return
+        cfg = scenario["prospective_config"]
+        assert len(rows) == len(cfg["weights"]) * len(cfg["ns"])
+        for row in rows:
+            assert math.isfinite(row["expected_learning"]) and row["expected_learning"] >= 0.0
+            assert math.isfinite(row["mc_std_error"]) and row["mc_std_error"] > 0.0
 
     def test_kind_mismatch_exits_one(self, capsys):
         code = main(["retro", "--scenario", str(SCENARIO_DIR / "table3_compare.json")])
