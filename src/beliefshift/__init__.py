@@ -52,7 +52,6 @@ from .prospective import (
     CurvePoint,
     ExpectedLearning,
     PioneerSetup,
-    curve_points_to_csv,
     decision_maker_prior,
     expected_learning_bound_sq,
     expected_learning_mc,
@@ -136,5 +135,4 @@ __all__ = [
     "expected_learning_mc",
     "expected_learning_bound_sq",
     "weight_sweep",
-    "curve_points_to_csv",
 ]

@@ -12,16 +12,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
 from ..errors import NumericError, ScenarioError
 from ..metrics import LearningReport, learning_report
 from ..prospective import (DEFAULT_REPLICATES, MIN_REPLICATES, CurvePoint, PioneerSetup,
-                           curve_points_to_csv, weight_sweep)
-from ..updating import DEFAULT_GRID_NODES, SamplingModel, sequential_update, update
-from ..distributions import MIN_GRID_NODES
-from .replication import ReplicationResult, run_replicate_paper
+                           weight_sweep)
+from ..updating import SamplingModel, sequential_update, update
+from ..distributions import DEFAULT_GRID_NODES, MIN_GRID_NODES
+from .replication import run_replicate_paper
 from .scenarios import Scenario, load_scenario
 
 __all__ = ["build_parser", "main", "run_retrospective", "run_prospective", "run_compare"]
@@ -121,13 +122,35 @@ def _fmt(value, digits: int = 6) -> str:
     return f"{value:.{digits}g}"
 
 
-def _write_out(path: str, fmt: str, csv_text: str, json_obj) -> None:
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, str)):
+        return str(value)
+    return repr(float(value))
+
+
+def _json_value(value):
+    # RFC 8259 has no Infinity or NaN: a value with no finite reading is null.
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _write_out(path: str, fmt: str, header: Sequence[str], rows) -> None:
+    """Write ``rows``, tuples in ``header`` order, to ``path``: CSV cells by
+    ``_csv_cell``, or a JSON list of objects keyed by the header."""
     if fmt == "csv":
-        content = csv_text
+        content = "".join(",".join(map(_csv_cell, row)) + "\n" for row in (header, *rows))
     else:
-        content = json.dumps(json_obj, indent=2) + "\n"
+        content = json.dumps([{h: _json_value(v) for h, v in zip(header, row)} for row in rows],
+                             indent=2) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(content)
+
+
+def _report_rows(rows: list[tuple[str, LearningReport]], columns: Sequence[str]) -> list[tuple]:
+    return [(label, *(getattr(report, c) for c in columns)) for label, report in rows]
 
 
 def run_retrospective(scenario: Scenario,
@@ -173,19 +196,6 @@ def run_compare(scenario: Scenario,
     return rows
 
 
-def _report_csv(rows: list[tuple[str, LearningReport]],
-                columns: Sequence[str], label_header: str) -> str:
-    lines = [label_header + "," + ",".join(columns)]
-    lines.extend(f"{label},{report.to_csv_row(columns)}" for label, report in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _report_json(rows: list[tuple[str, LearningReport]],
-                 columns: Sequence[str], label_header: str) -> list[dict]:
-    return [{label_header: label, **{c: getattr(report, c) for c in columns}}
-            for label, report in rows]
-
-
 def _cmd_retro(args) -> int:
     scenario = load_scenario(args.scenario)
     if scenario.kind != "retrospective":
@@ -204,9 +214,7 @@ def _cmd_retro(args) -> int:
         print(f"note: stepwise W2 values sum to {sum(stepwise):.6g}, at or above the "
               f"end-to-end W2 {end_to_end:.6g}; learning along a path is not cumulative.")
     if args.out:
-        _write_out(args.out, args.format,
-                   _report_csv(rows, columns, "step"),
-                   _report_json(rows, columns, "step"))
+        _write_out(args.out, args.format, ("step", *columns), _report_rows(rows, columns))
     return 0
 
 
@@ -221,10 +229,8 @@ def _cmd_prospect(args) -> int:
          for pt in points],
     )
     if args.out:
-        _write_out(args.out, args.format,
-                   curve_points_to_csv(points),
-                   [{"w": pt.w, "n": pt.n, "expected_learning": pt.expected_learning,
-                     "mc_std_error": pt.mc_std_error} for pt in points])
+        _write_out(args.out, args.format, ("w", "n", "expected_learning", "mc_std_error"),
+                   [(pt.w, pt.n, pt.expected_learning, pt.mc_std_error) for pt in points])
     return 0
 
 
@@ -248,18 +254,8 @@ def _cmd_compare(args) -> int:
         table_rows.append(cells)
     _print_table(headers, table_rows)
     if args.out:
-        _write_out(args.out, args.format,
-                   _report_csv(rows, columns, "posterior"),
-                   _report_json(rows, columns, "posterior"))
+        _write_out(args.out, args.format, ("posterior", *columns), _report_rows(rows, columns))
     return 0
-
-
-def _replication_csv(results: list[ReplicationResult]) -> str:
-    lines = ["check_name,expected,actual,tolerance,passed"]
-    for r in results:
-        lines.append(f"{r.check_name},{r.expected!r},{r.actual!r},{r.tolerance!r},"
-                     f"{'true' if r.passed else 'false'}")
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_replicate_paper(args) -> int:
@@ -275,10 +271,10 @@ def _cmd_replicate_paper(args) -> int:
     passed = sum(r.passed for r in results)
     print(f"result: {passed}/{len(results)} checks passed")
     if args.out:
-        _write_out(args.out, args.format, _replication_csv(results), [
-            {"check_name": r.check_name, "expected": r.expected, "actual": r.actual,
-             "tolerance": r.tolerance, "passed": r.passed} for r in results
-        ])
+        _write_out(args.out, args.format,
+                   ("check_name", "expected", "actual", "tolerance", "passed"),
+                   [(r.check_name, r.expected, r.actual, r.tolerance, r.passed)
+                    for r in results])
     return 0 if passed == len(results) else 1
 
 

@@ -29,6 +29,7 @@ from ..metrics import (
 )
 from ..prospective import (
     DEFAULT_REPLICATES,
+    MIN_REPLICATES,
     PioneerSetup,
     expected_learning_bound_sq,
     expected_learning_mc,
@@ -86,7 +87,7 @@ def run_replicate_paper(seed: int = 0,
     """
     replicates = int(replicates)
     if sweep_replicates is None:
-        sweep_replicates = max(100, replicates // 4)
+        sweep_replicates = max(MIN_REPLICATES, replicates // 4)
     results: list[ReplicationResult] = []
     notes: list[str] = []
     add = results.append

@@ -11,7 +11,8 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from ..distributions import MIN_GRID_NODES, Distribution1D, dist_from_literal, dist_to_literal
+from ..distributions import (DEFAULT_GRID_NODES, MIN_GRID_NODES, Distribution1D,
+                             dist_from_literal, dist_to_literal)
 from ..errors import ScenarioError
 from ..prospective import DEFAULT_REPLICATES, MIN_REPLICATES
 from ..updating import Study
@@ -36,7 +37,7 @@ class GridSpec:
 
     lo: float
     hi: float
-    nodes: int = 4096
+    nodes: int = DEFAULT_GRID_NODES
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lo", float(self.lo))
@@ -217,7 +218,7 @@ def _parse_grid(obj) -> GridSpec:
     _reject_unknown(grid, {"lo", "hi", "nodes"}, path)
     lo = _get_number(grid, "lo", path)
     hi = _get_number(grid, "hi", path)
-    nodes = _get_int(grid, "nodes", path, default=4096)
+    nodes = _get_int(grid, "nodes", path, default=DEFAULT_GRID_NODES)
     try:
         return GridSpec(lo, hi, nodes)
     except ValueError as exc:

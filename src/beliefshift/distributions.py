@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -52,6 +52,8 @@ _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 GRID_TAIL_TOL = 1e-6
 # Fewest nodes to_grid accepts; scenario grids and --grid-nodes are held to it.
 MIN_GRID_NODES = 64
+# Nodes of a grid window when neither the scenario nor --grid-nodes gives a count.
+DEFAULT_GRID_NODES = 4096
 
 
 def _as_float_array(x):
@@ -294,11 +296,43 @@ class TruncatedNormalDist:
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return self.quantile(rng.uniform(size=int(count)))
 
-    def moments(self) -> tuple[float, float]:
+    def _mirrored_bounds(self) -> tuple[float, float, float]:
+        """(sign, lo, hi): standardized bounds, mirrored above the latent mean (sign -1)."""
         a, b = self.std_bounds()
-        # Mirror an interval below the latent mean to above it; the mean flips.
-        sign = -1.0 if b <= 0.0 else 1.0
-        lo, hi = (-b, -a) if sign < 0.0 else (a, b)
+        return (-1.0, -b, -a) if b <= 0.0 else (1.0, a, b)
+
+    def _tail_frame(self) -> Optional[tuple[float, float, float, float, float]]:
+        """(sign, lo, log Z + lo^2 / 2, E[Y], E[Y^2]) on a wide interval
+        _FRACTION_FROM sd or more out, else None. Y = sign (X - mu) / sigma - lo
+        is the excess over the near bound, Z the kept mass, K = Z / phi(lo) =
+        M(lo) - rho M(hi) (so the lo^2 / 2 is never formed), and
+          K E[Y]   = g(lo) - rho (g(hi) + w M(hi)),
+          K E[Y^2] = h(lo) - rho (h(hi) + w (2 g(hi) + w M(hi))),
+        with rho = phi(hi) / phi(lo), w the width from the raw bounds and M, g,
+        h from _mills_fractions. Off the narrow rule w hi > 4, so rho < e^-2
+        and neither difference cancels much, where the closed-form variance
+        1 + lo p_lo - hi p_hi - m1^2 would carry eps * lo^2 of rounding.
+        """
+        sign, lo, hi = self._mirrored_bounds()
+        if _is_narrow(lo, hi) or lo < _FRACTION_FROM:
+            return None
+        kept, excess, excess_sq = _mills_fractions(lo)
+        if hi < math.inf:
+            w = (self.upper - self.lower) / self.sigma
+            rho = math.exp(-0.5 * w * (hi + lo))
+            m_hi, g_hi, h_hi = _mills_fractions(hi)
+            kept -= rho * m_hi
+            excess -= rho * (g_hi + w * m_hi)
+            excess_sq -= rho * (h_hi + w * (2.0 * g_hi + w * m_hi))
+        return sign, lo, math.log(kept) - _LOG_SQRT_2PI, excess / kept, excess_sq / kept
+
+    def moments(self) -> tuple[float, float]:
+        frame = self._tail_frame()
+        if frame is not None:
+            sign, lo, _, shift, mean_sq = frame
+            return (float(self.mu + self.sigma * sign * (lo + shift)),
+                    float(self.sigma * math.sqrt(mean_sq - shift * shift)))
+        sign, lo, hi = self._mirrored_bounds()
         if _is_narrow(lo, hi):
             # The closed form cancels to nothing on a narrow interval (a
             # negative variance 35 sd out); Gauss-Legendre with centred
@@ -314,28 +348,6 @@ class TruncatedNormalDist:
             shift = float(w @ u)
             m1 = mid + shift
             var = float(w @ (u - shift) ** 2)
-        elif lo >= _FRACTION_FROM:
-            # Far in a tail var = 1 + lo p_lo - hi p_hi - m1^2 cancels to
-            # about 1/lo^2 while each term carries eps * lo^2 of rounding.
-            # Instead the moments of the excess Y = X - lo, over the kept
-            # mass K = M(lo) - rho M(hi) with rho = phi(hi) / phi(lo) and
-            # width w from the raw bounds:
-            #   K E[Y]   = g(lo) - rho (g(hi) + w M(hi)),
-            #   K E[Y^2] = h(lo) - rho (h(hi) + w (2 g(hi) + w M(hi))),
-            # with g and h from _mills_fractions; off the narrow rule
-            # w hi > 4, so rho < e^-2 and neither difference cancels much.
-            m_lo, g_lo, h_lo = _mills_fractions(lo)
-            kept, excess, excess_sq = m_lo, g_lo, h_lo
-            if hi < math.inf:
-                w = (self.upper - self.lower) / self.sigma
-                rho = math.exp(-0.5 * w * (hi + lo))
-                m_hi, g_hi, h_hi = _mills_fractions(hi)
-                kept -= rho * m_hi
-                excess -= rho * (g_hi + w * m_hi)
-                excess_sq -= rho * (h_hi + w * (2.0 * g_hi + w * m_hi))
-            shift = excess / kept
-            m1 = lo + shift
-            var = excess_sq / kept - shift * shift
         else:
             # Standardized densities at the bounds over the kept mass (zero
             # at an infinite bound). In a tail, Mills ratios give them to
@@ -639,7 +651,8 @@ def moments(d: Distribution1D) -> tuple[float, float]:
     return d.moments()
 
 
-def to_grid(d: Distribution1D, lo: float, hi: float, nodes: int = 4096) -> GridDensity:
+def to_grid(d: Distribution1D, lo: float, hi: float,
+            nodes: int = DEFAULT_GRID_NODES) -> GridDensity:
     """Discretize ``d`` onto ``nodes`` equispaced points of [lo, hi].
 
     Masses are density times trapezoid cell width, renormalized. Raises
@@ -678,10 +691,6 @@ def to_grid(d: Distribution1D, lo: float, hi: float, nodes: int = 4096) -> GridD
     if not (total > 0.0):
         raise TailMassError(f"density vanished everywhere on [{lo:g}, {hi:g}]")
     return GridDensity(xs, raw / total)
-
-
-def _finite_or_none(value: float):
-    return None if math.isinf(value) else value
 
 
 def dist_to_literal(d: Distribution1D) -> dict:

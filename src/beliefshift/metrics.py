@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -237,11 +237,33 @@ def wasserstein_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure,
     return float(res.fun) ** (1.0 / p), plan
 
 
-def _mean_sq_z(moments: tuple[float, float], d) -> float:
-    """E[((X - d.mu) / d.sigma)^2] of a law with these (mean, sd): ratios
-    before squaring, so tiny or huge scales do not under/overflow."""
-    mean, sd = moments
-    return (sd / d.sigma) ** 2 + ((mean - d.mu) / d.sigma) ** 2
+def _log_mass_and_sq(p_dist, q_dist) -> tuple[float, float]:
+    """(L, S) with L + S / 2 = log Z_q + E_p[z_q^2] / 2 for X ~ p, with z_q
+    and Z_q as in ``kl_normal``. Far in q's tail both terms are near lo^2 / 2
+    (lo q's standardized near bound) and would cancel all but eps * lo^2 of
+    it; there z_q^2 = (lo + Y)^2 with the excess Y of q's tail frame, so
+    L = log Z_q + lo^2 / 2 from that frame and S = 2 lo E[Y] + E[Y^2].
+    """
+    frame = q_dist._tail_frame() if isinstance(q_dist, TruncatedNormalDist) else None
+    mean, sd = p_dist.moments()
+    if frame is None:
+        # Ratios before squaring, so tiny or huge scales do not under/overflow.
+        return (q_dist._log_mass,
+                (sd / q_dist.sigma) ** 2 + ((mean - q_dist.mu) / q_dist.sigma) ** 2)
+    sign, lo, log_mass, mean_y, mean_y_sq = frame
+    if p_dist is not q_dist:
+        near = q_dist.lower if sign > 0.0 else q_dist.upper
+        p_frame = p_dist._tail_frame() if isinstance(p_dist, TruncatedNormalDist) else None
+        mean_y, var_y = sign * (mean - near) / q_dist.sigma, (sd / q_dist.sigma) ** 2
+        if p_frame is not None:
+            # Y = d + c Y_p from p's own excess: p's mean rounds by eps |X|.
+            p_sign, _, _, p_mean_y, p_mean_y_sq = p_frame
+            p_near = p_dist.lower if p_sign > 0.0 else p_dist.upper
+            c = sign * p_sign * p_dist.sigma / q_dist.sigma
+            mean_y = sign * (p_near - near) / q_dist.sigma + c * p_mean_y
+            var_y = c * c * (p_mean_y_sq - p_mean_y * p_mean_y)
+        mean_y_sq = mean_y * mean_y + var_y
+    return log_mass, 2.0 * lo * mean_y + mean_y_sq
 
 
 def kl_normal(p_dist, q_dist) -> float:
@@ -249,17 +271,17 @@ def kl_normal(p_dist, q_dist) -> float:
 
     With z_d = (X - mu_d) / sigma_d and Z_d the kept mass (1 for a normal),
     KL = log(sigma_q Z_q / (sigma_p Z_p)) + E_p[z_q^2] / 2 - E_p[z_p^2] / 2,
-    each expectation from p's moments. Raises AbsoluteContinuityError when
-    p's support is not inside q's.
+    each log Z_d + E_p[z_d^2] / 2 from ``_log_mass_and_sq``. Raises
+    AbsoluteContinuityError when p's support is not inside q's.
     """
     (p_lo, p_hi), (q_lo, q_hi) = p_dist.support(), q_dist.support()
     if p_lo < q_lo or p_hi > q_hi:
         raise AbsoluteContinuityError("p's support is not inside q's")
-    moments = p_dist.moments()
+    log_mass_q, sq_q = _log_mass_and_sq(p_dist, q_dist)
+    log_mass_p, sq_p = _log_mass_and_sq(p_dist, p_dist)
     var_ratio = (p_dist.sigma / q_dist.sigma) ** 2
-    terms = _mean_sq_z(moments, q_dist) - math.log(var_ratio) - _mean_sq_z(moments, p_dist)
     # Mathematically nonnegative; clamp float residue near equality.
-    return max(0.0, 0.5 * terms + (q_dist._log_mass - p_dist._log_mass))
+    return max(0.0, 0.5 * (sq_q - math.log(var_ratio) - sq_p) + (log_mass_q - log_mass_p))
 
 
 def _require_same_grid(p_dist: GridDensity, q_dist: GridDensity) -> None:
@@ -289,8 +311,10 @@ def lindley_normal(prior, post) -> float:
 
     Positive when uncertainty shrinks; display layers show the magnitude.
     """
-    return (math.log(prior.sigma / post.sigma) + (prior._log_mass - post._log_mass)
-            + 0.5 * (_mean_sq_z(prior.moments(), prior) - _mean_sq_z(post.moments(), post)))
+    log_mass_prior, sq_prior = _log_mass_and_sq(prior, prior)
+    log_mass_post, sq_post = _log_mass_and_sq(post, post)
+    return (math.log(prior.sigma / post.sigma) + (log_mass_prior - log_mass_post)
+            + 0.5 * (sq_prior - sq_post))
 
 
 def _neg_entropy_grid(d: GridDensity) -> float:
@@ -355,27 +379,6 @@ class LearningReport:
         "lindley",
         "decomposition_exact",
     )
-
-    def to_dict(self) -> dict:
-        """Flat JSON-ready mapping in CSV column order."""
-        return {name: getattr(self, name) for name in self.CSV_COLUMNS}
-
-    def to_csv_row(self, columns: Sequence[str] = CSV_COLUMNS) -> str:
-        """CSV cells of ``columns``: None empty, bools true/false, numbers repr."""
-        cells = []
-        for name in columns:
-            value = getattr(self, name)
-            if value is None:
-                cells.append("")
-            elif isinstance(value, bool):
-                cells.append("true" if value else "false")
-            else:
-                cells.append(repr(float(value)))
-        return ",".join(cells)
-
-    @classmethod
-    def csv_header(cls) -> str:
-        return ",".join(cls.CSV_COLUMNS)
 
 
 def _same_std_bounds(prior, post) -> bool:

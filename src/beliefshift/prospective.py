@@ -42,7 +42,6 @@ __all__ = [
     "expected_learning_mc",
     "expected_learning_bound_sq",
     "weight_sweep",
-    "curve_points_to_csv",
 ]
 
 DEFAULT_REPLICATES = 10_000
@@ -428,11 +427,3 @@ def weight_sweep(setup: PioneerSetup,
             points.append(CurvePoint(float(w), int(n), result.estimate, result.mc_std_error))
             index += 1
     return points
-
-
-def curve_points_to_csv(points: Sequence[CurvePoint]) -> str:
-    """CSV with the declared header, one row per curve point."""
-    lines = ["w,n,expected_learning,mc_std_error"]
-    for pt in points:
-        lines.append(f"{pt.w!r},{pt.n},{pt.expected_learning!r},{pt.mc_std_error!r}")
-    return "\n".join(lines) + "\n"

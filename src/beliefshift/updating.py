@@ -18,6 +18,7 @@ import numpy as np
 
 from ._normal import logsumexp
 from .distributions import (
+    DEFAULT_GRID_NODES,
     Distribution1D,
     GridDensity,
     MixtureDist,
@@ -45,7 +46,6 @@ __all__ = [
 
 # How many prior sds / study std errors the default grid window spans.
 DEFAULT_GRID_SPAN = 8.0
-DEFAULT_GRID_NODES = 4096
 
 
 @dataclass(frozen=True)

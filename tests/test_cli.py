@@ -15,7 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from beliefshift import LearningReport, MixtureDist, NormalDist, ScenarioError, dist_to_literal
+from beliefshift import (
+    CurvePoint,
+    LearningReport,
+    MixtureDist,
+    NormalDist,
+    ScenarioError,
+    dist_to_literal,
+    learning_report,
+)
 from beliefshift.cli import (
     ReplicationResult,
     load_scenario,
@@ -27,12 +35,15 @@ from beliefshift.cli import (
     serialize_scenario,
 )
 from beliefshift.cli import replication
+from beliefshift.cli.main import _report_rows, _write_out
 from beliefshift.cli.replication import make_check
+from beliefshift.distributions import DEFAULT_GRID_NODES
 from beliefshift.prospective import DEFAULT_REPLICATES, MIN_REPLICATES
 from test_distributions import truncations
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 @st.composite
@@ -43,21 +54,27 @@ def normals(draw):
 
 
 @st.composite
-def compare_scenarios(draw):
-    """A normal or truncated prior against a normal or truncated posterior
-    and the posterior of a study up to 40 prior sd away, its standard error
-    1e-3 to 1e3 prior sd."""
-    prior, post = (draw(st.one_of(normals(), truncations())) for _ in range(2))
-    estimate = prior.mu + prior.sigma * draw(st.floats(-40.0, 40.0))
-    std_error = prior.sigma * 10.0 ** draw(st.floats(-3.0, 3.0))
+def compare_scenarios(draw, priors):
+    """A prior drawn from ``priors`` (literal, center, scale) against a
+    normal or truncated posterior and the posterior of a study up to 40
+    prior scales away, its standard error 1e-3 to 1e3 scales."""
+    prior, center, scale = draw(priors)
+    post = draw(st.one_of(normals(), truncations()))
+    estimate = center + scale * draw(st.floats(-40.0, 40.0))
+    std_error = scale * 10.0 ** draw(st.floats(-3.0, 3.0))
     return {
         "kind": "compare",
-        "prior": dist_to_literal(prior),
+        "prior": prior,
         "posteriors": [
             {"label": "dist", "dist": dist_to_literal(post)},
             {"label": "study", "study": {"estimate": estimate, "std_error": std_error}},
         ],
     }
+
+
+def normal_family_priors():
+    """Normal or truncated priors: (literal, mu, sigma)."""
+    return st.one_of(normals(), truncations()).map(lambda d: (dist_to_literal(d), d.mu, d.sigma))
 
 
 @st.composite
@@ -120,17 +137,31 @@ def prospect_scenarios(draw):
     }
 
 
-def run_fuzz_scenario(command, scenario):
-    """Exit code of ``command`` on ``scenario`` and its JSON --out rows (None
-    unless it exited 0)."""
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def read_json_strict(path):
+    """Parse a JSON file as RFC 8259 does: Infinity and NaN are errors."""
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse_constant)
+
+
+def run_fuzz_scenario(command, scenario, fmt="json"):
+    """Exit code of ``command`` on ``scenario`` and its --out rows (None unless
+    it exited 0): JSON parsed strictly, or CSV as dicts of cell strings."""
     with tempfile.TemporaryDirectory() as tmp:
-        path, out = Path(tmp) / "fuzz.json", Path(tmp) / "fuzz.out.json"
+        path, out = Path(tmp) / "fuzz.json", Path(tmp) / f"fuzz.out.{fmt}"
         path.write_text(json.dumps(scenario), encoding="utf-8")
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            code = main([command, "--scenario", str(path), "--format", "json",
+            code = main([command, "--scenario", str(path), "--format", fmt,
                          "--out", str(out)])
-        return code, json.loads(out.read_text(encoding="utf-8")) if code == 0 else None
+        if code != 0:
+            return code, None
+        if fmt == "json":
+            return code, read_json_strict(out)
+        header, *lines = out.read_text(encoding="utf-8").splitlines()
+        return code, [dict(zip(header.split(","), line.split(","))) for line in lines]
 
 
 TABLE3_DICT = {
@@ -229,6 +260,10 @@ class TestScenarioSchema:
             parse_scenario({**TABLE3_DICT, "grid": {"lo": 2.0, "hi": -2.0}})
         with pytest.raises(ScenarioError, match=r"grid\.nodes: must be at least 64"):
             parse_scenario({**TABLE3_DICT, "grid": {"lo": -2.0, "hi": 2.0, "nodes": 10}})
+
+    def test_grid_nodes_default(self):
+        scenario = parse_scenario({**TABLE3_DICT, "grid": {"lo": -2.0, "hi": 2.0}})
+        assert scenario.grid.nodes == DEFAULT_GRID_NODES
 
     def test_boolean_rejected_as_number(self):
         with pytest.raises(ScenarioError, match="seed"):
@@ -360,7 +395,113 @@ class TestReplicationResult:
         assert not all(r.passed for r in results)
 
 
+MIXTURE_REPORT_ARGS = (NormalDist(0, 3),
+                       MixtureDist(((0.5, NormalDist(0, 1)), (0.5, NormalDist(3, 1)))))
+
+
+class TestWriteOut:
+    """The one --out writer and its cell rules."""
+
+    @staticmethod
+    def write(tmp_path, fmt, header, rows):
+        path = tmp_path / f"out.{fmt}"
+        _write_out(str(path), fmt, header, rows)
+        return path
+
+    def test_report_rows_in_every_column(self, tmp_path):
+        columns = LearningReport.CSV_COLUMNS
+        rows = [("normal", learning_report(NormalDist(0, 10), NormalDist(5, 5))),
+                ("mixed", learning_report(*MIXTURE_REPORT_ARGS))]
+        path = self.write(tmp_path, "csv", ("posterior", *columns), _report_rows(rows, columns))
+        header, normal, mixed = (line.split(",") for line in
+                                 path.read_text(encoding="utf-8").splitlines())
+        assert header == ["posterior", *columns]
+        assert len(normal) == len(mixed) == 1 + len(columns)
+        assert normal[-1] == "true"
+        # An undefined value (KL against a mixture) is an empty cell.
+        assert mixed[1 + columns.index("kl_forward")] == "" and mixed[-1] == "false"
+
+    def test_column_subset_keeps_its_order(self, tmp_path):
+        report = learning_report(*MIXTURE_REPORT_ARGS)
+        columns = ("kl_sym", "w2")
+        path = self.write(tmp_path, "csv", ("posterior", *columns),
+                          _report_rows([("mixed", report)], columns))
+        assert path.read_text(encoding="utf-8") == f"posterior,kl_sym,w2\nmixed,,{report.w2!r}\n"
+
+    def test_csv_cells(self, tmp_path):
+        points = [CurvePoint(0.0, 10, 0.5, 0.01), CurvePoint(0.1, 50, 0.75, 0.02)]
+        path = self.write(tmp_path, "csv", ("w", "n", "expected_learning", "mc_std_error"),
+                          [(pt.w, pt.n, pt.expected_learning, pt.mc_std_error)
+                           for pt in points] + [(True, False, None, math.inf)])
+        assert path.read_text(encoding="utf-8") == (
+            "w,n,expected_learning,mc_std_error\n0.0,10,0.5,0.01\n0.1,50,0.75,0.02\n"
+            "true,false,,inf\n")
+
+    def test_json_cells(self, tmp_path):
+        path = self.write(tmp_path, "json", ("label", "n", "x", "flag", "missing"),
+                          [("a", 10, 0.5, True, None), ("b", 0, math.inf, False, None),
+                           ("c", 1, -math.inf, False, math.nan)])
+        text = path.read_text(encoding="utf-8")
+        assert text.endswith("]\n")
+        assert read_json_strict(path) == [
+            {"label": "a", "n": 10, "x": 0.5, "flag": True, "missing": None},
+            {"label": "b", "n": 0, "x": None, "flag": False, "missing": None},
+            {"label": "c", "n": 1, "x": None, "flag": False, "missing": None},
+        ]
+
+
+# --out files pinned byte for byte: any change to a CSV or JSON cell rule,
+# a header or a row order shows here. They pin the numbers too: the prospect
+# and truncated-compare files move with any change to the transport kernel or
+# the truncated-normal terms, even one inside its stated accuracy. Such a
+# change regenerates them on purpose (`python -m beliefshift.cli <args>
+# --out tests/golden/<name>`) and says in its change notes that it did.
+GOLDEN_RUNS = {
+    "retro_lawn_signs.csv": ["retro", "--scenario", str(SCENARIO_DIR / "lawn_signs.json")],
+    "compare_table3_all.csv": ["compare", "--scenario", str(SCENARIO_DIR / "table3_compare.json"),
+                               "--metric", "all"],
+    "compare_table3_kl.csv": ["compare", "--scenario", str(SCENARIO_DIR / "table3_compare.json"),
+                              "--metric", "kl"],
+    "compare_citizenship_truncated.csv": [
+        "compare", "--scenario", str(SCENARIO_DIR / "citizenship_truncated.json")],
+    "prospect_figure5_sweep.csv": ["prospect", "--scenario",
+                                   str(SCENARIO_DIR / "figure5_sweep.json"),
+                                   "--replicates", "100", "--seed", "7"],
+    "compare_table3_all.json": ["compare", "--scenario", str(SCENARIO_DIR / "table3_compare.json"),
+                                "--format", "json"],
+    "prospect_figure5_sweep.json": ["prospect", "--scenario",
+                                    str(SCENARIO_DIR / "figure5_sweep.json"),
+                                    "--replicates", "100", "--seed", "7", "--format", "json"],
+}
+
+
 class TestCommandLine:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_out_file_matches_golden_bytes(self, tmp_path, capsys, name):
+        out = tmp_path / name
+        assert main([*GOLDEN_RUNS[name], "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+    def test_prior_with_no_spread_writes_null_not_infinity(self, tmp_path, capsys):
+        scenario = tmp_path / "spike.json"
+        scenario.write_text(json.dumps({
+            "kind": "retrospective",
+            "prior": {"type": "grid", "xs": [0, 1], "ws": [0, 1]},
+            "studies": [{"estimate": 0, "std_error": 1}],
+        }), encoding="utf-8")
+        as_json, as_csv = tmp_path / "spike.out.json", tmp_path / "spike.out.csv"
+        assert main(["retro", "--scenario", str(scenario), "--format", "json",
+                     "--out", str(as_json)]) == 0
+        assert main(["retro", "--scenario", str(scenario), "--out", str(as_csv)]) == 0
+        capsys.readouterr()
+        rows = read_json_strict(as_json)
+        assert [row["step"] for row in rows] == ["step_1", "cumulative"]
+        assert all(row["normalized_w2"] is None for row in rows)
+        header, *lines = as_csv.read_text(encoding="utf-8").splitlines()
+        column = header.split(",").index("normalized_w2")
+        assert [line.split(",")[column] for line in lines] == ["inf", "inf"]
+
     def test_retro_command(self, tmp_path, capsys):
         out = tmp_path / "lawn.csv"
         code = main(["retro", "--scenario", str(SCENARIO_DIR / "lawn_signs.json"),
@@ -410,8 +551,17 @@ class TestCommandLine:
         assert abs(float(cells["w2"]) - 0.275350) < 1e-5
 
     @settings(max_examples=100, deadline=None)
-    @given(compare_scenarios())
+    @given(compare_scenarios(normal_family_priors()))
     def test_compare_fuzz_exits_cleanly(self, scenario):
+        self.check_compare_fuzz(scenario)
+
+    @settings(max_examples=50, deadline=None)
+    @given(compare_scenarios(st.one_of(mixture_priors(), grid_priors())))
+    def test_compare_fuzz_mixture_and_grid_priors_exit_cleanly(self, scenario):
+        self.check_compare_fuzz(scenario)
+
+    @staticmethod
+    def check_compare_fuzz(scenario):
         code, rows = run_fuzz_scenario("compare", scenario)
         assert code in (0, 1, 2)
         if code != 0:
@@ -419,7 +569,11 @@ class TestCommandLine:
         dist_row, study_row = rows
         prior, post = scenario["prior"], scenario["posteriors"][0]["dist"]
         for row in (dist_row, study_row):
-            assert row["w2"] >= 0.0
+            # Strict parsing refuses Infinity and NaN, so a number is finite.
+            assert isinstance(row["w2"], float) and row["w2"] >= 0.0
+            if prior["type"] == "mixture":
+                assert all(row[name] is None
+                           for name in ("kl_forward", "kl_reverse", "kl_sym", "lindley"))
             for name in ("kl_forward", "kl_reverse"):
                 assert row[name] is None or row[name] >= 0.0
             if row["kl_forward"] is None:
@@ -442,13 +596,21 @@ class TestCommandLine:
             return
         assert len(rows) == len(scenario["studies"]) + 1
         for row in rows:
-            assert row["w2"] >= 0.0
-            for name, value in row.items():
-                # A prior with no spread (a grid with one positive mass) has
-                # no scale to normalize by: normalized_w2 reads inf.
-                if isinstance(value, float):
-                    assert math.isfinite(value) or (
-                        name == "normalized_w2" and value == math.inf), (name, value)
+            # Strict parsing refuses Infinity and NaN; null marks a value
+            # that is undefined or not finite.
+            for name in ("w2", "mean_shift_sq", "sd_shift_sq"):
+                assert isinstance(row[name], float) and row[name] >= 0.0, (name, row[name])
+            assert row["normalized_w2"] is None or row["normalized_w2"] >= 0.0
+        # JSON null cannot tell "not finite" from "undefined"; the CSV can
+        # (inf and nan against an empty cell). Every value is finite or
+        # undefined, except that a prior with no spread (a grid with one
+        # positive mass) has no scale to normalize by: normalized_w2 is inf.
+        code, cells = run_fuzz_scenario("retro", scenario, fmt="csv")
+        assert code == 0 and len(cells) == len(rows)
+        for row in cells:
+            for name, cell in row.items():
+                if cell in ("inf", "-inf", "nan"):
+                    assert name == "normalized_w2" and cell == "inf", (name, cell)
 
     @settings(max_examples=50, deadline=None)
     @given(prospect_scenarios())

@@ -19,7 +19,6 @@ from beliefshift import (
     SamplingModel,
     Study,
     TruncatedNormalDist,
-    curve_points_to_csv,
     decision_maker_prior,
     expected_learning_bound_sq,
     expected_learning_mc,
@@ -377,11 +376,3 @@ class TestWeightSweep:
             CurvePoint(1.5, 10, 1.0, 0.1)
         with pytest.raises(ValueError):
             CurvePoint(0.5, 10, math.inf, 0.1)
-
-    def test_csv_serialization(self):
-        points = [CurvePoint(0.0, 10, 0.5, 0.01), CurvePoint(0.1, 50, 0.75, 0.02)]
-        text = curve_points_to_csv(points)
-        lines = text.splitlines()
-        assert lines[0] == "w,n,expected_learning,mc_std_error"
-        assert lines[1] == "0.0,10,0.5,0.01"
-        assert len(lines) == 3 and text.endswith("\n")
