@@ -302,69 +302,69 @@ class TruncatedNormalDist:
         return (-1.0, -b, -a) if b <= 0.0 else (1.0, a, b)
 
     def _tail_frame(self) -> Optional[tuple[float, float, float, float, float]]:
-        """(sign, lo, log Z + lo^2 / 2, E[Y], E[Y^2]) on a wide interval
-        _FRACTION_FROM sd or more out, else None. Y = sign (X - mu) / sigma - lo
-        is the excess over the near bound, Z the kept mass, K = Z / phi(lo) =
-        M(lo) - rho M(hi) (so the lo^2 / 2 is never formed), and
+        """(sign, lo, log Z + lo^2 / 2, E[Y], Var[Y]) on a narrow interval, or
+        on a wide one _FRACTION_FROM sd or more out; else None.
+        Y = sign (X - mu) / sigma - lo is the excess over the near bound and Z
+        the kept mass, so the lo^2 / 2 in log Z is never formed.
+
+        Narrow: Gauss-Legendre in Y over the width w from the raw bounds, where
+        the exponent -lo Y - Y^2 / 2 moves by at most ~_NARROW_SPAN, with
+        centred sums (the closed form cancels to nothing there, a negative
+        variance 35 sd out). Wide: K = Z / phi(lo) = M(lo) - rho M(hi) and
           K E[Y]   = g(lo) - rho (g(hi) + w M(hi)),
           K E[Y^2] = h(lo) - rho (h(hi) + w (2 g(hi) + w M(hi))),
-        with rho = phi(hi) / phi(lo), w the width from the raw bounds and M, g,
-        h from _mills_fractions. Off the narrow rule w hi > 4, so rho < e^-2
-        and neither difference cancels much, where the closed-form variance
-        1 + lo p_lo - hi p_hi - m1^2 would carry eps * lo^2 of rounding.
+        with rho = phi(hi) / phi(lo) and M, g, h from _mills_fractions. Off
+        the narrow rule w hi > 4, so rho < e^-2 and neither difference cancels
+        much, where the closed-form variance 1 + lo p_lo - hi p_hi - m1^2
+        would carry eps * lo^2 of rounding.
         """
         sign, lo, hi = self._mirrored_bounds()
-        if _is_narrow(lo, hi) or lo < _FRACTION_FROM:
+        w = (self.upper - self.lower) / self.sigma
+        if _is_narrow(lo, hi):
+            # The width from the raw bounds: hi - lo keeps only eps * |lo| / w
+            # of its digits far from mu.
+            y = 0.5 * w * (1.0 + _NARROW_NODES)
+            weights = _NARROW_WEIGHTS * np.exp(-lo * y - 0.5 * y * y)
+            total = weights.sum()
+            weights /= total
+            shift = float(weights @ y)
+            return (sign, lo, math.log(0.5 * w * total) - _LOG_SQRT_2PI, shift,
+                    float(weights @ (y - shift) ** 2))
+        if lo < _FRACTION_FROM:
             return None
         kept, excess, excess_sq = _mills_fractions(lo)
         if hi < math.inf:
-            w = (self.upper - self.lower) / self.sigma
             rho = math.exp(-0.5 * w * (hi + lo))
             m_hi, g_hi, h_hi = _mills_fractions(hi)
             kept -= rho * m_hi
             excess -= rho * (g_hi + w * m_hi)
             excess_sq -= rho * (h_hi + w * (2.0 * g_hi + w * m_hi))
-        return sign, lo, math.log(kept) - _LOG_SQRT_2PI, excess / kept, excess_sq / kept
+        shift = excess / kept
+        return sign, lo, math.log(kept) - _LOG_SQRT_2PI, shift, excess_sq / kept - shift * shift
 
     def moments(self) -> tuple[float, float]:
         frame = self._tail_frame()
         if frame is not None:
-            sign, lo, _, shift, mean_sq = frame
+            sign, lo, _, shift, var = frame
             return (float(self.mu + self.sigma * sign * (lo + shift)),
-                    float(self.sigma * math.sqrt(mean_sq - shift * shift)))
+                    float(self.sigma * math.sqrt(var)))
         sign, lo, hi = self._mirrored_bounds()
-        if _is_narrow(lo, hi):
-            # The closed form cancels to nothing on a narrow interval (a
-            # negative variance 35 sd out); Gauss-Legendre with centred
-            # sums keeps every digit.
-            # The width from the raw bounds, as _log_tail takes it: hi - lo
-            # keeps only eps * |lo| / width of its digits far from mu.
-            half = 0.5 * (self.upper - self.lower) / self.sigma
-            mid = 0.5 * (lo + hi)
-            u = half * _NARROW_NODES
-            log_w = -mid * u - 0.5 * u * u
-            w = _NARROW_WEIGHTS * np.exp(log_w - log_w.max())
-            w /= w.sum()
-            shift = float(w @ u)
-            m1 = mid + shift
-            var = float(w @ (u - shift) ** 2)
+        # Standardized densities at the bounds over the kept mass (zero at an
+        # infinite bound). In a tail, Mills ratios give them to rounding;
+        # exp(log density - log mass) would lose eps * lo**2 of them, 1e-7 of
+        # the sd 40 sd out.
+        if lo > 0.0:
+            ratio = math.exp(-0.5 * (hi - lo) * (hi + lo))  # phi(hi) / phi(lo)
+            kept = _mills_ratio(lo) - ratio * _mills_ratio(hi)
+            p_lo, p_hi = 1.0 / kept, ratio / kept
         else:
-            # Standardized densities at the bounds over the kept mass (zero
-            # at an infinite bound). In a tail, Mills ratios give them to
-            # rounding; exp(log density - log mass) would lose eps * lo**2
-            # of them, 1e-7 of the sd 40 sd out.
-            if lo > 0.0:
-                ratio = math.exp(-0.5 * (hi - lo) * (hi + lo))  # phi(hi) / phi(lo)
-                kept = _mills_ratio(lo) - ratio * _mills_ratio(hi)
-                p_lo, p_hi = 1.0 / kept, ratio / kept
-            else:
-                p_lo, p_hi = np.exp(-0.5 * np.square([lo, hi]) - _LOG_SQRT_2PI - self._log_mass)
-            m1 = p_lo - p_hi
-            var = 1.0
-            if p_lo > 0.0:
-                var += (lo - m1) * p_lo
-            if p_hi > 0.0:
-                var -= (hi - m1) * p_hi
+            p_lo, p_hi = np.exp(-0.5 * np.square([lo, hi]) - _LOG_SQRT_2PI - self._log_mass)
+        m1 = p_lo - p_hi
+        var = 1.0
+        if p_lo > 0.0:
+            var += (lo - m1) * p_lo
+        if p_hi > 0.0:
+            var -= (hi - m1) * p_hi
         return float(self.mu + self.sigma * sign * m1), float(self.sigma * math.sqrt(var))
 
     def support(self) -> tuple[float, float]:

@@ -239,10 +239,11 @@ def wasserstein_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure,
 
 def _log_mass_and_sq(p_dist, q_dist) -> tuple[float, float]:
     """(L, S) with L + S / 2 = log Z_q + E_p[z_q^2] / 2 for X ~ p, with z_q
-    and Z_q as in ``kl_normal``. Far in q's tail both terms are near lo^2 / 2
-    (lo q's standardized near bound) and would cancel all but eps * lo^2 of
-    it; there z_q^2 = (lo + Y)^2 with the excess Y of q's tail frame, so
-    L = log Z_q + lo^2 / 2 from that frame and S = 2 lo E[Y] + E[Y^2].
+    and Z_q as in ``kl_normal``. Far in q's tail, or on a narrow interval
+    far out, both terms are near lo^2 / 2 (lo q's standardized near bound)
+    and would cancel all but eps * lo^2 of it; there z_q^2 = (lo + Y)^2 with
+    the excess Y of q's tail frame, so L = log Z_q + lo^2 / 2 from that frame
+    and S = 2 lo E[Y] + E[Y^2].
     """
     frame = q_dist._tail_frame() if isinstance(q_dist, TruncatedNormalDist) else None
     mean, sd = p_dist.moments()
@@ -250,20 +251,19 @@ def _log_mass_and_sq(p_dist, q_dist) -> tuple[float, float]:
         # Ratios before squaring, so tiny or huge scales do not under/overflow.
         return (q_dist._log_mass,
                 (sd / q_dist.sigma) ** 2 + ((mean - q_dist.mu) / q_dist.sigma) ** 2)
-    sign, lo, log_mass, mean_y, mean_y_sq = frame
+    sign, lo, log_mass, mean_y, var_y = frame
     if p_dist is not q_dist:
         near = q_dist.lower if sign > 0.0 else q_dist.upper
         p_frame = p_dist._tail_frame() if isinstance(p_dist, TruncatedNormalDist) else None
         mean_y, var_y = sign * (mean - near) / q_dist.sigma, (sd / q_dist.sigma) ** 2
         if p_frame is not None:
             # Y = d + c Y_p from p's own excess: p's mean rounds by eps |X|.
-            p_sign, _, _, p_mean_y, p_mean_y_sq = p_frame
+            p_sign, _, _, p_mean_y, p_var_y = p_frame
             p_near = p_dist.lower if p_sign > 0.0 else p_dist.upper
             c = sign * p_sign * p_dist.sigma / q_dist.sigma
             mean_y = sign * (p_near - near) / q_dist.sigma + c * p_mean_y
-            var_y = c * c * (p_mean_y_sq - p_mean_y * p_mean_y)
-        mean_y_sq = mean_y * mean_y + var_y
-    return log_mass, 2.0 * lo * mean_y + mean_y_sq
+            var_y = c * c * p_var_y
+    return log_mass, 2.0 * lo * mean_y + mean_y * mean_y + var_y
 
 
 def kl_normal(p_dist, q_dist) -> float:

@@ -78,14 +78,18 @@ def normal_family_priors():
 
 
 @st.composite
-def mixture_priors(draw):
+def mixtures(draw):
     """Two or three normal or truncated components, weights drawn from
-    [0.05, 1] and normalized: (literal, mean, sd)."""
+    [0.05, 1] and normalized."""
     comps = draw(st.lists(st.one_of(normals(), truncations()), min_size=2, max_size=3))
     raw = [draw(st.floats(0.05, 1.0)) for _ in comps]
     total = sum(raw)
-    mix = MixtureDist(tuple((r / total, c) for r, c in zip(raw, comps)))
-    return (dist_to_literal(mix), *mix.moments())
+    return MixtureDist(tuple((r / total, c) for r, c in zip(raw, comps)))
+
+
+def mixture_priors():
+    """``mixtures`` as (literal, mean, sd)."""
+    return mixtures().map(lambda mix: (dist_to_literal(mix), *mix.moments()))
 
 
 @st.composite
@@ -118,20 +122,20 @@ def retro_scenarios(draw):
 
 
 @st.composite
-def prospect_scenarios(draw):
-    """Normal consensus and pioneer priors, one to three weights in [0, 1],
-    one or two sample sizes up to 10^4, a noise sd 1e-3 to 1e3 consensus sd,
-    at the replicate floor."""
-    consensus, pioneer = draw(normals()), draw(normals())
+def prospect_scenarios(draw, priors, max_weights=3, max_ns=2):
+    """Consensus and pioneer priors drawn from ``priors``, one to
+    ``max_weights`` weights in [0, 1], one to ``max_ns`` sample sizes up to
+    10^4, a noise sd 1e-3 to 1e3 consensus sd, at the replicate floor."""
+    consensus, pioneer = draw(priors), draw(priors)
     return {
         "kind": "prospective",
         "seed": draw(st.integers(0, 2**63)),
         "prospective_config": {
             "consensus": dist_to_literal(consensus),
             "pioneer": dist_to_literal(pioneer),
-            "weights": draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3)),
-            "ns": draw(st.lists(st.integers(1, 10_000), min_size=1, max_size=2)),
-            "sigma": consensus.sigma * 10.0 ** draw(st.floats(-3.0, 3.0)),
+            "weights": draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=max_weights)),
+            "ns": draw(st.lists(st.integers(1, 10_000), min_size=1, max_size=max_ns)),
+            "sigma": consensus.moments()[1] * 10.0 ** draw(st.floats(-3.0, 3.0)),
             "replicates": MIN_REPLICATES,
         },
     }
@@ -613,8 +617,19 @@ class TestCommandLine:
                     assert name == "normalized_w2" and cell == "inf", (name, cell)
 
     @settings(max_examples=50, deadline=None)
-    @given(prospect_scenarios())
+    @given(prospect_scenarios(normals()))
     def test_prospect_fuzz_exits_cleanly(self, scenario):
+        self.check_prospect_fuzz(scenario)
+
+    # One cell each, and few examples: a truncated component sends a cell to
+    # the per-replicate route, 5 to 75 ms a replicate.
+    @settings(max_examples=12, deadline=None)
+    @given(prospect_scenarios(st.one_of(truncations(), mixtures()), max_weights=1, max_ns=1))
+    def test_prospect_fuzz_mixture_and_truncated_priors_exit_cleanly(self, scenario):
+        self.check_prospect_fuzz(scenario)
+
+    @staticmethod
+    def check_prospect_fuzz(scenario):
         code, rows = run_fuzz_scenario("prospect", scenario)
         assert code in (0, 1, 2)
         if code != 0:

@@ -66,6 +66,13 @@ NORMAL_FAMILY_PAIRS = [
     # An interval 1,999 sd below one latent mean and 1,333 sd above the other.
     pytest.param((0.0, 1.0, -2000.0, -1999.0), (-4000.0, 1.5, -2001.0, -1998.0), 1e-11, 0.0,
                  id="opposite_tails_1333_sd_out"),
+    # Intervals of 1e-3 sd 3,000 sd out, and of 5e-4 sd 3,000 sd below the
+    # mean: both are narrow, so the cancelling lo^2 / 2 terms must come from
+    # the Gauss-Legendre frame (5.6e-10 to 2.1e-8 off through the generic form).
+    pytest.param((0.0, 1.0, 3000.0, 3000.001), (0.2, 1.1, 3000.0, 3000.0012), 1e-12, 1e-11,
+                 id="narrow_3000_sd_out"),
+    pytest.param((0.0, 2.0, -6000.0, -5999.999), (1.0, 2.0, -6000.0, -5999.9985), 1e-12, 1e-11,
+                 id="narrow_below_3000_sd_out"),
     pytest.param((0.0, 1.0, -1.0, 1.0), (0.0, 1.0, 0.0, 2.0), 1e-12, 1e-11,
                  id="supports_not_nested"),
 ]

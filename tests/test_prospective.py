@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
@@ -31,6 +33,7 @@ from beliefshift import (
 from beliefshift import prospective
 from beliefshift.prospective import (
     DEFAULT_W2_NODES,
+    MIN_REPLICATES,
     _batched_w2,
     _replicate_uniforms,
     _theta_from_uniforms,
@@ -327,6 +330,85 @@ class TestBatchedW2:
                 CONSENSUS.mu, CONSENSUS.sigma, float(y), se)
             scalar.append(oracles.normal_w2(PIONEER.mu, PIONEER.sigma, mean, sd))
         np.testing.assert_allclose(batched, scalar, rtol=1e-12)
+
+
+# A reference with two far-apart components: on the cell below the trailing
+# Chebyshev coefficients of W2^2 still read 5e-9 at 257 nodes, above target.
+SEPARATED_REFERENCE = MixtureDist(((0.5, NormalDist(-5.0, 0.5)), (0.5, NormalDist(5.0, 1.0))))
+
+
+@st.composite
+def kernel_cases(draw):
+    """A normal or 2-3 component normal-mixture update prior (means within 5,
+    sds 0.2 to 3), a reference that sends it to the kernel, se 1e-3 to 1e3
+    prior sd, and a seed."""
+    comps = [NormalDist(draw(st.floats(-5.0, 5.0)), draw(st.floats(0.2, 3.0)))
+             for _ in range(draw(st.integers(1, 3)))]
+    raw = [draw(st.floats(0.05, 1.0)) for _ in comps]
+    prior = comps[0] if len(comps) == 1 else MixtureDist(
+        tuple((r / sum(raw), c) for r, c in zip(raw, comps)))
+    references = [decision_maker_prior(make_setup(0.3)),
+                  TruncatedNormalDist(0.2, 0.4, 0.0, math.inf)]
+    if len(comps) > 1:
+        references.append(CONSENSUS)
+    se = prior.moments()[1] * 10.0 ** draw(st.floats(-3.0, 3.0))
+    return prior, draw(st.sampled_from(references)), se, draw(st.integers(0, 2**32 - 1))
+
+
+def count_kernel_rows(monkeypatch):
+    """Patch the kernel to record the rows of each call; returns that list."""
+    rows = []
+    kernel = prospective._w2_mixture_update
+
+    def counted(update_prior, reference, ybar, se):
+        rows.append(ybar.size)
+        return kernel(update_prior, reference, ybar, se)
+
+    monkeypatch.setattr(prospective, "_w2_mixture_update", counted)
+    return rows
+
+
+class TestChebyshevRoute:
+    @settings(max_examples=50, deadline=None)
+    # Pioneer weight 1e-6 at se 300: the posterior barely leaves the
+    # consensus, W2 is about 1e-3, and the square root amplifies errors.
+    @example((decision_maker_prior(make_setup(1e-6)), CONSENSUS, 300.0, 3))
+    @given(kernel_cases())
+    def test_matches_kernel_on_every_draw(self, case):
+        prior, reference, se, seed = case
+        ybar = simulated_ybar(prior, se, seed, replicates=600)
+        np.testing.assert_allclose(_batched_w2(prior, reference, ybar, se),
+                                   _w2_mixture_update(prior, reference, ybar, se),
+                                   rtol=0.0, atol=2e-10)
+
+    def test_runs_the_kernel_on_nodes_not_draws(self, monkeypatch):
+        # A Figure 5 cell (w = 0.5, n = 50) at the benchmark's 500 replicates.
+        setup = make_setup(0.5, sigma=3.0, n=50)
+        prior, se = decision_maker_prior(setup), setup.model.std_error()
+        ybar = simulated_ybar(prior, se, seed=7, replicates=500)
+        want = _w2_mixture_update(prior, CONSENSUS, ybar, se)
+        rows = count_kernel_rows(monkeypatch)
+        got = _batched_w2(prior, CONSENSUS, ybar, se)
+        assert sum(rows) <= 257
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+    def test_separated_reference_falls_back_to_the_kernel_bytes(self, monkeypatch):
+        ybar = simulated_ybar(MIX_04, BASE_SE, seed=7, replicates=500)
+        want = _w2_mixture_update(MIX_04, SEPARATED_REFERENCE, ybar, BASE_SE)
+        rows = count_kernel_rows(monkeypatch)
+        got = _batched_w2(MIX_04, SEPARATED_REFERENCE, ybar, BASE_SE)
+        # Every level was tried, then the draws: 757 rows against 500.
+        assert rows == [65, 64, 128, 500]
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("replicates", [MIN_REPLICATES, 257])
+    def test_no_route_at_or_below_the_finest_level(self, monkeypatch, replicates):
+        # The floor keeps every byte (and tests/golden/ with it).
+        ybar = simulated_ybar(MIX_04, BASE_SE, seed=7, replicates=replicates)
+        want = _w2_mixture_update(MIX_04, CONSENSUS, ybar, BASE_SE)
+        rows = count_kernel_rows(monkeypatch)
+        assert _batched_w2(MIX_04, CONSENSUS, ybar, BASE_SE).tobytes() == want.tobytes()
+        assert rows == [replicates]
 
 
 class TestWeightSweep:
