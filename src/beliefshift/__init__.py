@@ -51,7 +51,6 @@ from .metrics import (
 from .prospective import (
     CurvePoint,
     ExpectedLearning,
-    PioneerSetup,
     decision_maker_prior,
     expected_learning_bound_sq,
     expected_learning_mc,
@@ -128,7 +127,6 @@ __all__ = [
     "quadratic_expectation",
     "learning_report",
     # prospective
-    "PioneerSetup",
     "ExpectedLearning",
     "CurvePoint",
     "decision_maker_prior",

@@ -18,9 +18,8 @@ from typing import Optional, Sequence
 
 from ..errors import NumericError, ScenarioError
 from ..metrics import LearningReport, learning_report
-from ..prospective import (DEFAULT_REPLICATES, MIN_REPLICATES, CurvePoint, PioneerSetup,
-                           weight_sweep)
-from ..updating import SamplingModel, sequential_update, update
+from ..prospective import DEFAULT_REPLICATES, MIN_REPLICATES, CurvePoint, weight_sweep
+from ..updating import sequential_update, update
 from ..distributions import DEFAULT_GRID_NODES, MIN_GRID_NODES
 from .replication import run_replicate_paper
 from .scenarios import Scenario, load_scenario
@@ -35,14 +34,19 @@ _METRIC_COLUMNS = {
 }
 
 
-def _add_io_flags(sub: argparse.ArgumentParser, scenario_required: bool = True) -> None:
+# retro and compare draw no random numbers; they accept --seed so that every
+# command takes the same flags.
+_UNREAD_SEED = "accepted but not read: this command draws no random numbers"
+
+
+def _add_io_flags(sub: argparse.ArgumentParser, seed_help: str,
+                  scenario_required: bool = True) -> None:
     if scenario_required:
         sub.add_argument("--scenario", required=True, help="scenario JSON file")
     sub.add_argument("--out", help="write machine-readable output to this path")
     sub.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="format for --out (default csv)")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="override the scenario seed")
+    sub.add_argument("--seed", type=int, default=None, help=seed_help)
 
 
 def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
@@ -63,22 +67,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     retro = sub.add_parser("retro", help="stepwise learning along a study sequence")
-    _add_io_flags(retro)
+    _add_io_flags(retro, _UNREAD_SEED)
     _add_grid_flags(retro)
 
     prospect = sub.add_parser("prospect", help="expected learning from future studies")
-    _add_io_flags(prospect)
+    _add_io_flags(prospect, "override the scenario seed")
     prospect.add_argument("--replicates", type=int, default=None,
                           help="override the Monte Carlo replicate count")
 
     compare = sub.add_parser("compare", help="metric table for prior vs posteriors")
-    _add_io_flags(compare)
+    _add_io_flags(compare, _UNREAD_SEED)
     _add_grid_flags(compare)
     compare.add_argument("--metric", choices=("w2", "kl", "lindley", "all"),
                          default="all", help="which metric columns to emit")
 
     rep = sub.add_parser("replicate-paper", help="run every replication check")
-    _add_io_flags(rep, scenario_required=False)
+    _add_io_flags(rep, "seed of the Monte Carlo checks (default 0)", scenario_required=False)
     rep.add_argument("--replicates", type=int, default=DEFAULT_REPLICATES,
                      help="Monte Carlo replicates per prospective cell")
 
@@ -173,10 +177,8 @@ def run_prospective(scenario: Scenario,
                     seed: Optional[int] = None) -> list[CurvePoint]:
     """Weight/sample-size sweep using the scenario's prospective config."""
     cfg = scenario.prospective_config
-    setup = PioneerSetup(cfg.consensus, cfg.pioneer, 0.0,
-                         SamplingModel(cfg.sigma, cfg.ns[0]))
     return weight_sweep(
-        setup, cfg.weights, cfg.ns,
+        cfg.consensus, cfg.pioneer, cfg.sigma, cfg.weights, cfg.ns,
         replicates=cfg.replicates if replicates is None else replicates,
         seed=scenario.seed if seed is None else seed,
     )

@@ -30,7 +30,6 @@ from ..metrics import (
 from ..prospective import (
     DEFAULT_REPLICATES,
     MIN_REPLICATES,
-    PioneerSetup,
     expected_learning_bound_sq,
     expected_learning_mc,
     weight_sweep,
@@ -206,9 +205,7 @@ def run_replicate_paper(seed: int = 0,
     # --- Figure 5 qualitative shape: nondecreasing in w, positive at w = 0.
     fig5_weights = [i / 10 for i in range(11)]
     fig5_ns = [10, 50, 200]
-    setup = PioneerSetup(NormalDist(3.0, 1.0), NormalDist(0.0, 3.0), 0.0,
-                         SamplingModel(3.0, 10))
-    points = weight_sweep(setup, fig5_weights, fig5_ns,
+    points = weight_sweep(NormalDist(3.0, 1.0), NormalDist(0.0, 3.0), 3.0, fig5_weights, fig5_ns,
                           replicates=sweep_replicates, seed=seed)
     notes.append(
         "Figure 5 prints no y-values and no observation noise sd; the sweep fixes "

@@ -11,8 +11,9 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from ..distributions import (DEFAULT_GRID_NODES, MIN_GRID_NODES, Distribution1D,
-                             dist_from_literal, dist_to_literal)
+from ..distributions import (DEFAULT_GRID_NODES, MIN_GRID_NODES, Distribution1D, _dist_at,
+                             at_path, dist_to_literal, json_int, json_list, json_number,
+                             json_object)
 from ..errors import ScenarioError
 from ..prospective import DEFAULT_REPLICATES, MIN_REPLICATES
 from ..updating import Study
@@ -64,7 +65,7 @@ class PosteriorSpec:
 
 @dataclass(frozen=True)
 class ProspectiveConfig:
-    """Decision-maker sweep inputs for a prospective scenario; errors name the field."""
+    """Decision-maker sweep inputs for a prospective scenario; errors name the field's path."""
 
     consensus: Distribution1D
     pioneer: Distribution1D
@@ -81,14 +82,14 @@ class ProspectiveConfig:
         for name, low, high, rule in (("weights", 0.0, 1.0, "lie in [0, 1]"),
                                       ("ns", 1, float("inf"), "be at least 1")):
             if not getattr(self, name):
-                raise ValueError(f"{name}: must be nonempty")
+                raise ValueError(f"prospective_config.{name}: must be nonempty")
             for j, value in enumerate(getattr(self, name)):
                 if not low <= value <= high:
-                    raise ValueError(f"{name}[{j}]: must {rule}")
+                    raise ValueError(f"prospective_config.{name}[{j}]: must {rule}")
         if not 0.0 < self.sigma < float("inf"):
-            raise ValueError("sigma: must be positive and finite")
+            raise ValueError("prospective_config.sigma: must be positive and finite")
         if self.replicates < MIN_REPLICATES:
-            raise ValueError(f"replicates: must be at least {MIN_REPLICATES}")
+            raise ValueError(f"prospective_config.replicates: must be at least {MIN_REPLICATES}")
 
 
 @dataclass(frozen=True)
@@ -124,150 +125,63 @@ class Scenario:
                 raise ScenarioError("posteriors: a compare scenario needs at least one entry")
 
 
-def _require_object(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{path}: expected a JSON object")
-    return value
-
-
-def _reject_unknown(obj: dict, allowed: set, path: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise ScenarioError(f"{path}: unknown keys {', '.join(unknown)}")
-
-
-def _get_number(obj: dict, key: str, path: str) -> float:
-    if key not in obj:
-        raise ScenarioError(f"{path}.{key}: missing")
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{path}.{key}: expected a number")
-    return float(value)
-
-
-def _get_int(obj: dict, key: str, path: str, default=None) -> int:
-    if key not in obj:
-        if default is None:
-            raise ScenarioError(f"{path}.{key}: missing")
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{path}.{key}: expected an integer")
-    return value
-
-
-def _parse_dist(obj, path: str) -> Distribution1D:
-    try:
-        return dist_from_literal(obj)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
-
-
 def _parse_study(obj, path: str) -> Study:
-    entry = _require_object(obj, path)
-    _reject_unknown(entry, {"estimate", "std_error"}, path)
-    try:
-        return Study(_get_number(entry, "estimate", path), _get_number(entry, "std_error", path))
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+    entry = json_object(obj, path, ("estimate", "std_error"), ("estimate", "std_error"))
+    return at_path(path, Study, json_number(entry["estimate"], f"{path}.estimate"),
+                   json_number(entry["std_error"], f"{path}.std_error"))
 
 
 def _parse_posterior(obj, index: int) -> PosteriorSpec:
     path = f"posteriors[{index}]"
-    entry = _require_object(obj, path)
-    _reject_unknown(entry, {"label", "dist", "study"}, path)
+    entry = json_object(obj, path, ("label", "dist", "study"))
     label = entry.get("label", f"posterior_{index + 1}")
     if not isinstance(label, str):
-        raise ScenarioError(f"{path}.label: expected a string")
-    dist = _parse_dist(entry["dist"], f"{path}.dist") if "dist" in entry else None
+        raise ValueError(f"{path}.label: expected a string")
+    dist = _dist_at(entry["dist"], f"{path}.dist") if "dist" in entry else None
     study = _parse_study(entry["study"], f"{path}.study") if "study" in entry else None
-    try:
-        return PosteriorSpec(label, dist, study)
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+    return at_path(path, PosteriorSpec, label, dist, study)
 
 
-def _parse_prospective_config(obj) -> ProspectiveConfig:
-    path = "prospective_config"
-    cfg = _require_object(obj, path)
-    _reject_unknown(cfg, {"consensus", "pioneer", "weights", "ns", "sigma", "replicates"}, path)
-    for key in ("consensus", "pioneer", "weights", "ns", "sigma"):
-        if key not in cfg:
-            raise ScenarioError(f"{path}.{key}: missing")
-    consensus = _parse_dist(cfg["consensus"], f"{path}.consensus")
-    pioneer = _parse_dist(cfg["pioneer"], f"{path}.pioneer")
-    # Types here; ProspectiveConfig checks the ranges.
-    for key, kind, types in (("weights", "a number", (int, float)), ("ns", "an integer", int)):
-        if not isinstance(cfg[key], list):
-            raise ScenarioError(f"{path}.{key}: expected a list")
-        for j, value in enumerate(cfg[key]):
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise ScenarioError(f"{path}.{key}[{j}]: expected {kind}")
-    sigma = _get_number(cfg, "sigma", path)
-    replicates = _get_int(cfg, "replicates", path, default=DEFAULT_REPLICATES)
-    try:
-        return ProspectiveConfig(consensus, pioneer, tuple(cfg["weights"]), tuple(cfg["ns"]),
-                                 sigma, replicates)
-    except ValueError as exc:
-        raise ScenarioError(f"{path}.{exc}") from exc
+def _parse_prospective_config(obj, path: str) -> ProspectiveConfig:
+    keys = ("consensus", "pioneer", "weights", "ns", "sigma")
+    cfg = json_object(obj, path, (*keys, "replicates"), keys)
+    return ProspectiveConfig(
+        _dist_at(cfg["consensus"], f"{path}.consensus"),
+        _dist_at(cfg["pioneer"], f"{path}.pioneer"),
+        json_list(cfg["weights"], f"{path}.weights", json_number),
+        json_list(cfg["ns"], f"{path}.ns", json_int),
+        json_number(cfg["sigma"], f"{path}.sigma"),
+        json_int(cfg.get("replicates", DEFAULT_REPLICATES), f"{path}.replicates"),
+    )
 
 
-def _parse_grid(obj) -> GridSpec:
-    path = "grid"
-    grid = _require_object(obj, path)
-    _reject_unknown(grid, {"lo", "hi", "nodes"}, path)
-    lo = _get_number(grid, "lo", path)
-    hi = _get_number(grid, "hi", path)
-    nodes = _get_int(grid, "nodes", path, default=DEFAULT_GRID_NODES)
-    try:
-        return GridSpec(lo, hi, nodes)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+def _parse_grid(obj, path: str) -> GridSpec:
+    grid = json_object(obj, path, ("lo", "hi", "nodes"), ("lo", "hi"))
+    return GridSpec(json_number(grid["lo"], f"{path}.lo"), json_number(grid["hi"], f"{path}.hi"),
+                    json_int(grid.get("nodes", DEFAULT_GRID_NODES), f"{path}.nodes"))
 
 
 def parse_scenario(obj) -> Scenario:
     """Validate a decoded JSON object into a Scenario.
 
-    Raises ScenarioError naming the offending path on any problem.
+    Raises ScenarioError whose message starts with the offending path.
     """
-    root = _require_object(obj, "scenario")
-    _reject_unknown(
-        root,
-        {"kind", "seed", "prior", "studies", "posteriors", "prospective_config", "grid"},
-        "scenario",
-    )
-    kind = root.get("kind")
-    if not isinstance(kind, str):
-        raise ScenarioError("kind: missing or not a string")
-    seed = _get_int(root, "seed", "scenario", default=0)
-
-    prior = _parse_dist(root["prior"], "prior") if "prior" in root else None
-
-    studies: list[Study] = []
-    if "studies" in root:
-        if not isinstance(root["studies"], list):
-            raise ScenarioError("studies: expected a list")
-        studies = [_parse_study(s, f"studies[{i}]") for i, s in enumerate(root["studies"])]
-
-    posteriors: list[PosteriorSpec] = []
-    if "posteriors" in root:
-        if not isinstance(root["posteriors"], list):
-            raise ScenarioError("posteriors: expected a list")
-        posteriors = [_parse_posterior(p, i) for i, p in enumerate(root["posteriors"])]
-
-    config = _parse_prospective_config(root["prospective_config"]) \
-        if "prospective_config" in root else None
-    grid = _parse_grid(root["grid"]) if "grid" in root else None
-
-    return Scenario(
-        kind=kind,
-        seed=seed,
-        prior=prior,
-        studies=tuple(studies),
-        posteriors=tuple(posteriors),
-        prospective_config=config,
-        grid=grid,
-    )
+    try:
+        root = json_object(obj, "scenario", ("kind", "seed", "prior", "studies", "posteriors",
+                                             "prospective_config", "grid"))
+        sections = {key: parse(root[key], key) for key, parse in (
+            ("prior", _dist_at), ("prospective_config", _parse_prospective_config),
+            ("grid", _parse_grid)) if key in root}
+        posteriors = json_list(root.get("posteriors", []), "posteriors")
+        return Scenario(
+            kind=root.get("kind"),
+            seed=json_int(root.get("seed", 0), "seed"),
+            studies=json_list(root.get("studies", []), "studies", _parse_study),
+            posteriors=[_parse_posterior(p, i) for i, p in enumerate(posteriors)],
+            **sections,
+        )
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
 
 
 def serialize_scenario(scenario: Scenario) -> dict:

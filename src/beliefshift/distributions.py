@@ -17,6 +17,10 @@ interval lies in, a narrow interval's mass is integrated from its bounds,
 and far in a tail the moments come from the Mills-ratio continued fraction.
 ``_mixture_quantiles`` is the mixture-quantile solver: Newton on each
 level's own log tail in a bisection bracket.
+
+``dist_from_literal`` and the ``json_*`` checks beside it are the one
+parser of the scenario schema: every message starts with the JSON path of
+the field at fault.
 """
 
 from __future__ import annotations
@@ -291,6 +295,16 @@ class TruncatedNormalDist:
         z = ndtri_exp(np.where(below, np.logaddexp(log_a, np.log(arr) + self._log_mass),
                                np.logaddexp(log_b, np.log1p(-arr) + self._log_mass)))
         q = np.clip(self.mu + self.sigma * np.where(below, z, -z), self.lower, self.upper)
+        if _is_narrow(a, b):
+            # z carries eps * |z| of rounding, ulps of q far out; Newton on the
+            # tail _log_tail reads in offsets from the bound gives them back.
+            upper = arr >= 0.5
+            goal = np.where(upper, 1.0 - arr, arr)
+            with np.errstate(divide="ignore"):  # a tail of width 0, at a bound
+                for _ in range(2):
+                    miss = np.exp(self._log_tail(q, upper)) - goal
+                    q = np.clip(q + np.where(upper, miss, -miss) / self.pdf(q),
+                                self.lower, self.upper)
         return _restore_shape(q, scalar)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -717,45 +731,81 @@ def dist_to_literal(d: Distribution1D) -> dict:
 
 
 def dist_from_literal(obj) -> Distribution1D:
-    """Parse the tagged literal form produced by :func:`dist_to_literal`."""
-    if not isinstance(obj, dict):
-        raise ValueError("distribution literal must be an object")
-    kind = obj.get("type")
-    if kind == "normal":
-        _require_keys(obj, {"type", "mu", "sigma"})
-        return NormalDist(_number(obj, "mu"), _number(obj, "sigma"))
-    if kind == "trunc_normal":
-        _require_keys(obj, {"type", "mu", "sigma", "lower", "upper"})
-        lower = _number(obj, "lower") if "lower" in obj else -math.inf
-        upper = _number(obj, "upper") if "upper" in obj else math.inf
-        return TruncatedNormalDist(_number(obj, "mu"), _number(obj, "sigma"), lower, upper)
-    if kind == "mixture":
-        _require_keys(obj, {"type", "components"})
-        entries = obj.get("components")
-        if not isinstance(entries, list) or not entries:
-            raise ValueError("mixture literal needs a nonempty components list")
-        comps = []
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict) or "weight" not in entry or "dist" not in entry:
-                raise ValueError(f"components[{i}] must carry weight and dist")
-            weight = _number(entry, "weight", f"components[{i}].weight")
-            comps.append((weight, dist_from_literal(entry["dist"])))
-        return MixtureDist(tuple(comps))
-    if kind == "grid":
-        _require_keys(obj, {"type", "xs", "ws"})
-        return GridDensity(np.asarray(obj.get("xs"), dtype=float),
-                           np.asarray(obj.get("ws"), dtype=float))
-    raise ValueError(f"unknown distribution type {kind!r}")
+    """Parse the tagged literal form produced by :func:`dist_to_literal`.
+
+    Raises ValueError whose message starts with the offending field's path,
+    ``literal.components[1].dist.sigma: expected a number`` for instance."""
+    return _dist_at(obj, "literal")
 
 
-def _require_keys(obj: dict, allowed: set) -> None:
-    extra = set(obj) - allowed
-    if extra:
-        raise ValueError(f"unexpected keys {sorted(extra)} in {obj.get('type')!r} literal")
+# Checks on decoded JSON, shared with the scenario parser. Each raises a
+# ValueError whose message starts with the path of the value at fault.
+def json_object(value, path: str, allowed=None, required=()) -> dict:
+    """``value`` as a JSON object holding every ``required`` key, and no key
+    outside ``allowed`` unless that is None."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    unknown = () if allowed is None else sorted(map(str, set(value) - set(allowed)))
+    if unknown:
+        raise ValueError(f"{path}: unknown keys {', '.join(unknown)}")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"{path}.{key}: missing")
+    return value
 
 
-def _number(obj: dict, key: str, name: str = "") -> float:
-    value = obj.get(key)
+def json_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"field {name or repr(key)} must be a number")
+        raise ValueError(f"{path}: expected a number")
     return float(value)
+
+
+def json_int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{path}: expected an integer")
+    return value
+
+
+def json_list(value, path: str, item=None) -> list:
+    """``value`` as a list, each entry checked by ``item(entry, path[i])`` if given."""
+    if not isinstance(value, list):
+        raise ValueError(f"{path}: expected a list")
+    return value if item is None else [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
+def at_path(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with ``path`` in front of its ValueError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+_LITERAL_FIELDS = {  # type tag: required fields, then optional ones
+    "normal": (("mu", "sigma"), ()),
+    "trunc_normal": (("mu", "sigma"), ("lower", "upper")),
+    "mixture": (("components",), ()),
+    "grid": (("xs", "ws"), ()),
+}
+
+
+def _dist_at(obj, path: str) -> Distribution1D:
+    """:func:`dist_from_literal` for the literal at ``path`` of a JSON document."""
+    kind = json_object(obj, path, required=("type",))["type"]
+    if not isinstance(kind, str) or kind not in _LITERAL_FIELDS:
+        raise ValueError(f"{path}.type: must be one of {', '.join(_LITERAL_FIELDS)}")
+    required, optional = _LITERAL_FIELDS[kind]
+    json_object(obj, path, {"type", *required, *optional}, required)
+    if kind == "mixture":
+        comps = []
+        for i, entry in enumerate(json_list(obj["components"], f"{path}.components")):
+            where = f"{path}.components[{i}]"
+            json_object(entry, where, ("weight", "dist"), ("weight", "dist"))
+            comps.append((json_number(entry["weight"], f"{where}.weight"),
+                          _dist_at(entry["dist"], f"{where}.dist")))
+        return at_path(path, MixtureDist, tuple(comps))
+    if kind == "grid":
+        return at_path(path, GridDensity, *(json_list(obj[k], f"{path}.{k}", json_number)
+                                            for k in ("xs", "ws")))
+    fields = {k: json_number(v, f"{path}.{k}") for k, v in obj.items() if k != "type"}
+    return at_path(path, NormalDist if kind == "normal" else TruncatedNormalDist, **fields)

@@ -40,7 +40,6 @@ from .metrics import wp_quantile
 from .updating import SamplingModel, Study, _conjugate_moments, update
 
 __all__ = [
-    "PioneerSetup",
     "ExpectedLearning",
     "CurvePoint",
     "decision_maker_prior",
@@ -82,21 +81,6 @@ _CHEB_RTOL = 1e-11
 
 
 @dataclass(frozen=True)
-class PioneerSetup:
-    """Consensus prior, pioneer prior, pioneer weight, and the design."""
-
-    consensus: Distribution1D
-    pioneer: Distribution1D
-    weight: float
-    model: SamplingModel
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weight", float(self.weight))
-        if not 0.0 <= self.weight <= 1.0:
-            raise ValueError("pioneer weight must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
 class ExpectedLearning:
     """Monte Carlo estimate of expected W2 with its sampling uncertainty."""
 
@@ -128,22 +112,19 @@ class CurvePoint:
     mc_std_error: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.w <= 1.0:
-            raise ValueError("weight must lie in [0, 1]")
         if not (math.isfinite(self.expected_learning) and math.isfinite(self.mc_std_error)):
             raise ValueError("curve point values must be finite")
 
 
-def decision_maker_prior(setup: PioneerSetup) -> Distribution1D:
-    """w * pioneer + (1 - w) * consensus; degenerate weights collapse."""
-    if setup.weight == 0.0:
-        return setup.consensus
-    if setup.weight == 1.0:
-        return setup.pioneer
-    return MixtureDist((
-        (setup.weight, setup.pioneer),
-        (1.0 - setup.weight, setup.consensus),
-    ))
+def decision_maker_prior(consensus: Distribution1D, pioneer: Distribution1D,
+                         weight: float) -> Distribution1D:
+    """weight * pioneer + (1 - weight) * consensus; weights 0 and 1 collapse,
+    and MixtureDist rejects a weight outside [0, 1]."""
+    if weight == 0.0:
+        return consensus
+    if weight == 1.0:
+        return pioneer
+    return MixtureDist(((weight, pioneer), (1.0 - weight, consensus)))
 
 
 def expected_learning_bound_sq(sigma_prior: float, sigma: float, n: int) -> float:
@@ -450,7 +431,9 @@ def expected_learning_mc(predictive_prior: Distribution1D,
     )
 
 
-def weight_sweep(setup: PioneerSetup,
+def weight_sweep(consensus: Distribution1D,
+                 pioneer: Distribution1D,
+                 sigma: float,
                  weights: Sequence[float],
                  ns: Sequence[int],
                  replicates: int = DEFAULT_REPLICATES,
@@ -459,9 +442,9 @@ def weight_sweep(setup: PioneerSetup,
 
     For each (w, n) the decision-maker prior (weight w) is both the
     predictive and the update prior while the consensus prior is the
-    reference. Point seeds are seed + row-major index, so a singleton
-    sweep reproduces a direct expected_learning_mc call exactly, routes
-    included.
+    reference; the design observes n draws of noise sd ``sigma``. Point
+    seeds are seed + row-major index, so a singleton sweep reproduces a
+    direct expected_learning_mc call exactly, routes included.
     """
     weights = list(weights)
     ns = list(ns)
@@ -471,12 +454,10 @@ def weight_sweep(setup: PioneerSetup,
     index = 0
     for w in weights:
         for n in ns:
-            model = SamplingModel(setup.model.sigma, int(n))
-            blended = decision_maker_prior(
-                PioneerSetup(setup.consensus, setup.pioneer, float(w), model)
-            )
+            model = SamplingModel(sigma, int(n))
+            blended = decision_maker_prior(consensus, pioneer, float(w))
             result = expected_learning_mc(
-                blended, blended, setup.consensus, model,
+                blended, blended, consensus, model,
                 replicates=replicates, seed=seed + index,
             )
             points.append(CurvePoint(float(w), int(n), result.estimate, result.mc_std_error))

@@ -2,6 +2,7 @@
 output formats, and the replication harness plumbing."""
 
 import contextlib
+import copy
 import io
 import json
 import math
@@ -177,6 +178,83 @@ TABLE3_DICT = {
 }
 
 
+def mixture_literal(weight=0.5, second=None, extra=None):
+    """A two-component normal mixture literal: the first weight, the second
+    component's dist and extra keys in its entry can be replaced."""
+    second = second or {"type": "normal", "mu": 1, "sigma": 1}
+    return {"type": "mixture", "components": [
+        {"weight": weight, "dist": {"type": "normal", "mu": 0, "sigma": 1}},
+        {"weight": 0.5, "dist": second, **(extra or {})},
+    ]}
+
+
+# Scenarios the schema fuzz mutates: the four files, a mixture-prior and a
+# grid-prior compare (the second with a grid window).
+FUZZ_BASES = [json.loads((SCENARIO_DIR / name).read_text(encoding="utf-8")) for name in (
+    "lawn_signs.json", "table3_compare.json", "figure5_sweep.json",
+    "citizenship_truncated.json")] + [
+    {"kind": "compare", "seed": 3,
+     "prior": {"type": "mixture", "components": [
+         {"weight": 0.3, "dist": {"type": "normal", "mu": 0, "sigma": 3}},
+         {"weight": 0.7, "dist": {"type": "trunc_normal", "mu": 3, "sigma": 1,
+                                  "lower": 0, "upper": 10}}]},
+     "posteriors": [{"label": "a", "dist": {"type": "normal", "mu": 1, "sigma": 1}},
+                    {"label": "b", "study": {"estimate": 1, "std_error": 2}}]},
+    {"kind": "compare",
+     "prior": {"type": "grid", "xs": [-1, 0, 1], "ws": [0.25, 0.5, 0.25]},
+     "posteriors": [{"study": {"estimate": 0.5, "std_error": 1}}],
+     "grid": {"lo": -3, "hi": 3, "nodes": 128}},
+]
+
+
+def json_nodes(value, keys=()):
+    """(keys, value) for ``value`` and everything inside it, keys from the root."""
+    yield keys, value
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from json_nodes(child, (*keys, key))
+
+
+def json_path(keys):
+    """The path the parser names: ``prior.components[1].dist``, ``scenario`` for the root."""
+    out = ""
+    for key in keys:
+        out += f"[{key}]" if isinstance(key, int) else f".{key}" if out else key
+    return out or "scenario"
+
+
+@st.composite
+def scenario_mutations(draw):
+    """One mutation of a FUZZ_BASES scenario at one JSON path: the mutated
+    scenario and the paths an error may start with. A dropped key counts its
+    own path or its object's, an added key its object's, a value of the wrong
+    type its own, and an out-of-range number its own or that of an object
+    holding it, whose constructor may check it against its siblings."""
+    scenario = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    nodes = dict(json_nodes(scenario))
+    action = draw(st.sampled_from(["drop", "add", "set", "range"]))
+    pick = {
+        "drop": lambda k, v: k and isinstance(k[-1], str),
+        "add": lambda k, v: isinstance(v, dict),
+        "set": lambda k, v: k,
+        "range": lambda k, v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    }[action]
+    keys = draw(st.sampled_from([k for k, v in nodes.items() if pick(k, v)]))
+    if action == "add":
+        nodes[keys]["extra_key"] = 1
+        return scenario, [json_path(keys)]
+    parent = nodes[keys[:-1]]
+    if action == "drop":
+        del parent[keys[-1]]
+        return scenario, [json_path(keys), json_path(keys[:-1])]
+    if action == "set":
+        parent[keys[-1]] = draw(st.sampled_from(["x", True, False, None, [None]]))
+        return scenario, [json_path(keys)]
+    parent[keys[-1]] = draw(st.sampled_from([-1, 0, 1.5, -1.5, math.nan, math.inf, -math.inf]))
+    return scenario, [json_path(keys[:j]) for j in range(1, len(keys) + 1)]
+
+
 def lawn_scenario():
     return load_scenario(str(SCENARIO_DIR / "lawn_signs.json"))
 
@@ -272,6 +350,16 @@ class TestScenarioSchema:
     def test_boolean_rejected_as_number(self):
         with pytest.raises(ScenarioError, match="seed"):
             parse_scenario({**TABLE3_DICT, "seed": True})
+
+    @settings(max_examples=400, deadline=None)
+    @given(scenario_mutations())
+    def test_mutation_fuzz_errors_start_with_the_path(self, case):
+        scenario, paths = case
+        try:
+            parse_scenario(scenario)
+        except ScenarioError as exc:
+            assert any(str(exc).startswith((f"{p}:", f"{p}.", f"{p}[")) for p in paths), \
+                (str(exc), paths)
 
     def test_load_errors(self, tmp_path):
         with pytest.raises(ScenarioError, match="scenario file"):
@@ -667,20 +755,32 @@ class TestCommandLine:
         assert code == 1
         assert "grid" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("weight", ["0.5", True], ids=["string", "bool"])
-    def test_mixture_weight_must_be_a_number(self, tmp_path, capsys, weight):
-        # A string weight used to run with exit 0, and true read as 1.0.
+    @pytest.mark.parametrize("prior, message", [
+        (mixture_literal(weight="0.5"), "prior.components[0].weight: expected a number"),
+        (mixture_literal(weight=True), "prior.components[0].weight: expected a number"),
+        ({"type": "grid", "xs": ["0", "1"], "ws": [0.5, 0.5]}, "prior.xs[0]: expected a number"),
+        ({"type": "grid", "xs": [False, True], "ws": [0.5, 0.5]},
+         "prior.xs[0]: expected a number"),
+        ({"type": "grid", "xs": [0, 1], "ws": ["0.5", "0.5"]}, "prior.ws[0]: expected a number"),
+        ({"type": "grid", "xs": [0, 1], "ws": [False, True]}, "prior.ws[0]: expected a number"),
+        (mixture_literal(second={"type": "normal", "mu": 1, "sigma": "x"}),
+         "prior.components[1].dist.sigma: expected a number"),
+        ({"type": "normal", "mu": 0}, "prior.sigma: missing"),
+        (mixture_literal(extra={"x": 1}), "prior.components[1]: unknown keys x"),
+    ], ids=["string", "bool", "grid_xs_string", "grid_xs_bool", "grid_ws_string",
+            "grid_ws_bool", "nested_sigma_string", "missing_sigma", "component_unknown_key"])
+    def test_mixture_weight_must_be_a_number(self, tmp_path, capsys, prior, message):
+        # Each of these used to run with exit 0 (a string weight; true read as
+        # 1.0; grid nodes "0" or false read as 0.0; an unknown component key),
+        # or named no path or the wrong rule.
         scenario = tmp_path / "weights.json"
         scenario.write_text(json.dumps({
             "kind": "compare",
-            "prior": {"type": "mixture", "components": [
-                {"weight": weight, "dist": {"type": "normal", "mu": 0, "sigma": 1}},
-                {"weight": 0.5, "dist": {"type": "normal", "mu": 1, "sigma": 1}},
-            ]},
+            "prior": prior,
             "posteriors": [{"study": {"estimate": 1.0, "std_error": 1.0}}],
         }), encoding="utf-8")
         assert main(["compare", "--scenario", str(scenario)]) == 1
-        assert "components[0].weight" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("change, argv, field", [
         ({"sigma": math.nan}, [], "prospective_config.sigma"),
@@ -766,6 +866,15 @@ class TestCommandLine:
     def test_import_loads_neither_scipy_stats_nor_optimize(self):
         probe = ("import sys, beliefshift, beliefshift.cli.main; "
                  "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              cwd=str(REPO_ROOT), check=True)
+        assert proc.stdout.strip() == "[]"
+
+    def test_import_loads_neither_cli_nor_argparse(self):
+        # The scenario field checks live in distributions, so the library
+        # import stays clear of the command line.
+        probe = ("import sys, beliefshift; "
+                 "print(sorted(m for m in ('argparse', 'beliefshift.cli') if m in sys.modules))")
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               cwd=str(REPO_ROOT), check=True)
         assert proc.stdout.strip() == "[]"

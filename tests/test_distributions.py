@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 from scipy import special, stats
@@ -403,6 +403,8 @@ class TestTruncatedProperties:
         np.testing.assert_allclose(cdf(dist, xs), exact_cdf, rtol=0.0, atol=1e-12)
 
     @PROPERTY_SETTINGS
+    # Narrow, 34 sd out: the closed-form quantile at 0.99 read 4.9 ulps off.
+    @example(TruncatedNormalDist(2.0, 1.0, -31.77447868322823, -31.772850569844024))
     @given(truncations())
     def test_cdf_inverts_quantile(self, dist):
         qs = quantile(dist, LEVELS)

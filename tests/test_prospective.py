@@ -17,7 +17,6 @@ from beliefshift import (
     GridDensity,
     MixtureDist,
     NormalDist,
-    PioneerSetup,
     SamplingModel,
     Study,
     TruncatedNormalDist,
@@ -45,16 +44,12 @@ PIONEER = NormalDist(0.0, 3.0)
 BASE_SE = SamplingModel(2.0, 5).std_error()
 
 
-def make_setup(weight, sigma=1.0, n=50):
-    return PioneerSetup(CONSENSUS, PIONEER, weight, SamplingModel(sigma, n))
-
-
 def simulated_ybar(prior, se, seed, replicates):
     uniforms = _replicate_uniforms(seed, replicates, 3)
     return _theta_from_uniforms(prior, uniforms) + se * ndtri(uniforms[:, -1])
 
 
-MIX_04 = decision_maker_prior(make_setup(0.4))
+MIX_04 = decision_maker_prior(CONSENSUS, PIONEER, 0.4)
 # (update prior, se, ybar as prior-sd offsets from the prior mean or None
 # for simulated outcomes). The component sds are 1 and 3.
 MIXTURE_ROUTE_CASES = [
@@ -62,9 +57,9 @@ MIXTURE_ROUTE_CASES = [
     pytest.param(MIX_04, BASE_SE, np.linspace(-12.0, 12.0, 9), id="ybar_12_sd_out"),
     pytest.param(MIX_04, 1e-3, None, id="se_1e-3_x_sd"),
     pytest.param(MIX_04, 300.0, None, id="se_1e2_x_sd"),
-    pytest.param(decision_maker_prior(make_setup(1e-6)), BASE_SE, None,
+    pytest.param(decision_maker_prior(CONSENSUS, PIONEER, 1e-6), BASE_SE, None,
                  id="pioneer_weight_1e-6"),
-    pytest.param(decision_maker_prior(make_setup(1.0 - 1e-6)), BASE_SE, None,
+    pytest.param(decision_maker_prior(CONSENSUS, PIONEER, 1.0 - 1e-6), BASE_SE, None,
                  id="pioneer_weight_1-1e-6"),
     pytest.param(MixtureDist(((0.2, NormalDist(-2.0, 0.5)), (0.5, NormalDist(1.0, 1.0)),
                               (0.3, NormalDist(4.0, 2.0)))),
@@ -74,20 +69,20 @@ MIXTURE_ROUTE_CASES = [
 
 class TestDecisionMakerPrior:
     def test_degenerate_weights_collapse(self):
-        assert decision_maker_prior(make_setup(0.0)) is CONSENSUS
-        assert decision_maker_prior(make_setup(1.0)) is PIONEER
+        assert decision_maker_prior(CONSENSUS, PIONEER, 0.0) is CONSENSUS
+        assert decision_maker_prior(CONSENSUS, PIONEER, 1.0) is PIONEER
 
     def test_interior_weight_builds_mixture(self):
-        prior = decision_maker_prior(make_setup(0.4))
+        prior = decision_maker_prior(CONSENSUS, PIONEER, 0.4)
         assert isinstance(prior, MixtureDist)
         (w_p, comp_p), (w_c, comp_c) = prior.components
         assert (w_p, comp_p) == (0.4, PIONEER)
         assert (w_c, comp_c) == (0.6, CONSENSUS)
 
     def test_weight_validation(self):
-        for bad in (-0.1, 1.1):
-            with pytest.raises(ValueError):
-                make_setup(bad)
+        for bad in (-0.1, 1.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="mixture weights must be positive"):
+                decision_maker_prior(CONSENSUS, PIONEER, bad)
 
 
 class TestBoundSq:
@@ -166,7 +161,7 @@ class TestExpectedLearningMc:
         configs = [
             (PIONEER, CONSENSUS, CONSENSUS, SamplingModel(2.0, 3)),
             (CONSENSUS, CONSENSUS, PIONEER, SamplingModel(0.5, 20)),
-            (decision_maker_prior(make_setup(0.3)), CONSENSUS, CONSENSUS,
+            (decision_maker_prior(CONSENSUS, PIONEER, 0.3), CONSENSUS, CONSENSUS,
              SamplingModel(1.0, 10)),
         ]
         for i, (pred, upd, ref, model) in enumerate(configs):
@@ -209,7 +204,7 @@ class TestReplicateStreams:
         np.testing.assert_array_equal(u[0], np.clip(direct, 1e-16, 1.0 - 1e-16))
 
     def test_mixture_theta_uses_component_pick(self):
-        mix = decision_maker_prior(make_setup(0.4))
+        mix = decision_maker_prior(CONSENSUS, PIONEER, 0.4)
         uniforms = np.array([[0.1, 0.5, 0.5], [0.9, 0.5, 0.5]])
         theta = _theta_from_uniforms(mix, uniforms)
         # u0 = 0.1 < 0.4 picks the pioneer median, u0 = 0.9 the consensus one.
@@ -279,8 +274,8 @@ class TestBatchedW2:
 
     @pytest.mark.parametrize("update_prior, reference, atol", [
         # Tolerances just above the largest gap measured (1.5e-10, 9.1e-11).
-        (MIX_04, decision_maker_prior(make_setup(0.3)), 5e-10),
-        (PIONEER, decision_maker_prior(make_setup(0.3)), 5e-10),
+        (MIX_04, decision_maker_prior(CONSENSUS, PIONEER, 0.3), 5e-10),
+        (PIONEER, decision_maker_prior(CONSENSUS, PIONEER, 0.3), 5e-10),
         (MIX_04, TruncatedNormalDist(0.2, 0.4, 0.0, math.inf), 2e-10),
         (PIONEER, TruncatedNormalDist(0.2, 0.4, 0.0, math.inf), 2e-10),
     ], ids=["mixture_reference", "normal_update_mixture_reference",
@@ -313,9 +308,8 @@ class TestBatchedW2:
     def test_truncated_blend_matches_grid_route(self, ybar):
         # The consensus core sits 11.8 sd below its bound after ybar = -1.7.
         consensus = TruncatedNormalDist(0.2, 0.4, 0.0, math.inf)
-        setup = PioneerSetup(consensus, NormalDist(0.0, 1.0), 0.5, SamplingModel(1.0, 50))
-        blended = decision_maker_prior(setup)
-        se = setup.model.std_error()
+        blended = decision_maker_prior(consensus, NormalDist(0.0, 1.0), 0.5)
+        se = SamplingModel(1.0, 50).std_error()
         batched = _batched_w2(blended, consensus, np.array([ybar]), se)
         grid_post = update_grid(blended, Study(ybar, se), -6.0, 6.0, 20001)
         np.testing.assert_allclose(batched[0], wp_quantile(consensus, grid_post), atol=5e-4)
@@ -347,7 +341,7 @@ def kernel_cases(draw):
     raw = [draw(st.floats(0.05, 1.0)) for _ in comps]
     prior = comps[0] if len(comps) == 1 else MixtureDist(
         tuple((r / sum(raw), c) for r, c in zip(raw, comps)))
-    references = [decision_maker_prior(make_setup(0.3)),
+    references = [decision_maker_prior(CONSENSUS, PIONEER, 0.3),
                   TruncatedNormalDist(0.2, 0.4, 0.0, math.inf)]
     if len(comps) > 1:
         references.append(CONSENSUS)
@@ -372,7 +366,7 @@ class TestChebyshevRoute:
     @settings(max_examples=50, deadline=None)
     # Pioneer weight 1e-6 at se 300: the posterior barely leaves the
     # consensus, W2 is about 1e-3, and the square root amplifies errors.
-    @example((decision_maker_prior(make_setup(1e-6)), CONSENSUS, 300.0, 3))
+    @example((decision_maker_prior(CONSENSUS, PIONEER, 1e-6), CONSENSUS, 300.0, 3))
     @given(kernel_cases())
     def test_matches_kernel_on_every_draw(self, case):
         prior, reference, se, seed = case
@@ -383,8 +377,8 @@ class TestChebyshevRoute:
 
     def test_runs_the_kernel_on_nodes_not_draws(self, monkeypatch):
         # A Figure 5 cell (w = 0.5, n = 50) at the benchmark's 500 replicates.
-        setup = make_setup(0.5, sigma=3.0, n=50)
-        prior, se = decision_maker_prior(setup), setup.model.std_error()
+        prior = decision_maker_prior(CONSENSUS, PIONEER, 0.5)
+        se = SamplingModel(3.0, 50).std_error()
         ybar = simulated_ybar(prior, se, seed=7, replicates=500)
         want = _w2_mixture_update(prior, CONSENSUS, ybar, se)
         rows = count_kernel_rows(monkeypatch)
@@ -413,21 +407,20 @@ class TestChebyshevRoute:
 
 class TestWeightSweep:
     def test_singleton_equals_direct_call(self):
-        setup = make_setup(0.3, sigma=1.0, n=20)
-        points = weight_sweep(setup, [0.3], [20], replicates=300, seed=5)
+        points = weight_sweep(CONSENSUS, PIONEER, 1.0, [0.3], [20], replicates=300, seed=5)
         assert len(points) == 1
-        blended = decision_maker_prior(setup)
+        blended = decision_maker_prior(CONSENSUS, PIONEER, 0.3)
         direct = expected_learning_mc(blended, blended, CONSENSUS,
                                       SamplingModel(1.0, 20), replicates=300, seed=5)
         assert points[0] == CurvePoint(0.3, 20, direct.estimate, direct.mc_std_error)
 
     def test_grid_shape_and_order(self):
-        points = weight_sweep(make_setup(0.0, sigma=3.0), [0.0, 1.0], [10, 50],
+        points = weight_sweep(CONSENSUS, PIONEER, 3.0, [0.0, 1.0], [10, 50],
                               replicates=150, seed=0)
         assert [(pt.w, pt.n) for pt in points] == [(0.0, 10), (0.0, 50), (1.0, 10), (1.0, 50)]
 
     def test_learning_increases_with_pioneer_weight(self):
-        points = weight_sweep(make_setup(0.0, sigma=3.0), [0.0, 0.5, 1.0], [10],
+        points = weight_sweep(CONSENSUS, PIONEER, 3.0, [0.0, 0.5, 1.0], [10],
                               replicates=600, seed=0)
         values = [pt.expected_learning for pt in points]
         gates = [3.0 * math.hypot(points[i].mc_std_error, points[i + 1].mc_std_error)
@@ -437,24 +430,22 @@ class TestWeightSweep:
         assert values[2] > values[0]
 
     def test_positive_learning_at_zero_weight(self):
-        points = weight_sweep(make_setup(0.0, sigma=3.0), [0.0], [10],
+        points = weight_sweep(CONSENSUS, PIONEER, 3.0, [0.0], [10],
                               replicates=600, seed=0)
         assert points[0].expected_learning > 3.0 * points[0].mc_std_error
 
     def test_w0_estimate_respects_jensen_bound(self):
-        points = weight_sweep(make_setup(0.0, sigma=1.0), [0.0], [10],
+        points = weight_sweep(CONSENSUS, PIONEER, 1.0, [0.0], [10],
                               replicates=2000, seed=0)
         ceiling = math.sqrt(expected_learning_bound_sq(CONSENSUS.sigma, 1.0, 10))
         assert points[0].expected_learning <= ceiling + 3.0 * points[0].mc_std_error
 
     def test_empty_lists_rejected(self):
         with pytest.raises(ValueError):
-            weight_sweep(make_setup(0.0), [], [10])
+            weight_sweep(CONSENSUS, PIONEER, 1.0, [], [10])
         with pytest.raises(ValueError):
-            weight_sweep(make_setup(0.0), [0.5], [])
+            weight_sweep(CONSENSUS, PIONEER, 1.0, [0.5], [])
 
     def test_curve_point_validation(self):
-        with pytest.raises(ValueError):
-            CurvePoint(1.5, 10, 1.0, 0.1)
         with pytest.raises(ValueError):
             CurvePoint(0.5, 10, math.inf, 0.1)
