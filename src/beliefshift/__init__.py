@@ -13,13 +13,8 @@ from .distributions import (
     MixtureDist,
     NormalDist,
     TruncatedNormalDist,
-    cdf,
     dist_from_literal,
     dist_to_literal,
-    moments,
-    pdf,
-    quantile,
-    sample,
     to_grid,
 )
 from .errors import (
@@ -60,10 +55,7 @@ from .updating import (
     PosteriorChain,
     SamplingModel,
     Study,
-    default_grid_window,
     log_predictive_density,
-    predictive_density,
-    prior_predictive,
     sequential_update,
     update,
     update_conjugate,
@@ -81,11 +73,6 @@ __all__ = [
     "TruncatedNormalDist",
     "GridDensity",
     "MixtureDist",
-    "pdf",
-    "cdf",
-    "quantile",
-    "sample",
-    "moments",
     "to_grid",
     "dist_to_literal",
     "dist_from_literal",
@@ -107,9 +94,6 @@ __all__ = [
     "update_grid",
     "update",
     "sequential_update",
-    "default_grid_window",
-    "prior_predictive",
-    "predictive_density",
     "log_predictive_density",
     # metrics
     "LearningReport",

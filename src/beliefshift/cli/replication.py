@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -41,26 +40,20 @@ __all__ = ["ReplicationResult", "make_check", "run_replicate_paper"]
 
 @dataclass(frozen=True)
 class ReplicationResult:
-    """One named check: passed is exactly |expected - actual| <= tolerance."""
+    """One named check; it passes when |expected - actual| <= tolerance."""
 
     check_name: str
     expected: float
     actual: float
     tolerance: float
-    passed: bool
 
-    def __post_init__(self) -> None:
-        ok = abs(self.expected - self.actual) <= self.tolerance
-        if self.passed != ok:
-            raise ValueError("passed flag inconsistent with expected/actual/tolerance")
+    @property
+    def passed(self) -> bool:
+        return bool(abs(self.expected - self.actual) <= self.tolerance)
 
 
 def make_check(name: str, expected: float, actual: float, tolerance: float) -> ReplicationResult:
-    expected = float(expected)
-    actual = float(actual)
-    tolerance = float(tolerance)
-    return ReplicationResult(name, expected, actual, tolerance,
-                             abs(expected - actual) <= tolerance)
+    return ReplicationResult(name, float(expected), float(actual), float(tolerance))
 
 
 def _random_normals(rng: np.random.Generator, count: int) -> list[NormalDist]:
@@ -74,19 +67,16 @@ def _sorted_matching_wp(x: np.ndarray, y: np.ndarray, p: float) -> float:
     return float(np.mean(np.abs(np.sort(x) - np.sort(y)) ** p) ** (1.0 / p))
 
 
-def run_replicate_paper(seed: int = 0,
-                        replicates: int = DEFAULT_REPLICATES,
-                        sweep_replicates: Optional[int] = None
+def run_replicate_paper(seed: int = 0, replicates: int = DEFAULT_REPLICATES
                         ) -> tuple[list[ReplicationResult], list[str]]:
     """Run every replication check; returns (results, notes).
 
     ``replicates`` drives the prospective-identity cells; the Figure 5
-    sweep uses ``sweep_replicates`` (default replicates // 4) since it
-    covers 33 design points.
+    sweep covers 33 design points, so it runs replicates // 4 (at least
+    MIN_REPLICATES).
     """
     replicates = int(replicates)
-    if sweep_replicates is None:
-        sweep_replicates = max(MIN_REPLICATES, replicates // 4)
+    sweep_replicates = max(MIN_REPLICATES, replicates // 4)
     results: list[ReplicationResult] = []
     notes: list[str] = []
     add = results.append

@@ -3,13 +3,12 @@
 Four concrete families cover every belief object in the package: exact
 normals, truncated normals parameterized by their latent normal, finite
 mixtures, and discrete grid densities (probability mass on nodes). All
-values are immutable after construction and every operation is pure;
-sampling takes a caller-owned generator.
+values are immutable after construction and every operation is pure.
 
 Each family exposes the same method surface (``pdf``, ``cdf``,
-``quantile``, ``sample``, ``moments``, ``support``); the module-level
-functions of the same names are thin dispatch wrappers. Methods accept
-scalars or numpy arrays and return matching shapes.
+``quantile``, ``moments``, ``support``). Methods accept scalars or numpy
+arrays and return matching shapes. A draw is the quantile of a uniform:
+``d.quantile(rng.random(count))``.
 
 The truncated family is closed form on the numpy-only normal functions of
 ``_normal`` and tail safe: the kept mass is measured from the tail the
@@ -40,11 +39,6 @@ __all__ = [
     "MixtureDist",
     "GridDensity",
     "Distribution1D",
-    "pdf",
-    "cdf",
-    "quantile",
-    "sample",
-    "moments",
     "to_grid",
     "dist_from_literal",
     "dist_to_literal",
@@ -111,9 +105,6 @@ class NormalDist:
 
     def _tail(self, x, upper):
         return ndtr(np.where(upper, -1.0, 1.0) * (x - self.mu) / self.sigma)
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return rng.normal(self.mu, self.sigma, size=int(count))
 
     def moments(self) -> tuple[float, float]:
         return self.mu, self.sigma
@@ -307,9 +298,6 @@ class TruncatedNormalDist:
                                 self.lower, self.upper)
         return _restore_shape(q, scalar)
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return self.quantile(rng.uniform(size=int(count)))
-
     def _mirrored_bounds(self) -> tuple[float, float, float]:
         """(sign, lo, hi): standardized bounds, mirrored above the latent mean (sign -1)."""
         a, b = self.std_bounds()
@@ -462,11 +450,6 @@ class GridDensity:
         idx = np.minimum(idx, self.xs.size - 1)
         return _restore_shape(self.xs[idx], scalar)
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        p = self.ws / self.ws.sum()
-        idx = rng.choice(self.xs.size, size=int(count), p=p)
-        return self.xs[idx]
-
     def moments(self) -> tuple[float, float]:
         mean = float(np.dot(self.ws, self.xs))
         var = float(np.dot(self.ws, (self.xs - mean) ** 2))
@@ -611,17 +594,6 @@ class MixtureDist:
         q = _mixture_quantiles(tails, flat, x_lo, x_hi)
         return _restore_shape(q.reshape(arr.shape), scalar)
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        count = int(count)
-        idx = rng.choice(len(self.components), size=count, p=self.weights())
-        out = np.empty(count, dtype=float)
-        for k, (_, comp) in enumerate(self.components):
-            mask = idx == k
-            hits = int(mask.sum())
-            if hits:
-                out[mask] = comp.sample(rng, hits)
-        return out
-
     def moments(self) -> tuple[float, float]:
         ws = self.weights()
         stats_ = [comp.moments() for _, comp in self.components]
@@ -638,31 +610,6 @@ class MixtureDist:
 
 
 Distribution1D = Union[NormalDist, TruncatedNormalDist, MixtureDist, GridDensity]
-
-
-def pdf(d: Distribution1D, x):
-    """Density at ``x`` (mass over cell width for grids); zero off-support."""
-    return d.pdf(x)
-
-
-def cdf(d: Distribution1D, x):
-    """P(X <= x)."""
-    return d.cdf(x)
-
-
-def quantile(d: Distribution1D, t):
-    """Generalized inverse cdf: inf{x : cdf(x) >= t} for t in (0, 1)."""
-    return d.quantile(t)
-
-
-def sample(d: Distribution1D, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Draw ``count`` values; deterministic given the generator state."""
-    return d.sample(rng, count)
-
-
-def moments(d: Distribution1D) -> tuple[float, float]:
-    """(mean, sd); exact for normal/mixture/grid, closed form for truncated."""
-    return d.moments()
 
 
 def to_grid(d: Distribution1D, lo: float, hi: float,

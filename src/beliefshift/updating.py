@@ -39,8 +39,6 @@ __all__ = [
     "update_grid",
     "update",
     "sequential_update",
-    "prior_predictive",
-    "predictive_density",
     "log_predictive_density",
 ]
 
@@ -276,32 +274,6 @@ def sequential_update(prior: Distribution1D, studies: Sequence[Study],
     return PosteriorChain(prior, tuple(steps))
 
 
-def prior_predictive(prior: Distribution1D, model: SamplingModel) -> Distribution1D:
-    """Distribution of the future sample mean under the prior.
-
-    Normal(mu_p, sigma_p) gives Normal(mu_p, sqrt(sigma^2/n + sigma_p^2));
-    mixtures of normals map componentwise. Other priors have no closed
-    form here; sample them and simulate instead.
-    """
-    se = model.std_error()
-    if isinstance(prior, NormalDist):
-        return NormalDist(prior.mu, math.hypot(prior.sigma, se))
-    if isinstance(prior, MixtureDist):
-        if not all(isinstance(comp, NormalDist) for _, comp in prior.components):
-            raise UnsupportedPriorError(
-                "prior_predictive needs all-normal mixture components; "
-                "draw from the prior and simulate for other kinds"
-            )
-        return MixtureDist(tuple(
-            (w, NormalDist(comp.mu, math.hypot(comp.sigma, se)))
-            for w, comp in prior.components
-        ))
-    raise UnsupportedPriorError(
-        f"no closed-form prior predictive for {type(prior).__name__}; "
-        "draw from the prior and simulate instead"
-    )
-
-
 def log_predictive_density(prior: Distribution1D, model: SamplingModel,
                            ybar: float) -> float:
     """Log marginal density of the sample mean at ``ybar``.
@@ -315,8 +287,3 @@ def log_predictive_density(prior: Distribution1D, model: SamplingModel,
     if isinstance(prior, (NormalDist, TruncatedNormalDist, GridDensity)):
         return _log_marginal(prior, pseudo)
     raise UnsupportedPriorError(f"unknown prior kind {type(prior).__name__}")
-
-
-def predictive_density(prior: Distribution1D, model: SamplingModel, ybar: float) -> float:
-    """Marginal density of the sample mean at ``ybar`` (see log variant)."""
-    return math.exp(log_predictive_density(prior, model, ybar))

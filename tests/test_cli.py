@@ -3,9 +3,11 @@ output formats, and the replication harness plumbing."""
 
 import contextlib
 import copy
+import importlib
 import io
 import json
 import math
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -470,18 +472,20 @@ class TestReplicationResult:
         assert check.passed
 
     def test_inconsistent_flag_rejected(self):
-        with pytest.raises(ValueError):
+        # passed is read off the other fields: no flag can be given or set.
+        with pytest.raises(TypeError):
             ReplicationResult("bad", 1.0, 2.0, 0.5, True)
-        with pytest.raises(ValueError):
-            ReplicationResult("bad", 1.0, 1.1, 0.5, False)
+        check = ReplicationResult("bad", 1.0, 2.0, 0.5)
+        assert not check.passed
+        with pytest.raises(AttributeError):
+            check.passed = True
 
     def test_harness_detects_tampering(self, monkeypatch):
         def broken_w2(a, b):
             return math.sqrt(abs((a.mu - b.mu) ** 2 - (a.sigma - b.sigma) ** 2))
 
         monkeypatch.setattr(replication, "w2_normal", broken_w2)
-        results, _ = replication.run_replicate_paper(seed=0, replicates=100,
-                                                     sweep_replicates=100)
+        results, _ = replication.run_replicate_paper(seed=0, replicates=100)
         by_name = {r.check_name: r for r in results}
         assert not by_name["table1_row1_w2"].passed
         assert not all(r.passed for r in results)
@@ -980,3 +984,16 @@ class TestCommandLine:
         lines = outputs[0].decode().splitlines()
         assert lines[0] == "check_name,expected,actual,tolerance,passed"
         assert all(line.endswith(",true") for line in lines[1:])
+
+
+@pytest.mark.parametrize("package", ["beliefshift", "beliefshift.cli"])
+def test_every_package_export_is_a_submodule_export(package):
+    # Per-layer timing wraps each submodule's __all__, so a name only the
+    # package exports would run untimed.
+    pkg = importlib.import_module(package)
+    listed = set()
+    for info in pkgutil.iter_modules(pkg.__path__):
+        if not info.name.startswith("__"):
+            module = importlib.import_module(f"{package}.{info.name}")
+            listed.update(getattr(module, "__all__", ()))
+    assert set(pkg.__all__) - {"__version__"} - listed == set()

@@ -1,5 +1,5 @@
-"""Tests for the distribution layer: densities, cdfs, quantiles, sampling,
-moments, discretization, and the scenario-literal round trip."""
+"""Tests for the distribution layer: densities, cdfs, quantiles, draws by
+inverse cdf, moments, discretization, and the scenario-literal round trip."""
 
 import math
 
@@ -17,13 +17,8 @@ from beliefshift import (
     NormalDist,
     TailMassError,
     TruncatedNormalDist,
-    cdf,
     dist_from_literal,
     dist_to_literal,
-    moments,
-    pdf,
-    quantile,
-    sample,
     to_grid,
 )
 from beliefshift import distributions
@@ -69,18 +64,18 @@ def random_dist(rng):
 
 class TestPdf:
     def test_standard_normal_at_zero(self):
-        np.testing.assert_allclose(pdf(STD_NORMAL, 0.0), 1.0 / math.sqrt(2.0 * math.pi), rtol=1e-12)
-        assert abs(pdf(STD_NORMAL, 0.0) - 0.39894) < 5e-6
+        np.testing.assert_allclose(STD_NORMAL.pdf(0.0), 1.0 / math.sqrt(2.0 * math.pi), rtol=1e-12)
+        assert abs(STD_NORMAL.pdf(0.0) - 0.39894) < 5e-6
 
     def test_truncated_zero_outside_support(self):
-        assert pdf(TRUNC, -0.1) == 0.0
-        assert pdf(TRUNC, -1e-9) == 0.0
+        assert TRUNC.pdf(-0.1) == 0.0
+        assert TRUNC.pdf(-1e-9) == 0.0
 
     def test_truncated_renormalizes_inside(self):
         # Mass kept by the truncation is 1 - Phi(-0.5).
         keep = 1.0 - special.ndtr(-0.5)
         expected = oracles.normal_pdf(0.2, 0.2, 0.4) / keep
-        np.testing.assert_allclose(pdf(TRUNC, 0.2), expected, rtol=1e-12)
+        np.testing.assert_allclose(TRUNC.pdf(0.2), expected, rtol=1e-12)
 
     @pytest.mark.parametrize("lower, upper", [(10.0, 10.0 + 1e-9), (-5e-10, 5e-10)])
     def test_razor_thin_truncation_keeps_its_mass(self, lower, upper):
@@ -88,11 +83,11 @@ class TestPdf:
         dist = TruncatedNormalDist(0.0, 1.0, lower, upper)
         xs = lower + (upper - lower) * np.array([0.0, 0.25, 0.5, 0.75])
         exact_pdf, exact_cdf = oracles.truncnorm_pdf_cdf_exact(0.0, 1.0, lower, upper, xs)
-        np.testing.assert_allclose(pdf(dist, xs), exact_pdf, rtol=1e-12)
-        np.testing.assert_allclose(cdf(dist, xs), exact_cdf, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(dist.pdf(xs), exact_pdf, rtol=1e-12)
+        np.testing.assert_allclose(dist.cdf(xs), exact_cdf, rtol=1e-12, atol=1e-15)
         mid = 0.5 * (lower + upper)
-        assert abs(pdf(dist, mid) * (upper - lower) - 1.0) <= 1e-12
-        assert abs(cdf(dist, upper) - 1.0) <= 1e-12
+        assert abs(dist.pdf(mid) * (upper - lower) - 1.0) <= 1e-12
+        assert abs(dist.cdf(upper) - 1.0) <= 1e-12
 
     def test_narrow_truncation_far_from_mu_matches_exact_inputs(self):
         # Standardizing x and each bound separately cost 1.1e-12 of the cdf.
@@ -100,105 +95,105 @@ class TestPdf:
         xs = np.linspace(9000.0, 9001.0, 41)
         exact_pdf, exact_cdf = oracles.truncnorm_pdf_cdf_exact(
             0.0, 1000.0, 9000.0, 9001.0, xs)
-        np.testing.assert_allclose(pdf(dist, xs), exact_pdf, rtol=1e-13)
-        np.testing.assert_allclose(cdf(dist, xs), exact_cdf, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(dist.pdf(xs), exact_pdf, rtol=1e-13)
+        np.testing.assert_allclose(dist.cdf(xs), exact_cdf, rtol=0.0, atol=1e-13)
 
     def test_mixture_is_weighted_sum(self):
         xs = np.linspace(-3.0, 13.0, 23)
-        expected = 0.5 * pdf(NormalDist(0.0, 1.0), xs) + 0.5 * pdf(NormalDist(10.0, 1.0), xs)
-        np.testing.assert_allclose(pdf(BIMODAL, xs), expected, rtol=1e-12)
+        expected = 0.5 * NormalDist(0.0, 1.0).pdf(xs) + 0.5 * NormalDist(10.0, 1.0).pdf(xs)
+        np.testing.assert_allclose(BIMODAL.pdf(xs), expected, rtol=1e-12)
 
     def test_grid_density_is_mass_over_cell_width(self):
         g = GridDensity([0.0, 1.0, 3.0], [0.2, 0.3, 0.5])
         # Interior cell width is half the span of the two neighbours.
-        np.testing.assert_allclose(pdf(g, 1.0), 0.3 / 1.5, rtol=1e-12)
-        assert pdf(g, -0.5) == 0.0
-        assert pdf(g, 3.5) == 0.0
+        np.testing.assert_allclose(g.pdf(1.0), 0.3 / 1.5, rtol=1e-12)
+        assert g.pdf(-0.5) == 0.0
+        assert g.pdf(3.5) == 0.0
 
     def test_grid_pdf_integrates_to_one(self):
         g = to_grid(STD_NORMAL, -8.0, 8.0, 512)
         xs = np.linspace(-8.0, 8.0, 20001)
-        integral = np.trapezoid(pdf(g, xs), xs)
+        integral = np.trapezoid(g.pdf(xs), xs)
         np.testing.assert_allclose(integral, 1.0, atol=1e-3)
 
 
 class TestCdf:
     def test_standard_normal_median(self):
-        np.testing.assert_allclose(cdf(STD_NORMAL, 0.0), 0.5, atol=1e-15)
+        np.testing.assert_allclose(STD_NORMAL.cdf(0.0), 0.5, atol=1e-15)
 
     def test_shifted_normal_at_zero(self):
-        np.testing.assert_allclose(cdf(NormalDist(0.2, 0.4), 0.0), special.ndtr(-0.5), rtol=1e-12)
-        assert abs(cdf(NormalDist(0.2, 0.4), 0.0) - 0.3085) < 5e-5
+        np.testing.assert_allclose(NormalDist(0.2, 0.4).cdf(0.0), special.ndtr(-0.5), rtol=1e-12)
+        assert abs(NormalDist(0.2, 0.4).cdf(0.0) - 0.3085) < 5e-5
 
     def test_balanced_mixture_midpoint(self):
-        np.testing.assert_allclose(cdf(BIMODAL, 5.0), 0.5, atol=1e-12)
+        np.testing.assert_allclose(BIMODAL.cdf(5.0), 0.5, atol=1e-12)
 
     def test_mixture_cdf_pointwise_sum(self):
         rng = default_rng(42)
         xs = rng.uniform(-6.0, 16.0, size=100)
-        expected = 0.5 * cdf(NormalDist(0.0, 1.0), xs) + 0.5 * cdf(NormalDist(10.0, 1.0), xs)
-        np.testing.assert_allclose(cdf(BIMODAL, xs), expected, atol=1e-12)
+        expected = 0.5 * NormalDist(0.0, 1.0).cdf(xs) + 0.5 * NormalDist(10.0, 1.0).cdf(xs)
+        np.testing.assert_allclose(BIMODAL.cdf(xs), expected, atol=1e-12)
 
     def test_cdf_monotone_everywhere(self):
         rng = default_rng(42)
         for _ in range(20):
             d = random_dist(rng)
             xs = np.sort(rng.uniform(-12.0, 12.0, size=200))
-            vals = cdf(d, xs)
+            vals = d.cdf(xs)
             assert np.all(np.diff(vals) >= -1e-13)
             assert np.all((vals >= 0.0) & (vals <= 1.0))
 
     def test_grid_cdf_step_values(self):
-        np.testing.assert_allclose(cdf(THREE_POINT, 1.0), 1 / 3, rtol=1e-12)
-        np.testing.assert_allclose(cdf(THREE_POINT, 2.5), 2 / 3, rtol=1e-12)
-        assert cdf(THREE_POINT, 0.5) == 0.0
-        assert cdf(THREE_POINT, 3.0) == 1.0
+        np.testing.assert_allclose(THREE_POINT.cdf(1.0), 1 / 3, rtol=1e-12)
+        np.testing.assert_allclose(THREE_POINT.cdf(2.5), 2 / 3, rtol=1e-12)
+        assert THREE_POINT.cdf(0.5) == 0.0
+        assert THREE_POINT.cdf(3.0) == 1.0
 
 
 class TestQuantile:
     def test_standard_normal_median(self):
-        assert quantile(STD_NORMAL, 0.5) == 0.0
+        assert STD_NORMAL.quantile(0.5) == 0.0
 
     def test_wide_normal_upper_tail(self):
-        q = quantile(NormalDist(0.0, 10.0), 0.975)
+        q = NormalDist(0.0, 10.0).quantile(0.975)
         assert abs(q - 19.6) < 0.01
-        oracle = oracles.bisect_quantile(lambda x: cdf(NormalDist(0.0, 10.0), x), 0.975, -80.0, 80.0)
+        oracle = oracles.bisect_quantile(NormalDist(0.0, 10.0).cdf, 0.975, -80.0, 80.0)
         np.testing.assert_allclose(q, oracle, atol=1e-9)
 
     def test_grid_generalized_inverse(self):
-        assert quantile(THREE_POINT, 0.4) == 2.0
+        assert THREE_POINT.quantile(0.4) == 2.0
         for t in (0.05, 1 / 3, 0.34, 0.999):
             expected = oracles.grid_quantile_bruteforce(THREE_POINT.xs, THREE_POINT.ws, t)
-            assert quantile(THREE_POINT, t) == expected
+            assert THREE_POINT.quantile(t) == expected
 
     def test_rejects_boundary_levels(self):
         for t in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(ValueError):
-                quantile(STD_NORMAL, t)
+                STD_NORMAL.quantile(t)
 
     def test_galois_inequalities(self):
         rng = default_rng(42)
         for _ in range(15):
             d = random_dist(rng)
             ts = rng.uniform(0.01, 0.99, size=50)
-            qs = quantile(d, ts)
+            qs = d.quantile(ts)
             # cdf(quantile(t)) >= t and quantile(cdf(x)) <= x.
-            assert np.all(cdf(d, qs) >= ts - 1e-9)
-            xs = quantile(d, rng.uniform(0.05, 0.95, size=50))
-            ps = np.clip(cdf(d, xs), 1e-12, 1.0 - 1e-12)
-            assert np.all(quantile(d, ps) <= xs + 1e-9 * (1.0 + np.abs(xs)))
+            assert np.all(d.cdf(qs) >= ts - 1e-9)
+            xs = d.quantile(rng.uniform(0.05, 0.95, size=50))
+            ps = np.clip(d.cdf(xs), 1e-12, 1.0 - 1e-12)
+            assert np.all(d.quantile(ps) <= xs + 1e-9 * (1.0 + np.abs(xs)))
 
     @trunc_cases("body", "far_tail", "two_sided", "narrow_far")
     def test_truncated_matches_oracle_into_both_tails(self, args):
         dist = TruncatedNormalDist(*args)
         ts = np.array([1e-12, 1e-6, 0.01, 0.5, 0.99, 1.0 - 1e-6, 1.0 - 1e-12])
         expected = oracles.truncnorm_quantile(dist.mu, dist.sigma, dist.lower, dist.upper, ts)
-        np.testing.assert_allclose(quantile(dist, ts), expected, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(dist.quantile(ts), expected, rtol=1e-13, atol=1e-15)
 
     def test_mixture_quantile_inverts_cdf(self):
         ts = np.linspace(0.01, 0.99, 25)
-        qs = quantile(BIMODAL, ts)
-        np.testing.assert_allclose(cdf(BIMODAL, qs), ts, atol=1e-9)
+        qs = BIMODAL.quantile(ts)
+        np.testing.assert_allclose(BIMODAL.cdf(qs), ts, atol=1e-9)
         assert np.all(np.diff(qs) >= 0.0)
 
     # (weight, mu, sigma, lower) parts; the second blend is the prospective
@@ -214,8 +209,8 @@ class TestQuantile:
              else TruncatedNormalDist(mu, sigma, lower)) for w, mu, sigma, lower in parts))
         ts = np.array([1e-12, 1e-6, 0.3, 0.5, 0.7, 1.0 - 1e-6, 1.0 - 1e-12])
         expected = [oracles.mixture_quantile_exact(parts, t) for t in ts]
-        np.testing.assert_allclose(quantile(mix, ts), expected, rtol=0.0,
-                                   atol=1e-13 * moments(mix)[1])
+        np.testing.assert_allclose(mix.quantile(ts), expected, rtol=0.0,
+                                   atol=1e-13 * mix.moments()[1])
 
     # Nodes 1e12 apart make the table cells 8e9 wide and put the top node at
     # the window's end.
@@ -229,51 +224,51 @@ class TestQuantile:
         foot = 0.5 * special.ndtr(np.array(xs)) + 0.5 * np.array([0.0, 1 / 3, 2 / 3])
         ts = (foot[:, None] + (0.5 / 3) * np.array([1e-9, 0.5, 1.0 - 1e-9])).ravel()
         expected = [oracles.normal_grid_jump_quantile(0.5, 0.0, 1.0, xs, ws, t) for t in ts]
-        np.testing.assert_allclose(quantile(mix, ts), expected, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(mix.quantile(ts), expected, rtol=1e-14, atol=1e-14)
 
     def test_mixture_flat_stretches_give_their_left_end(self):
         # Where the cdf is flat at t, inf{x : F(x) >= t} is the stretch's
         # left end; Newton sees no slope there and a zero step.
         grid = MixtureDist(((1.0, GridDensity([0.0, 1.0, 2.0, 3.0], [0.25] * 4)),))
-        np.testing.assert_allclose(quantile(grid, [0.25, 0.5, 0.75]), [0.0, 1.0, 2.0],
+        np.testing.assert_allclose(grid.quantile([0.25, 0.5, 0.75]), [0.0, 1.0, 2.0],
                                    rtol=0.0, atol=1e-14)
         apart = MixtureDist(((0.5, TruncatedNormalDist(0.0, 1.0, -1.0, 0.0)),
                              (0.5, TruncatedNormalDist(0.0, 1.0, 1.0, 2.0))))
-        assert abs(quantile(apart, 0.5)) <= 1e-14
-        assert abs(quantile(apart, [0.5, 0.25, 0.75])[0]) <= 1e-14
+        assert abs(apart.quantile(0.5)) <= 1e-14
+        assert abs(apart.quantile([0.5, 0.25, 0.75])[0]) <= 1e-14
 
     def test_mixture_solver_raises_at_sweep_cap(self, monkeypatch):
         monkeypatch.setattr(distributions, "_MAX_SWEEPS", 1)
         with pytest.raises(ArithmeticError):
-            quantile(BIMODAL, np.linspace(0.1, 0.9, 8))
+            BIMODAL.quantile(np.linspace(0.1, 0.9, 8))
 
 
 class TestSample:
     def test_zero_count_is_empty(self):
         for d in (STD_NORMAL, TRUNC, BIMODAL, THREE_POINT):
-            draws = sample(d, default_rng(42), 0)
+            draws = d.quantile(np.empty(0))
             assert draws.shape == (0,)
 
     def test_normal_mean_converges(self):
-        draws = sample(NormalDist(3.0, 1.0), default_rng(42), 100_000)
+        draws = NormalDist(3.0, 1.0).quantile(default_rng(42).random(100_000))
         assert abs(draws.mean() - 3.0) < 0.02
 
     def test_truncated_respects_support(self):
-        draws = sample(TRUNC, default_rng(42), 50_000)
+        draws = TRUNC.quantile(default_rng(42).random(50_000))
         assert draws.min() >= 0.0
 
     def test_truncated_draws_invert_the_same_uniforms_as_scipy(self):
         for name in ("body", "far_tail", "two_sided"):
             d = TruncatedNormalDist(*TRUNC_CASES[name])
             oracle = oracles.truncnorm_frozen(d.mu, d.sigma, d.lower, d.upper)
-            np.testing.assert_allclose(sample(d, default_rng(3), 1000),
+            np.testing.assert_allclose(d.quantile(default_rng(3).random(1000)),
                                        oracle.rvs(size=1000, random_state=default_rng(3)),
                                        rtol=1e-12, atol=1e-15)
 
     def test_deterministic_given_seed(self):
         for d in (STD_NORMAL, TRUNC, BIMODAL, THREE_POINT):
-            a = sample(d, default_rng(7), 1000)
-            b = sample(d, default_rng(7), 1000)
+            a = d.quantile(default_rng(7).random(1000))
+            b = d.quantile(default_rng(7).random(1000))
             np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize(
@@ -282,13 +277,13 @@ class TestSample:
         ids=["normal", "truncated", "mixture", "shifted"],
     )
     def test_continuous_draws_pass_ks(self, dist):
-        draws = sample(dist, default_rng(42), 100_000)
-        stat = stats.kstest(draws, lambda x: cdf(dist, x))
+        draws = dist.quantile(default_rng(42).random(100_000))
+        stat = stats.kstest(draws, dist.cdf)
         assert stat.pvalue > 1e-3
 
     def test_grid_draw_frequencies_match_masses(self):
         g = GridDensity([0.0, 1.0, 2.0, 5.0], [0.1, 0.2, 0.3, 0.4])
-        draws = sample(g, default_rng(42), 100_000)
+        draws = g.quantile(default_rng(42).random(100_000))
         for x, w in zip(g.xs, g.ws):
             freq = np.mean(draws == x)
             assert abs(freq - w) < 5.0 * math.sqrt(w * (1.0 - w) / draws.size)
@@ -296,21 +291,21 @@ class TestSample:
 
 class TestMoments:
     def test_normal_exact(self):
-        assert moments(NormalDist(3.0, 1.5)) == (3.0, 1.5)
+        assert NormalDist(3.0, 1.5).moments() == (3.0, 1.5)
 
     def test_truncated_matches_closed_form(self):
-        mean, sd = moments(TRUNC)
+        mean, sd = TRUNC.moments()
         keep = 1.0 - special.ndtr(-0.5)
         expected_mean = 0.2 + 0.4 * oracles.normal_pdf(-0.5, 0.0, 1.0) / keep
         np.testing.assert_allclose(mean, expected_mean, rtol=1e-9)
-        quad_mean, quad_sd = oracles.pdf_moments_quad(lambda x: pdf(TRUNC, x), 0.0, 4.0)
+        quad_mean, quad_sd = oracles.pdf_moments_quad(TRUNC.pdf, 0.0, 4.0)
         np.testing.assert_allclose(mean, quad_mean, atol=1e-7)
         np.testing.assert_allclose(sd, quad_sd, atol=1e-7)
 
     @trunc_cases("far_tail", "two_sided", "narrow_far")
     def test_truncated_matches_exact_oracle(self, args):
         dist = TruncatedNormalDist(*args)
-        mean, sd = moments(dist)
+        mean, sd = dist.moments()
         exact_mean, exact_sd = oracles.truncnorm_moments_exact(
             dist.mu, dist.sigma, dist.lower, dist.upper)
         # mean = mu + sigma * m1 cancels when the bound is far out; scale by
@@ -324,7 +319,7 @@ class TestMoments:
         # the raw bounds, not from two standardized ones.
         dist = TruncatedNormalDist(0.0, 1000.0, 9000.0, 9001.0)
         exact_sd = oracles.truncnorm_moments_exact(0.0, 1000.0, 9000.0, 9001.0)[1]
-        np.testing.assert_allclose(moments(dist)[1], exact_sd, rtol=1e-14)
+        np.testing.assert_allclose(dist.moments()[1], exact_sd, rtol=1e-14)
 
     @pytest.mark.parametrize("args", [
         (5.0, 3.0, -1e4, -9999.5),
@@ -339,21 +334,21 @@ class TestMoments:
         # to rounding.
         dist = TruncatedNormalDist(*args)
         exact_mean, exact_sd = oracles.truncnorm_moments_exact(*args)
-        mean, sd = moments(dist)
+        mean, sd = dist.moments()
         np.testing.assert_allclose(sd, exact_sd, rtol=1e-12)
         np.testing.assert_allclose(mean, exact_mean, rtol=1e-15)
 
     def test_mixture_matches_sampling_oracle(self):
         mix = MixtureDist(((0.3, NormalDist(-1.0, 0.5)), (0.7, TruncatedNormalDist(2.0, 1.0, 0.0, math.inf))))
-        mean, sd = moments(mix)
-        draws = sample(mix, default_rng(42), 1_000_000)
+        mean, sd = mix.moments()
+        draws = mix.quantile(default_rng(42).random(1_000_000))
         se_mean = draws.std() / math.sqrt(draws.size)
         assert abs(mean - draws.mean()) < 5.0 * se_mean
         # sd of the sample sd is roughly sd / sqrt(2n) for light tails.
         assert abs(sd - draws.std()) < 5.0 * sd / math.sqrt(2.0 * draws.size)
 
     def test_grid_moments_are_weighted_sums(self):
-        mean, sd = moments(THREE_POINT)
+        mean, sd = THREE_POINT.moments()
         np.testing.assert_allclose(mean, 2.0, rtol=1e-12)
         np.testing.assert_allclose(sd, math.sqrt(2.0 / 3.0), rtol=1e-12)
 
@@ -387,7 +382,7 @@ class TestTruncatedProperties:
     @given(truncations())
     def test_quantile_matches_oracle(self, dist):
         expected = oracles.truncnorm_quantile(dist.mu, dist.sigma, dist.lower, dist.upper, LEVELS)
-        np.testing.assert_allclose(quantile(dist, LEVELS), expected,
+        np.testing.assert_allclose(dist.quantile(LEVELS), expected,
                                    rtol=1e-12, atol=1e-12 * dist.sigma)
 
     @PROPERTY_SETTINGS
@@ -399,23 +394,23 @@ class TestTruncatedProperties:
         xs = np.concatenate([xs, [lo - dist.sigma, hi + dist.sigma]])
         exact_pdf, exact_cdf = oracles.truncnorm_pdf_cdf_exact(
             dist.mu, dist.sigma, dist.lower, dist.upper, xs)
-        np.testing.assert_allclose(pdf(dist, xs), exact_pdf, rtol=1e-11, atol=0.0)
-        np.testing.assert_allclose(cdf(dist, xs), exact_cdf, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(dist.pdf(xs), exact_pdf, rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(dist.cdf(xs), exact_cdf, rtol=0.0, atol=1e-12)
 
     @PROPERTY_SETTINGS
     # Narrow, 34 sd out: the closed-form quantile at 0.99 read 4.9 ulps off.
     @example(TruncatedNormalDist(2.0, 1.0, -31.77447868322823, -31.772850569844024))
     @given(truncations())
     def test_cdf_inverts_quantile(self, dist):
-        qs = quantile(dist, LEVELS)
+        qs = dist.quantile(LEVELS)
         # A level is only as sharp as the spacing of doubles near its quantile.
-        slack = 4.0 * np.spacing(np.abs(qs)) * pdf(dist, qs)
-        assert np.all(np.abs(cdf(dist, qs) - LEVELS) <= 1e-12 + slack)
+        slack = 4.0 * np.spacing(np.abs(qs)) * dist.pdf(qs)
+        assert np.all(np.abs(dist.cdf(qs) - LEVELS) <= 1e-12 + slack)
 
     @PROPERTY_SETTINGS
     @given(truncations())
     def test_moments_match_exact_oracle(self, dist):
-        mean, sd = moments(dist)
+        mean, sd = dist.moments()
         exact_mean, exact_sd = oracles.truncnorm_moments_exact(
             dist.mu, dist.sigma, dist.lower, dist.upper)
         # mean = mu + sigma * m1 may cancel.
@@ -426,7 +421,7 @@ class TestTruncatedProperties:
 class TestToGrid:
     def test_wide_window_preserves_moments(self):
         g = to_grid(STD_NORMAL, -8.0, 8.0, 2048)
-        mean, sd = moments(g)
+        mean, sd = g.moments()
         assert abs(mean - 0.0) < 1e-4
         assert abs(sd - 1.0) < 1e-4
 
@@ -449,8 +444,8 @@ class TestToGrid:
     def test_truncated_window_respects_support(self):
         g = to_grid(TRUNC, 0.0, 3.0, 1024)
         assert g.xs.min() >= 0.0
-        mean, sd = moments(g)
-        exact_mean, exact_sd = moments(TRUNC)
+        mean, sd = g.moments()
+        exact_mean, exact_sd = TRUNC.moments()
         assert abs(mean - exact_mean) < 1e-3
         assert abs(sd - exact_sd) < 1e-3
 

@@ -1,5 +1,5 @@
 """Tests for Bayesian updating: conjugate, mixture, and grid routes,
-sequential chains, and predictive distributions."""
+sequential chains, and the predictive density."""
 
 import math
 import warnings
@@ -21,12 +21,7 @@ from beliefshift import (
     TailMassError,
     TruncatedNormalDist,
     UnsupportedPriorError,
-    cdf,
     log_predictive_density,
-    moments,
-    predictive_density,
-    prior_predictive,
-    sample,
     sequential_update,
     to_grid,
     update,
@@ -131,14 +126,14 @@ class TestConjugate:
 class TestUpdateGrid:
     def test_appendix_normal_example_default_window(self):
         post = update_grid(NormalDist(0.3, 0.3), APPF_STUDY)
-        mean, sd = moments(post)
+        mean, sd = post.moments()
         assert abs(mean - 0.106) < 0.002
         assert abs(sd - 0.112) < 0.002
 
     def test_appendix_normal_example_explicit_window(self):
         # [-2.5, 2] covers both prior and likelihood beyond the 1e-6 budget.
         post = update_grid(NormalDist(0.3, 0.3), APPF_STUDY, -2.5, 2.0, 4096)
-        mean, sd = moments(post)
+        mean, sd = post.moments()
         assert abs(mean - 0.106) < 0.002
         assert abs(sd - 0.112) < 0.002
 
@@ -172,7 +167,7 @@ class TestUpdateGrid:
             study = Study(rng.uniform(-3, 3), rng.uniform(0.3, 2.0))
             grid_post = update_grid(prior, study)
             exact = update_conjugate(prior, study)
-            mean, sd = moments(grid_post)
+            mean, sd = grid_post.moments()
             assert abs(mean - exact.mu) < 1e-3
             assert abs(sd - exact.sigma) < 1e-3
 
@@ -183,7 +178,7 @@ class TestUpdateGrid:
         core_mean, core_sd = oracles.conjugate_posterior(0.2, 0.4, 0.074, 0.121)
         exact = oracles.truncnorm_frozen(core_mean, core_sd, 0.0, math.inf)
         post = update_grid(trunc, APPF_STUDY)
-        mean, sd = moments(post)
+        mean, sd = post.moments()
         assert abs(mean - float(exact.mean())) < 1e-3
         assert abs(sd - float(exact.std())) < 1e-3
 
@@ -194,7 +189,7 @@ class TestUpdateGrid:
         study = Study(-12.0, 1.0)
         core_mean, core_sd = oracles.conjugate_posterior(0.2, 0.4, study.estimate, study.std_error)
         exact_mean, exact_sd = oracles.truncnorm_moments_exact(core_mean, core_sd, 0.0, math.inf)
-        mean, sd = moments(update_grid(trunc, study))
+        mean, sd = update_grid(trunc, study).moments()
         assert abs(mean - exact_mean) < 1e-5
         assert abs(sd - exact_sd) < 1e-5
 
@@ -232,12 +227,12 @@ class TestUpdateMixture:
         post = update_mixture(self.MIX, study)
         grid_prior = to_grid(self.MIX, -25.0, 28.0, 8192)
         grid_post = update_grid(grid_prior, study)
-        m1, s1 = moments(post)
-        m2, s2 = moments(grid_post)
+        m1, s1 = post.moments()
+        m2, s2 = grid_post.moments()
         assert abs(m1 - m2) < 1e-3
         assert abs(s1 - s2) < 1e-3
         xs = np.linspace(-3.0, 6.0, 41)
-        np.testing.assert_allclose(cdf(post, xs), cdf(grid_post, xs), atol=1e-3)
+        np.testing.assert_allclose(post.cdf(xs), grid_post.cdf(xs), atol=1e-3)
 
     def test_truncated_component_keeps_bounds(self):
         mix = MixtureDist(((0.5, TruncatedNormalDist(1.0, 1.0, 0.0, math.inf)),
@@ -330,45 +325,28 @@ class TestUpdateDispatch:
 
 
 class TestPredictive:
-    def test_normal_variance_addition(self):
-        pred = prior_predictive(NormalDist(0.0, 3.0), SamplingModel(1.0, 1))
-        assert pred == NormalDist(0.0, math.sqrt(10.0))
-
     def test_normal_sample_mean_scaling(self):
-        pred = prior_predictive(NormalDist(3.0, 1.0), SamplingModel(2.0, 4))
-        assert pred.mu == 3.0
-        np.testing.assert_allclose(pred.sigma, math.sqrt(2.0), rtol=1e-15)
-
-    def test_mixture_componentwise(self):
-        mix = MixtureDist(((0.5, NormalDist(0.0, 3.0)), (0.5, NormalDist(3.0, 1.0))))
-        pred = prior_predictive(mix, SamplingModel(1.0, 1))
-        assert isinstance(pred, MixtureDist)
-        np.testing.assert_allclose(pred.weights(), [0.5, 0.5])
-        np.testing.assert_allclose(pred.components[0][1].sigma, math.sqrt(10.0), rtol=1e-15)
-        np.testing.assert_allclose(pred.components[1][1].sigma, math.sqrt(2.0), rtol=1e-15)
+        # sigma 2 over n = 4 gives se 1, so ybar ~ N(3, sqrt(1 + 1)).
+        model = SamplingModel(2.0, 4)
+        for ybar in (-1.0, 3.0, 4.5):
+            value = log_predictive_density(NormalDist(3.0, 1.0), model, ybar)
+            np.testing.assert_allclose(
+                value, math.log(oracles.normal_pdf(ybar, 3.0, math.sqrt(2.0))), rtol=1e-12)
 
     def test_mixture_predictive_matches_simulation(self):
         mix = MixtureDist(((0.5, NormalDist(0.0, 3.0)), (0.5, NormalDist(3.0, 1.0))))
         model = SamplingModel(1.0, 1)
-        pred = prior_predictive(mix, model)
         rng = default_rng(42)
-        thetas = sample(mix, rng, 100_000)
+        thetas = mix.quantile(rng.random(100_000))
         ybars = thetas + rng.normal(0.0, model.std_error(), size=thetas.size)
-        assert stats.kstest(ybars, lambda x: cdf(pred, x)).pvalue > 1e-3
-
-    def test_unsupported_priors_raise(self):
-        model = SamplingModel(1.0, 1)
-        with pytest.raises(UnsupportedPriorError):
-            prior_predictive(TruncatedNormalDist(0.0, 1.0, 0.0, math.inf), model)
-        with pytest.raises(UnsupportedPriorError):
-            prior_predictive(GridDensity([0.0, 1.0], [0.5, 0.5]), model)
-        mixed = MixtureDist(((0.5, NormalDist(0.0, 1.0)),
-                             (0.5, TruncatedNormalDist(0.0, 1.0, 0.0, math.inf))))
-        with pytest.raises(UnsupportedPriorError):
-            prior_predictive(mixed, model)
+        # The predictive cdf by the trapezoid rule on a grid 0.01 apart.
+        xs = np.linspace(-25.0, 25.0, 5001)
+        dens = np.exp([log_predictive_density(mix, model, x) for x in xs])
+        cum = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(xs))))
+        assert stats.kstest(ybars, lambda x: np.interp(x, xs, cum)).pvalue > 1e-3
 
     def test_density_normal_prior(self):
-        value = predictive_density(NormalDist(0.0, 3.0), SamplingModel(1.0, 1), 0.0)
+        value = math.exp(log_predictive_density(NormalDist(0.0, 3.0), SamplingModel(1.0, 1), 0.0))
         np.testing.assert_allclose(value, oracles.normal_pdf(0.0, 0.0, math.sqrt(10.0)),
                                    rtol=1e-12)
 
@@ -376,14 +354,14 @@ class TestPredictive:
         grid = to_grid(NormalDist(0.5, 1.5), -12.0, 13.0, 2048)
         model = SamplingModel(1.0, 4)
         for ybar in (-1.0, 0.0, 0.7, 2.5):
-            value = predictive_density(grid, model, ybar)
+            value = math.exp(log_predictive_density(grid, model, ybar))
             expected = oracles.riemann_predictive(grid.xs, grid.ws, ybar, model.std_error())
             np.testing.assert_allclose(value, expected, rtol=1e-6)
 
     def test_density_mixture_prior(self):
         mix = MixtureDist(((0.5, NormalDist(0.0, 3.0)), (0.5, NormalDist(3.0, 1.0))))
         model = SamplingModel(1.0, 1)
-        value = predictive_density(mix, model, 1.0)
+        value = math.exp(log_predictive_density(mix, model, 1.0))
         expected = 0.5 * oracles.normal_pdf(1.0, 0.0, math.sqrt(10.0)) \
             + 0.5 * oracles.normal_pdf(1.0, 3.0, math.sqrt(2.0))
         np.testing.assert_allclose(value, expected, rtol=1e-12)
@@ -393,8 +371,7 @@ class TestPredictive:
         model = SamplingModel(1.0, 1)
         pred_sd = math.sqrt(10.0)
         for z in (10.0, 20.0, 30.0):
-            value = predictive_density(prior, model, z * pred_sd)
-            assert value > 0.0
             log_value = log_predictive_density(prior, model, z * pred_sd)
-            assert math.isfinite(log_value)
-            np.testing.assert_allclose(log_value, math.log(value), rtol=1e-9)
+            assert math.exp(log_value) > 0.0
+            expected = -0.5 * z * z - math.log(pred_sd) - 0.5 * math.log(2.0 * math.pi)
+            np.testing.assert_allclose(log_value, expected, rtol=1e-9)
