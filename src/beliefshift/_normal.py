@@ -114,7 +114,7 @@ _P_REFINE = 0.25
 # Below this log level Phi^-1 solves log Phi(x) = y by Newton: AS241 is fit
 # down to p = 1e-300, and exp(y) would be subnormal not far below it.
 _LOG_NEWTON_BELOW = -700.0
-_LOG_NEWTON_STEPS = 4
+_LOG_NEWTON_ITERATIONS = 4
 
 
 def _polynomial(x, coefs):
@@ -237,7 +237,7 @@ def _ndtri_log_newton(y):
     that is log(erfcx(t) / 2) - t^2 = y, from t^2 = -y - log(-2y) / 2 -
     log(2 pi) / 2. Each step is t += residual * sqrt(pi) erfcx(t) / 2."""
     t = np.sqrt(-y - 0.5 * (math.log(2.0) + np.log(-y)) - 0.5 * math.log(2.0 * math.pi))
-    for _ in range(_LOG_NEWTON_STEPS):
+    for _ in range(_LOG_NEWTON_ITERATIONS):
         r = _erfcx_big(t)
         t = t + (np.log(0.5 * r) - t * t - y) * (_HALF_SQRT_PI * r)
     return t * -math.sqrt(2.0)

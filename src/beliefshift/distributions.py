@@ -14,8 +14,9 @@ The truncated family is closed form on the numpy-only normal functions of
 ``_normal`` and tail safe: the kept mass is measured from the tail the
 interval lies in, a narrow interval's mass is integrated from its bounds,
 and far in a tail the moments come from the Mills-ratio continued fraction.
-``_mixture_quantiles`` is the mixture-quantile solver: Newton on each
-level's own log tail in a bisection bracket.
+``_mixture_quantiles``, the one mixture-quantile solver, runs Newton on each
+level's own log tail in a bisection bracket and freezes each level where it
+settles, so no level's quantile depends on the rest of its call.
 
 ``dist_from_literal`` and the ``json_*`` checks beside it are the one
 parser of the scenario schema: every message starts with the JSON path of
@@ -170,7 +171,8 @@ def _log_narrow_mass(lo, width):
     half = 0.5 * np.asarray(width, dtype=float)
     mid = lo + half
     u = half[..., None] * _NARROW_NODES
-    total = np.exp(-mid[..., None] * u - 0.5 * u * u) @ _NARROW_WEIGHTS
+    # Summed elementwise: a BLAS product's rounding varies with the array's size.
+    total = (np.exp(-mid[..., None] * u - 0.5 * u * u) * _NARROW_WEIGHTS).sum(axis=-1)
     return np.log(half * total) - 0.5 * mid * mid - _LOG_SQRT_2PI
 
 
@@ -461,47 +463,54 @@ class GridDensity:
 
 MixtureComponent = Union[NormalDist, TruncatedNormalDist, GridDensity]
 
-# Mixture-quantile solver (MixtureDist.quantile).
+# Mixture-quantile solver (MixtureDist.quantile, the transport kernel's breaks).
 _TABLE_POINTS = 256
 _MIN_SWEEPS = 2
 _MAX_SWEEPS = 200  # Newton takes 2 to 4; bisection to a jump, log2(cell / 1e-14) or so
 # Table logs are clipped to +/- this; every target log tail lies far inside.
 _LOG_CLIP = 1000.0
+# nextafter(0, 1) and 1 - 2^-53: MixtureDist.quantile's table spans these levels.
+_EXTREME_LEVELS = np.array([5e-324, 1.0 - 2.0**-53])
 
 
 @np.errstate(divide="ignore")
-def _mixture_quantiles(tails, t, x_lo, x_hi) -> np.ndarray:
+def _mixture_quantiles(tails, t, xs) -> np.ndarray:
     """Quantiles at levels t of each row's distribution, shape (rows, t.size).
 
     ``tails(x, upper, slope)`` gives P(X > x) where ``upper`` and P(X <= x)
     elsewhere, without cancellation, for x of shape (rows, m), and if ``slope``
     the slope of P(X <= x) (0 on a grid's steps). Levels below 1/2 solve
-    log P(X <= q) = log t, the rest log P(X > q) = log(1 - t). A table over
-    each row's window [x_lo, x_hi] starts and brackets each level; Newton on
-    the log tail polishes it. A step that leaves the bracket or is not half
-    the last (on a jump, say) bisects it, unless the level has settled: a step
-    within 1e-14 of q, relative, where the cdf rises. Others end at the
-    bracket's upper end, inf{x : F(x) >= t}, once it is 1e-14 tight."""
+    log P(X <= q) = log t, the rest log P(X > q) = log(1 - t). The log tails at
+    each row's table points ``xs`` (rows, points; increasing along a row) start
+    and bracket each level, and a level outside its row's table ends at that
+    end. Newton on the log tail polishes the rest. A step that leaves the
+    bracket or is not half the last (on a jump, say) bisects it, unless the
+    level has settled: a step within 1e-14 of q, relative, where the cdf rises.
+    Others end at the bracket's upper end, inf{x : F(x) >= t}, once it is 1e-14
+    tight. A level is frozen in the sweep where it ends, so its quantile
+    depends on its own level and row alone."""
+    rows, points = xs.shape
     upper = t >= 0.5
     sign = np.where(upper, -1.0, 1.0)
-    cell = ((x_hi - x_lo) / (_TABLE_POINTS - 1))[:, None]
-    xs = np.ascontiguousarray(np.linspace(x_lo, x_hi, _TABLE_POINTS, axis=1))  # ends at x_hi
     goal = np.where(upper, -np.log(1.0 - t), np.log(t))
     # Rows 2r, 2r + 1: log P(X <= x), -log P(X > x); both increase, as sign*log - goal.
     table = np.stack([np.log(tails(xs, False, False)[0]),
                       -np.log(tails(xs, True, False)[0])], axis=1)
-    table = np.clip(table, -_LOG_CLIP, _LOG_CLIP).reshape(-1, _TABLE_POINTS)
-    # Level (r, c) searches row 2r + upper[c], shifted 4 * _LOG_CLIP above the row before.
-    band = (2 * np.arange(x_lo.size)[:, None] + upper) * _TABLE_POINTS
-    j = np.searchsorted((table + 4.0 * _LOG_CLIP * np.arange(len(table))[:, None]).ravel(),
-                        goal + 4.0 * _LOG_CLIP / _TABLE_POINTS * band)
-    j = np.clip(j, band + 1, band + _TABLE_POINTS - 1)
-    below = table.ravel()[j - 1]
-    rise = table.ravel()[j] - below
+    table = np.clip(table, -_LOG_CLIP, _LOG_CLIP).ravel()
+    # Level (r, c) searches row 2r + upper[c]. Complex keys order by the real
+    # part, the row, first and exactly, where a shift per row would round.
+    row = 2 * np.arange(rows)[:, None] + upper
+    j = np.searchsorted(np.arange(table.size) // points + 1j * table, row + 1j * goal)
+    band = row * points
+    j = np.clip(j, band + 1, band + points - 1)
+    below = table[j - 1]
+    rise = table[j] - below
     frac = np.divide(goal - below, rise, out=rise, where=rise > 0.0)
-    q = x_lo[:, None] + cell * (j - band - 1 + np.clip(frac, 0.0, 1.0))
     lo, hi = (np.take_along_axis(xs, j - band - end, axis=1) for end in (1, 0))
-    del xs, table, band, j, below, rise, frac  # before the sweeps' own temporaries
+    q = lo + (hi - lo) * np.clip(frac, 0.0, 1.0)
+    out = np.where(goal < table[band], lo, hi)  # outside the table: its first or last point
+    done = (goal < table[band]) | (goal > table[band + points - 1])
+    del table, row, band, j, below, rise, frac  # before the sweeps' own temporaries
     step = np.inf
 
     for sweep in range(1, _MAX_SWEEPS + 1):
@@ -513,17 +522,18 @@ def _mixture_quantiles(tails, t, x_lo, x_hi) -> np.ndarray:
         np.divide(np.multiply(step, mass, out=step), np.maximum(slope, 1e-300), out=step)
         newton = q - step
         settled &= np.abs(step) <= 1e-14 * (1.0 + 2.0 * np.abs(q))
-        if sweep >= _MIN_SWEEPS and settled.all():
-            return np.clip(newton, lo, hi)  # q is in the bracket: updating it clips nothing
         np.copyto(lo, q, where=under)
         np.copyto(hi, q, where=~under)
         q = np.clip(newton, lo, hi)
         stray = ~settled & ((newton <= lo) | (newton >= hi) | (np.abs(step) > 0.5 * np.abs(last)))
         if stray.any():
             q = np.where(stray, 0.5 * (lo + hi), q)
-        if sweep >= _MIN_SWEEPS and np.all(
-                settled | (hi - lo <= 1e-14 * (1.0 + np.abs(lo) + np.abs(hi)))):
-            return np.where(settled, q, hi)
+        if sweep >= _MIN_SWEEPS:  # a settled q is Newton's step: the new bracket clips nothing
+            end = ~done & (settled | (hi - lo <= 1e-14 * (1.0 + np.abs(lo) + np.abs(hi))))
+            np.copyto(out, np.where(settled, q, hi), where=end)
+            done |= end
+            if done.all():
+                return out
         del mass, slope, newton, last  # before the next sweep's temporaries
     raise ArithmeticError(f"mixture quantile solver did not settle within {_MAX_SWEEPS} sweeps")
 
@@ -581,17 +591,14 @@ class MixtureDist:
     def quantile(self, t):
         arr, scalar = _as_float_array(t)
         _check_prob_open(arr)
-        flat = arr.ravel()
-        # Between the extreme component quantiles (initial=0.5 keeps an empty t valid).
-        span = np.array([flat.min(initial=0.5), flat.max(initial=0.5)])
-        ends = np.array([comp.quantile(span) for _, comp in self.components])
-        x_lo, x_hi = ends[:, :1].min(axis=0), ends[:, 1:].max(axis=0)
+        ends = np.array([comp.quantile(_EXTREME_LEVELS) for _, comp in self.components])
+        xs = np.linspace(ends[:, 0].min(), ends[:, 1].max(), _TABLE_POINTS)[None, :]
 
         def tails(x, upper, slope):  # each family's _tail: P(X > x) where upper, else P(X <= x)
             mass = sum(w * comp._tail(x, upper) for w, comp in self.components)
             return mass, slope and sum(w * comp.pdf(x) for w, comp in self.components
                                        if not isinstance(comp, GridDensity))
-        q = _mixture_quantiles(tails, flat, x_lo, x_hi)
+        q = _mixture_quantiles(tails, arr.ravel(), xs)
         return _restore_shape(q.reshape(arr.shape), scalar)
 
     def moments(self) -> tuple[float, float]:

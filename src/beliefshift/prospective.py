@@ -34,6 +34,7 @@ from .distributions import (
     GridDensity,
     MixtureDist,
     NormalDist,
+    _mixture_quantiles,
     norm_logpdf,
 )
 from .metrics import wp_quantile
@@ -73,7 +74,6 @@ _BLOCK_ROWS = 64
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _TINY = np.finfo(float).tiny  # levels are floored here: the map's far tail has no mass
 _TOP = 1.0 - 2.0**-53  # the largest double below 1
-_NEWTON_STEPS = 3  # carrying a mixture reference's breaks to x
 # Chebyshev route in ybar: nested Chebyshev-Lobatto levels, and the error
 # target on W2 relative to the largest W2 on the draws' range.
 _CHEB_LEVELS = (64, 128, 256)
@@ -242,26 +242,6 @@ def _sides(x, w, mu, sd):
     return lower, upper, dens
 
 
-def _carry_levels(levels, breaks, w, mu, sd):
-    """x with F_P(x) = level, per row and level: linear interpolation of F_P
-    between the row's sorted breaks, then Newton on the smaller tail, kept
-    between the two breaks that bracket the level."""
-    lower = _sides(breaks, w, mu, sd)[0]
-    j = np.clip((lower[:, :, None] < levels).sum(axis=1), 1, breaks.shape[1] - 1)
-    x_lo, f_lo = (np.take_along_axis(a, j - 1, axis=1) for a in (breaks, lower))
-    x_hi, f_hi = (np.take_along_axis(a, j, axis=1) for a in (breaks, lower))
-    rise = f_hi - f_lo
-    frac = np.divide(levels - f_lo, rise, out=np.zeros_like(rise), where=rise > 0.0)
-    x = x_lo + np.clip(frac, 0.0, 1.0) * (x_hi - x_lo)
-    below = levels < 0.5
-    for _ in range(_NEWTON_STEPS):
-        lower, upper, dens = _sides(x, w, mu, sd)
-        resid = np.where(below, lower - levels, (1.0 - levels) - upper)
-        x = np.clip(x - np.divide(resid, dens, out=np.zeros_like(dens), where=dens > 0.0),
-                    x_lo, x_hi)
-    return x
-
-
 def _transport_w2(w, mu, sd, inverse, ref_levels) -> np.ndarray:
     """W2 from the reference to each row's posterior mixture, E_P[(X - T(X))^2]
     with T = G^-1(F_P), by Gauss-Legendre on the panels between breaks."""
@@ -269,7 +249,10 @@ def _transport_w2(w, mu, sd, inverse, ref_levels) -> np.ndarray:
     breaks = (mu[:, :, None] + sd[:, None] * _BREAK_SDS).reshape(rows, -1)
     breaks.sort(axis=1)
     if ref_levels is not None:
-        breaks = np.concatenate([breaks, _carry_levels(ref_levels, breaks, w, mu, sd)], axis=1)
+        def tails(x, upper, slope):
+            lower, above, dens = _sides(x, w, mu, sd)
+            return np.where(upper, above, lower), dens
+        breaks = np.concatenate([breaks, _mixture_quantiles(tails, ref_levels, breaks)], axis=1)
         breaks.sort(axis=1)
     half = 0.5 * (breaks[:, 1:] - breaks[:, :-1])
     x = ((breaks[:, :-1] + half)[:, :, None] + half[:, :, None] * _GL_NODES).reshape(rows, -1)
@@ -298,8 +281,9 @@ def _w2_mixture_update(update_prior: Distribution1D, reference: Distribution1D,
     a normal reference, ``quantile`` otherwise. The integral runs over panels
     between each posterior component's mean +/- 0, 2.25, 4.25 and 7.5 sds,
     9-point Gauss-Legendre in each (see ``_BREAK_SDS``); a mixture reference
-    adds its components' mean +/- 0, 1, ..., 8 sds, carried to x through
-    F_P, where G^-1 bends. Rows go in fixed-size blocks on one thread.
+    adds its components' mean +/- 0, 1, ..., 8 sds, where G^-1 bends, carried
+    to x through F_P by ``_mixture_quantiles``. Rows go in fixed-size blocks
+    on one thread, and no row's value depends on the others in its block.
     """
     weights, mus, sds = (np.array(v) for v in zip(*(
         (w, c.mu, c.sigma) for w, c in _components(update_prior))))

@@ -287,12 +287,19 @@ class TestBatchedW2:
                   for y in ybar]
         np.testing.assert_allclose(batched, scalar, atol=atol)
 
-    def test_mixture_route_is_bitwise_independent_of_block_size(self, monkeypatch):
+    @pytest.mark.parametrize("reference", [
+        CONSENSUS,
+        # A mixture reference's quantiles, and the breaks it carries to x,
+        # moved with the other levels of their call, so with the block.
+        decision_maker_prior(CONSENSUS, PIONEER, 0.3),
+        MixtureDist(((0.5, CONSENSUS), (0.5, TruncatedNormalDist(2.0, 1.0, 1.5, 2.5)))),
+    ], ids=["norm", "blend", "truncated_blend"])
+    def test_mixture_route_is_bitwise_independent_of_block_size(self, monkeypatch, reference):
         ybar = simulated_ybar(MIX_04, BASE_SE, seed=9, replicates=1000)
         results = []
         for rows in (1000, 37):
             monkeypatch.setattr(prospective, "_BLOCK_ROWS", rows)
-            results.append(_w2_mixture_update(MIX_04, CONSENSUS, ybar, BASE_SE).tobytes())
+            results.append(_w2_mixture_update(MIX_04, reference, ybar, BASE_SE).tobytes())
         assert results[0] == results[1]
 
     def test_grid_references_take_the_per_replicate_route(self):
