@@ -30,7 +30,6 @@ from .errors import (
 from .metrics import (
     DiscreteMeasure,
     LearningReport,
-    TransportPlan,
     kl_grid,
     kl_normal,
     learning_report,
@@ -52,7 +51,6 @@ from .prospective import (
     weight_sweep,
 )
 from .updating import (
-    PosteriorChain,
     SamplingModel,
     Study,
     log_predictive_density,
@@ -88,7 +86,6 @@ __all__ = [
     # updating
     "Study",
     "SamplingModel",
-    "PosteriorChain",
     "update_conjugate",
     "update_mixture",
     "update_grid",
@@ -98,7 +95,6 @@ __all__ = [
     # metrics
     "LearningReport",
     "DiscreteMeasure",
-    "TransportPlan",
     "w2_normal",
     "wp_quantile",
     "wasserstein_discrete",

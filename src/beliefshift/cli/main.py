@@ -104,8 +104,8 @@ def _resolve_grid(scenario: Scenario, args) -> tuple[Optional[float], Optional[f
             raise ScenarioError(f"--grid-nodes: must be at least {MIN_GRID_NODES}")
     if (lo is None) != (hi is None):
         raise ScenarioError("grid: lo and hi must be given together")
-    if lo is not None and not lo < hi:
-        raise ScenarioError("grid: lo must be strictly below hi")
+    if lo is not None and not -math.inf < lo < hi < math.inf:
+        raise ScenarioError("grid: lo and hi must be finite, with lo strictly below hi")
     return lo, hi, int(nodes)
 
 
@@ -162,13 +162,11 @@ def run_retrospective(scenario: Scenario,
                       hi: Optional[float] = None,
                       nodes: int = DEFAULT_GRID_NODES) -> list[tuple[str, LearningReport]]:
     """Per-step learning reports plus the end-to-end (cumulative) report."""
-    chain = sequential_update(scenario.prior, scenario.studies, lo, hi, nodes)
-    rows: list[tuple[str, LearningReport]] = []
-    current = scenario.prior
-    for i, (_, post) in enumerate(chain.steps, start=1):
-        rows.append((f"step_{i}", learning_report(current, post)))
-        current = post
-    rows.append(("cumulative", learning_report(scenario.prior, chain.final())))
+    posteriors = sequential_update(scenario.prior, scenario.studies, lo, hi, nodes)
+    beliefs = [scenario.prior, *posteriors]
+    rows = [(f"step_{i}", learning_report(before, after))
+            for i, (before, after) in enumerate(zip(beliefs, posteriors), start=1)]
+    rows.append(("cumulative", learning_report(scenario.prior, posteriors[-1])))
     return rows
 
 
@@ -301,6 +299,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -99,12 +99,12 @@ def run_replicate_paper(seed: int = 0, replicates: int = DEFAULT_REPLICATES
     # --- Lawn-sign chain: four field experiments folded sequentially.
     lawn_prior = NormalDist(0.0, 5.0)
     lawn_studies = [Study(2.5, 1.7), Study(-1.4, 5.7), Study(1.8, 0.9), Study(-1.2, 2.6)]
-    chain = sequential_update(lawn_prior, lawn_studies)
+    lawn_posts = sequential_update(lawn_prior, lawn_studies)
     published_posts = [(2.2, 1.6), (1.9, 1.6), (1.9, 0.8), (1.6, 0.7)]
     published_w2 = [4.0, 0.3, 0.8, 0.3]
     stepwise_sum = 0.0
     current = lawn_prior
-    for i, (_, post) in enumerate(chain.steps, start=1):
+    for i, post in enumerate(lawn_posts, start=1):
         pub_mean, pub_sd = published_posts[i - 1]
         add(make_check(f"lawnsign_step{i}_mean", pub_mean, post.mu, 0.15))
         add(make_check(f"lawnsign_step{i}_sd", pub_sd, post.sigma, 0.15))
@@ -112,7 +112,7 @@ def run_replicate_paper(seed: int = 0, replicates: int = DEFAULT_REPLICATES
         add(make_check(f"lawnsign_step{i}_w2", published_w2[i - 1], step_w2, 0.15))
         stepwise_sum += step_w2
         current = post
-    end_w2 = w2_normal(lawn_prior, chain.final())
+    end_w2 = w2_normal(lawn_prior, lawn_posts[-1])
     add(make_check("lawnsign_end_to_end_w2", 4.6, end_w2, 0.1))
     add(make_check("lawnsign_stepwise_sum_exceeds_end", 1.0,
                    float(stepwise_sum > end_w2), 0.0))

@@ -8,6 +8,7 @@ window. Validation errors always name the offending path inside the file.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,8 +45,8 @@ class GridSpec:
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
         object.__setattr__(self, "nodes", int(self.nodes))
-        if not self.lo < self.hi:
-            raise ValueError("grid.lo: must be strictly below grid.hi")
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise ValueError("grid: lo and hi must be finite, with lo strictly below hi")
         if self.nodes < MIN_GRID_NODES:
             raise ValueError(f"grid.nodes: must be at least {MIN_GRID_NODES}")
 

@@ -629,8 +629,8 @@ def to_grid(d: Distribution1D, lo: float, hi: float,
     """
     lo = float(lo)
     hi = float(hi)
-    if not lo < hi:
-        raise ValueError("grid window requires lo < hi")
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError("grid window requires finite lo < hi")
     if int(nodes) < MIN_GRID_NODES:
         raise ValueError(f"grid discretization needs at least {MIN_GRID_NODES} nodes")
     if isinstance(d, GridDensity):

@@ -32,7 +32,6 @@ from .updating import SamplingModel, log_predictive_density
 __all__ = [
     "LearningReport",
     "DiscreteMeasure",
-    "TransportPlan",
     "w2_normal",
     "wp_quantile",
     "wasserstein_discrete",
@@ -175,38 +174,13 @@ class DiscreteMeasure:
         return self.points.shape[1]
 
 
-@dataclass(frozen=True)
-class TransportPlan:
-    """Optimal coupling: flows[i, j] is mass moved from source i to target j."""
-
-    flows: np.ndarray
-
-    def __post_init__(self) -> None:
-        flows = np.array(self.flows, dtype=float)
-        if flows.ndim != 2:
-            raise ValueError("flows must be a matrix")
-        if np.any(flows < -1e-12):
-            raise ValueError("flows must be nonnegative")
-        flows.setflags(write=False)
-        object.__setattr__(self, "flows", flows)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TransportPlan):
-            return NotImplemented
-        return np.array_equal(self.flows, other.flows)
-
-    __hash__ = None
-
-    def marginals(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.flows.sum(axis=1), self.flows.sum(axis=0)
-
-
 def wasserstein_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                         p: float = 2.0) -> tuple[float, TransportPlan]:
+                         p: float = 2.0) -> tuple[float, np.ndarray]:
     """Exact Wasserstein-p between point clouds via the transportation LP.
 
-    Cost is the Euclidean distance to the p-th power; the returned value
-    is the optimal cost to the power 1/p along with the optimal plan.
+    Cost is the Euclidean distance to the p-th power. Returns the optimal
+    cost to the power 1/p and the optimal plan, a read-only (n, m) array
+    whose entry [i, j] is the mass moved from mu's point i to nu's point j.
     """
     # Deferred: scipy.optimize roughly doubles the package's import time
     # and this is its only user.
@@ -229,11 +203,11 @@ def wasserstein_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure,
                   bounds=(0.0, None), method="highs")
     if res.status != 0:
         raise RuntimeError(f"transportation LP failed: {res.message}")
-    plan = TransportPlan(np.maximum(res.x.reshape(n, m), 0.0))
-    got_mu, got_nu = plan.marginals()
-    if (np.abs(got_mu - mu.weights).max() > 1e-9
-            or np.abs(got_nu - nu.weights).max() > 1e-9):
+    plan = np.maximum(res.x.reshape(n, m), 0.0)
+    if (np.abs(plan.sum(axis=1) - mu.weights).max() > 1e-9
+            or np.abs(plan.sum(axis=0) - nu.weights).max() > 1e-9):
         raise RuntimeError("LP returned an infeasible transport plan")
+    plan.setflags(write=False)
     return float(res.fun) ** (1.0 / p), plan
 
 

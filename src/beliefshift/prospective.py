@@ -88,18 +88,16 @@ class ExpectedLearning:
     mc_std_error: float
     second_moment: float
     second_moment_std_error: float
-    replicates: int
-    seed: int
 
     def __post_init__(self) -> None:
         for name in ("estimate", "mc_std_error", "second_moment",
                      "second_moment_std_error"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
-        # Jensen: E[W2] cannot exceed sqrt(E[W2^2]) beyond MC noise.
-        ceiling = math.sqrt(self.second_moment) + 3.0 * self.mc_std_error + 1e-12
-        if self.estimate > ceiling:
-            raise ValueError("estimate exceeds sqrt(second_moment) beyond MC noise")
+        # Cauchy-Schwarz: a sample mean never exceeds the root of the
+        # sample mean square, so only rounding may put it above, by ulps.
+        if self.estimate > math.sqrt(self.second_moment) * (1.0 + 1e-12):
+            raise ValueError("estimate exceeds sqrt(second_moment) beyond rounding")
 
 
 @dataclass(frozen=True)
@@ -410,8 +408,6 @@ def expected_learning_mc(predictive_prior: Distribution1D,
         mc_std_error=float(w2.std(ddof=1)) / root_n,
         second_moment=float(w2_sq.mean()),
         second_moment_std_error=float(w2_sq.std(ddof=1)) / root_n,
-        replicates=replicates,
-        seed=int(seed),
     )
 
 

@@ -33,7 +33,6 @@ from .errors import DegenerateError, TailMassError, UnsupportedPriorError
 __all__ = [
     "Study",
     "SamplingModel",
-    "PosteriorChain",
     "update_conjugate",
     "update_mixture",
     "update_grid",
@@ -80,25 +79,6 @@ class SamplingModel:
     def std_error(self) -> float:
         """Standard error of the sample mean, sigma / sqrt(n)."""
         return self.sigma / math.sqrt(self.n)
-
-
-@dataclass(frozen=True)
-class PosteriorChain:
-    """A prior and the sequence of (study, posterior) steps built from it."""
-
-    prior: Distribution1D
-    steps: tuple[tuple[Study, Distribution1D], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(tuple(step) for step in self.steps))
-        if not self.steps:
-            raise ValueError("a posterior chain needs at least one step")
-
-    def final(self) -> Distribution1D:
-        return self.steps[-1][1]
-
-    def posteriors(self) -> list[Distribution1D]:
-        return [post for _, post in self.steps]
 
 
 def _conjugate_moments(mu, sd, estimate, se):
@@ -216,20 +196,22 @@ def update_grid(prior: Distribution1D, study: Study,
                 nodes: int = DEFAULT_GRID_NODES) -> GridDensity:
     """Grid-quadrature posterior: node masses are prior mass times likelihood.
 
-    With no explicit window a GridDensity prior is reweighted on its own
-    nodes; other priors discretize onto the default window first. Raises
-    TailMassError when the window clips prior or likelihood mass, and
-    DegenerateError when every node's posterior mass underflows.
+    A window is both edges or neither. With no window a GridDensity prior
+    is reweighted on its own nodes; other priors discretize onto the default
+    window first. Raises ValueError for one edge or an edge that is not
+    finite and below the other, TailMassError when the window clips prior
+    or likelihood mass, and DegenerateError when every node's posterior
+    mass underflows.
     """
-    if isinstance(prior, GridDensity) and lo is None and hi is None:
+    if (lo is None) != (hi is None):
+        raise ValueError("grid window needs both lo and hi")
+    if isinstance(prior, GridDensity) and lo is None:
         grid = prior
     else:
-        if lo is None or hi is None:
-            auto_lo, auto_hi = default_grid_window(prior, study)
-            lo = auto_lo if lo is None else float(lo)
-            hi = auto_hi if hi is None else float(hi)
-        _likelihood_coverage_check(prior, study, lo, hi)
+        if lo is None:
+            lo, hi = default_grid_window(prior, study)
         grid = to_grid(prior, lo, hi, nodes)
+        _likelihood_coverage_check(prior, study, lo, hi)
     with np.errstate(divide="ignore"):
         log_post = np.where(grid.ws > 0.0, np.log(grid.ws), -np.inf)
     log_post = log_post + norm_logpdf(study.estimate, grid.xs, study.std_error)
@@ -245,7 +227,7 @@ def update(prior: Distribution1D, study: Study,
            nodes: int = DEFAULT_GRID_NODES) -> Distribution1D:
     """One Bayes step: conjugate for a normal prior, componentwise for a
     mixture, and ``update_grid`` for any other prior or whenever a grid
-    window edge is given."""
+    window is given."""
     if lo is None and hi is None:
         if isinstance(prior, NormalDist):
             return update_conjugate(prior, study)
@@ -256,8 +238,8 @@ def update(prior: Distribution1D, study: Study,
 
 def sequential_update(prior: Distribution1D, studies: Sequence[Study],
                       lo: Optional[float] = None, hi: Optional[float] = None,
-                      nodes: int = DEFAULT_GRID_NODES) -> PosteriorChain:
-    """Fold studies into the prior one at a time, recording each posterior.
+                      nodes: int = DEFAULT_GRID_NODES) -> list[Distribution1D]:
+    """Fold studies into the prior one at a time: the posterior after each.
 
     Normal priors stay in the conjugate family (so the final posterior is
     order-invariant); mixtures use the closed-form mixture update; other
@@ -266,12 +248,10 @@ def sequential_update(prior: Distribution1D, studies: Sequence[Study],
     studies = list(studies)
     if not studies:
         raise ValueError("sequential_update needs at least one study")
-    current: Distribution1D = prior
-    steps = []
+    posteriors = [prior]
     for study in studies:
-        current = update(current, study, lo, hi, nodes)
-        steps.append((study, current))
-    return PosteriorChain(prior, tuple(steps))
+        posteriors.append(update(posteriors[-1], study, lo, hi, nodes))
+    return posteriors[1:]
 
 
 def log_predictive_density(prior: Distribution1D, model: SamplingModel,

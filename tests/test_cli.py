@@ -11,6 +11,7 @@ import pkgutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -809,6 +810,51 @@ class TestCommandLine:
         }), encoding="utf-8")
         assert main(["prospect", "--scenario", str(scenario), *argv]) == 1
         assert f"error: {field}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("prior, grid, argv", [
+        ({"type": "normal", "mu": 0, "sigma": 1}, {"lo": -math.inf, "hi": 5}, []),
+        ({"type": "trunc_normal", "mu": 0.2, "sigma": 0.4, "lower": 0},
+         {"lo": 0, "hi": math.inf}, []),
+        ({"type": "trunc_normal", "mu": 0.2, "sigma": 0.4, "lower": 0}, None,
+         ["--grid-lo", "0", "--grid-hi", "inf"]),
+        ({"type": "normal", "mu": 0, "sigma": 1}, None, ["--grid-lo=-inf", "--grid-hi", "5"]),
+        ({"type": "normal", "mu": 0, "sigma": 1}, None, ["--grid-lo", "nan", "--grid-hi", "5"]),
+    ], ids=["scenario_lo_-inf", "scenario_hi_inf", "flag_hi_inf", "flag_lo_-inf", "flag_lo_nan"])
+    def test_grid_window_edges_must_be_finite(self, tmp_path, capsys, prior, grid, argv):
+        # Python's json reads -Infinity and argparse's float reads inf and nan;
+        # each is a validation error, not a numeric one.
+        scenario = tmp_path / "window.json"
+        scenario.write_text(json.dumps({
+            "kind": "compare",
+            "prior": prior,
+            "posteriors": [{"study": {"estimate": 0.074, "std_error": 0.121}}],
+            **({} if grid is None else {"grid": grid}),
+        }), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["compare", "--scenario", str(scenario), *argv]) == 1
+        assert capsys.readouterr().err == (
+            "error: grid: lo and hi must be finite, with lo strictly below hi\n")
+
+    @pytest.mark.parametrize("sigma", [1e17, 1e18, 1e20])
+    def test_near_constant_learning_passes_the_jensen_check(self, tmp_path, capsys, sigma):
+        # The study teaches nothing, so every replicate's W2 is the pioneer's
+        # 1.2e6 distance from the consensus: a slack of a few MC errors (about
+        # 2e-12) is smaller than the rounding of sqrt(E[W2^2]).
+        scenario = tmp_path / "flat.json"
+        scenario.write_text(json.dumps({
+            "kind": "prospective",
+            "prospective_config": {
+                "consensus": {"type": "normal", "mu": 0, "sigma": 1},
+                "pioneer": {"type": "normal", "mu": 1234567.891, "sigma": 1},
+                "weights": [1], "ns": [1], "sigma": sigma, "replicates": 10_000,
+            },
+        }), encoding="utf-8")
+        out = tmp_path / "flat.csv"
+        assert main(["prospect", "--scenario", str(scenario), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        row = out.read_text(encoding="utf-8").splitlines()[1].split(",")
+        assert abs(float(row[2]) - 1234567.891) < 1e-3
 
     def test_numeric_error_exits_two(self, capsys):
         code = main(["compare",

@@ -15,7 +15,6 @@ from beliefshift import (
     GridDensity,
     MixtureDist,
     NormalDist,
-    PosteriorChain,
     SamplingModel,
     Study,
     TailMassError,
@@ -193,6 +192,16 @@ class TestUpdateGrid:
         assert abs(mean - exact_mean) < 1e-5
         assert abs(sd - exact_sd) < 1e-5
 
+    @pytest.mark.parametrize("lo, hi", [
+        (2.0, -2.0), (1.0, 1.0), (-math.inf, 5.0), (0.0, math.inf), (math.nan, 1.0),
+        (-2.0, None), (None, 2.0),
+    ], ids=["reversed", "empty", "lo_-inf", "hi_inf", "lo_nan", "lo_only", "hi_only"])
+    def test_window_is_two_finite_ordered_edges(self, lo, hi):
+        # A ValueError, raised before any mass check; a missing edge is not
+        # filled in.
+        with pytest.raises(ValueError):
+            update_grid(NormalDist(0.0, 1.0), Study(0.5, 1.0), lo, hi)
+
     def test_window_clipping_likelihood_raises(self):
         with pytest.raises(TailMassError):
             update_grid(NormalDist(0.0, 1.0), Study(20.0, 0.5), -8.0, 8.0, 1024)
@@ -256,30 +265,29 @@ class TestUpdateMixture:
 
 class TestSequential:
     def test_lawn_sign_chain_values(self):
-        chain = sequential_update(LAWN_PRIOR, LAWN_STUDIES)
-        assert len(chain.steps) == 4
+        posts = sequential_update(LAWN_PRIOR, LAWN_STUDIES)
+        assert len(posts) == 4
         expected = [(2.24, 1.61), (1.97, 1.55), (1.84, 0.78), (1.59, 0.74)]
-        pooled = [(LAWN_STUDIES[0].estimate, LAWN_STUDIES[0].std_error)]
-        for (study, post), (mean, sd) in zip(chain.steps, expected):
+        for post, (mean, sd) in zip(posts, expected):
             assert abs(post.mu - mean) < 0.01
             assert abs(post.sigma - sd) < 0.01
         # Exact check: each step equals pooling the studies seen so far.
-        for k, (study, post) in enumerate(chain.steps):
+        for k, post in enumerate(posts):
             seen = [(s.estimate, s.std_error) for s in LAWN_STUDIES[: k + 1]]
             pool_mean, pool_se = oracles.pooled_study(seen)
             exact = oracles.conjugate_posterior(0.0, 5.0, pool_mean, pool_se)
             np.testing.assert_allclose((post.mu, post.sigma), exact, rtol=1e-12)
 
     def test_single_study_equals_conjugate(self):
-        chain = sequential_update(LAWN_PRIOR, [Study(2.5, 1.7)])
-        assert chain.final() == update_conjugate(LAWN_PRIOR, Study(2.5, 1.7))
+        assert sequential_update(LAWN_PRIOR, [Study(2.5, 1.7)]) == [
+            update_conjugate(LAWN_PRIOR, Study(2.5, 1.7))]
 
     def test_permutation_invariance(self):
-        base = sequential_update(LAWN_PRIOR, LAWN_STUDIES).final()
+        base = sequential_update(LAWN_PRIOR, LAWN_STUDIES)[-1]
         rng = default_rng(42)
         for _ in range(5):
             order = rng.permutation(4)
-            shuffled = sequential_update(LAWN_PRIOR, [LAWN_STUDIES[i] for i in order]).final()
+            shuffled = sequential_update(LAWN_PRIOR, [LAWN_STUDIES[i] for i in order])[-1]
             assert abs(shuffled.mu - base.mu) < 1e-9
             assert abs(shuffled.sigma - base.sigma) < 1e-9
 
@@ -287,24 +295,21 @@ class TestSequential:
         with pytest.raises(ValueError):
             sequential_update(LAWN_PRIOR, [])
 
-    def test_chain_records_prior_and_steps(self):
-        chain = sequential_update(LAWN_PRIOR, LAWN_STUDIES[:2])
-        assert chain.prior == LAWN_PRIOR
-        assert chain.posteriors() == [post for _, post in chain.steps]
-        assert chain.final() == chain.steps[-1][1]
-        with pytest.raises(ValueError):
-            PosteriorChain(LAWN_PRIOR, ())
+    def test_each_posterior_updates_the_one_before(self):
+        posts = sequential_update(LAWN_PRIOR, LAWN_STUDIES[:2])
+        assert isinstance(posts, list)
+        assert posts == [update(LAWN_PRIOR, LAWN_STUDIES[0]), update(posts[0], LAWN_STUDIES[1])]
 
     def test_truncated_prior_goes_through_grid(self):
         trunc = TruncatedNormalDist(0.2, 0.4, 0.0, math.inf)
-        chain = sequential_update(trunc, [APPF_STUDY, Study(0.3, 0.2)])
-        assert all(isinstance(post, GridDensity) for post in chain.posteriors())
-        assert chain.final().xs.min() >= 0.0
+        posts = sequential_update(trunc, [APPF_STUDY, Study(0.3, 0.2)])
+        assert all(isinstance(post, GridDensity) for post in posts)
+        assert posts[-1].xs.min() >= 0.0
 
     def test_mixture_prior_stays_mixture(self):
         mix = MixtureDist(((0.5, NormalDist(0.0, 3.0)), (0.5, NormalDist(3.0, 1.0))))
-        chain = sequential_update(mix, [Study(1.0, 1.0), Study(2.0, 0.5)])
-        assert all(isinstance(post, MixtureDist) for post in chain.posteriors())
+        posts = sequential_update(mix, [Study(1.0, 1.0), Study(2.0, 0.5)])
+        assert all(isinstance(post, MixtureDist) for post in posts)
 
 
 class TestUpdateDispatch:
