@@ -28,7 +28,6 @@ from .errors import (
     UnsupportedPriorError,
 )
 from .metrics import (
-    DiscreteMeasure,
     LearningReport,
     kl_grid,
     kl_normal,
@@ -37,7 +36,6 @@ from .metrics import (
     lindley_normal,
     log_surprisal,
     quadratic_expectation,
-    surprisal,
     w2_normal,
     wasserstein_discrete,
     wp_quantile,
@@ -94,7 +92,6 @@ __all__ = [
     "log_predictive_density",
     # metrics
     "LearningReport",
-    "DiscreteMeasure",
     "w2_normal",
     "wp_quantile",
     "wasserstein_discrete",
@@ -102,7 +99,6 @@ __all__ = [
     "kl_grid",
     "lindley_normal",
     "lindley_grid",
-    "surprisal",
     "log_surprisal",
     "quadratic_expectation",
     "learning_report",

@@ -17,7 +17,6 @@ import numpy as np
 
 from ..distributions import MixtureDist, NormalDist, TruncatedNormalDist
 from ..metrics import (
-    DiscreteMeasure,
     kl_normal,
     learning_report,
     lindley_normal,
@@ -159,13 +158,11 @@ def run_replicate_paper(seed: int = 0, replicates: int = DEFAULT_REPLICATES
 
     rng = np.random.default_rng([seed, 2])
     worst_abs = 0.0
-    uniform_w = np.full(100, 0.01)
     for _ in range(20):
         x = rng.normal(rng.uniform(-2, 2), rng.uniform(0.5, 2.0), size=100)
         y = rng.normal(rng.uniform(-2, 2), rng.uniform(0.5, 2.0), size=100)
-        lp_value, _ = wasserstein_discrete(DiscreteMeasure(x, uniform_w),
-                                           DiscreteMeasure(y, uniform_w), p=2.0)
-        worst_abs = max(worst_abs, abs(lp_value - _sorted_matching_wp(x, y, 2.0)))
+        value, _ = wasserstein_discrete(x, y, p=2.0)
+        worst_abs = max(worst_abs, abs(value - _sorted_matching_wp(x, y, 2.0)))
     add(make_check("crosscheck_discrete_vs_sorted_matching_max_abs", 0.0, worst_abs, 1e-9))
 
     # --- Prospective identity: MC second moment vs the closed-form bound.

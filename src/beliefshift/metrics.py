@@ -2,9 +2,9 @@
 
 The headline metric is the Wasserstein-2 distance: closed form for
 normal pairs, quantile-function quadrature for general 1D pairs, and an
-exact transportation LP for weighted point clouds in any dimension.
+exact assignment for equal-size point clouds in any dimension.
 KL divergence and Lindley information (closed form for normals and
-truncated normals, summed on a shared grid otherwise), surprisal, and
+truncated normals, summed on a shared grid otherwise), log surprisal, and
 quadratic-loss expectations ride along as comparators, and
 ``learning_report`` bundles everything for one prior-to-posterior
 transition.
@@ -31,7 +31,6 @@ from .updating import SamplingModel, log_predictive_density
 
 __all__ = [
     "LearningReport",
-    "DiscreteMeasure",
     "w2_normal",
     "wp_quantile",
     "wasserstein_discrete",
@@ -39,7 +38,6 @@ __all__ = [
     "kl_grid",
     "lindley_normal",
     "lindley_grid",
-    "surprisal",
     "log_surprisal",
     "quadratic_expectation",
     "learning_report",
@@ -112,6 +110,13 @@ def _check_tail_convergence(a, b, p: float, total: float) -> None:
             )
 
 
+def _order(p: float) -> float:
+    p = float(p)
+    if not 1.0 <= p < math.inf:
+        raise ValueError("wasserstein order p must be finite and at least 1")
+    return p
+
+
 def wp_quantile(a, b, p: float = 2.0, nodes: int = DEFAULT_QUANTILE_NODES) -> float:
     """Wasserstein-p via the quantile formula (int |F^-1 - G^-1|^p dt)^(1/p).
 
@@ -121,9 +126,7 @@ def wp_quantile(a, b, p: float = 2.0, nodes: int = DEFAULT_QUANTILE_NODES) -> fl
     the tails reveal a divergent p-th moment; the package's own families
     have every moment, so only other inputs are probed.
     """
-    p = float(p)
-    if p < 1.0:
-        raise ValueError("wasserstein order p must be at least 1")
+    p = _order(p)
     if isinstance(a, GridDensity) and isinstance(b, GridDensity):
         return _wp_grid_exact(a, b, p)
     t, w = t_nodes(int(nodes))
@@ -135,80 +138,69 @@ def wp_quantile(a, b, p: float = 2.0, nodes: int = DEFAULT_QUANTILE_NODES) -> fl
     return total ** (1.0 / p)
 
 
-@dataclass(frozen=True)
-class DiscreteMeasure:
-    """Weighted points in R^d. Scalars or flat lists are treated as d = 1."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        pts = np.array(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise ValueError("points must form a nonempty (n, d) array")
-        w = np.array(self.weights, dtype=float)
-        if w.shape != (pts.shape[0],):
-            raise ValueError("weights must match the number of points")
-        if np.any(w <= 0.0):
-            raise ValueError("all weights must be positive")
-        if abs(math.fsum(w.tolist()) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
-        pts.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiscreteMeasure):
-            return NotImplemented
-        return np.array_equal(self.points, other.points) and np.array_equal(
-            self.weights, other.weights
-        )
-
-    __hash__ = None
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-
-def wasserstein_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                         p: float = 2.0) -> tuple[float, np.ndarray]:
-    """Exact Wasserstein-p between point clouds via the transportation LP.
-
-    Cost is the Euclidean distance to the p-th power. Returns the optimal
-    cost to the power 1/p and the optimal plan, a read-only (n, m) array
-    whose entry [i, j] is the mass moved from mu's point i to nu's point j.
+def _assignment(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in a least-cost perfect matching of a square cost
+    matrix, by shortest augmenting paths on reduced costs (Crouse 2016, "On
+    implementing 2D rectangular assignment algorithms"). Each row starts one
+    Dijkstra search over the columns; the duals u, v keep every reduced cost
+    cost[i, j] - u[i] - v[j] nonnegative, so the search stays exact.
     """
-    # Deferred: scipy.optimize roughly doubles the package's import time
-    # and this is its only user.
-    from scipy import sparse
-    from scipy.optimize import linprog
+    n = cost.shape[0]
+    u, v = np.zeros(n), np.zeros(n)
+    col_of, row_of = np.full(n, -1), np.full(n, -1)
+    for start in range(n):
+        dist = np.full(n, np.inf)  # shortest reduced path to each column
+        via = np.zeros(n, dtype=int)  # the row each column was reached from
+        open_ = np.ones(n, dtype=bool)  # columns whose distance is not final
+        i, reach, rows = start, 0.0, [start]
+        while True:
+            r = reach + cost[i] - u[i] - v
+            closer = open_ & (r < dist)
+            dist[closer], via[closer] = r[closer], i
+            j = int(np.argmin(np.where(open_, dist, np.inf)))
+            reach, open_[j] = dist[j], False
+            if row_of[j] < 0:
+                break
+            i = row_of[j]
+            rows.append(i)
+        u[start] += reach
+        u[rows[1:]] += reach - dist[col_of[rows[1:]]]
+        v[~open_] -= reach - dist[~open_]
+        while True:  # flip the path's edges back to the start row
+            i = via[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == start:
+                break
+    return col_of
 
-    p = float(p)
-    if p < 1.0:
-        raise ValueError("wasserstein order p must be at least 1")
-    if mu.dim != nu.dim:
-        raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-    n, m = mu.points.shape[0], nu.points.shape[0]
-    gaps = mu.points[:, None, :] - nu.points[None, :, :]
-    cost = np.linalg.norm(gaps, axis=2) ** p
-    row_sums = sparse.kron(sparse.eye(n), np.ones((1, m)))
-    col_sums = sparse.kron(np.ones((1, n)), sparse.eye(m))
-    constraints = sparse.vstack([row_sums, col_sums]).tocsc()
-    rhs = np.concatenate([mu.weights, nu.weights])
-    res = linprog(cost.ravel(), A_eq=constraints, b_eq=rhs,
-                  bounds=(0.0, None), method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"transportation LP failed: {res.message}")
-    plan = np.maximum(res.x.reshape(n, m), 0.0)
-    if (np.abs(plan.sum(axis=1) - mu.weights).max() > 1e-9
-            or np.abs(plan.sum(axis=0) - nu.weights).max() > 1e-9):
-        raise RuntimeError("LP returned an infeasible transport plan")
-    plan.setflags(write=False)
-    return float(res.fun) ** (1.0 / p), plan
+
+def wasserstein_discrete(a, b, p: float = 2.0) -> tuple[float, np.ndarray]:
+    """Exact Wasserstein-p between two equal-size point clouds, mass 1/n on
+    each point, in any dimension.
+
+    ``a`` and ``b`` share a shape, (n,) or (n, d); the cost is the Euclidean
+    distance to the p-th power. Some permutation is an optimal plan
+    (Birkhoff-von Neumann), so this returns the optimal cost to the power
+    1/p and ``match``, a read-only int array: a's point i moves to b's point
+    ``match[i]``.
+    """
+    p = _order(p)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape or a.ndim not in (1, 2) or a.size == 0:
+        raise ValueError(f"point clouds must share a nonempty (n,) or (n, d) shape, "
+                         f"not {a.shape} and {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("points must be finite")
+    a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
+    with np.errstate(over="ignore"):
+        cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2) ** p
+        total = cost.sum()
+    if not math.isfinite(total):
+        raise ValueError(f"the order-{p:g} transport cost overflows")
+    match = _assignment(cost)
+    match.setflags(write=False)
+    return float(np.mean(cost[np.arange(len(a)), match])) ** (1.0 / p), match
 
 
 def _log_mass_and_sq(p_dist, q_dist) -> tuple[float, float]:
@@ -306,11 +298,6 @@ def lindley_grid(prior: GridDensity, post: GridDensity) -> float:
 def log_surprisal(prior: Distribution1D, model: SamplingModel, ybar: float) -> float:
     """ln S(ybar) = -ln p(ybar); safe for outcomes deep in the tails."""
     return -log_predictive_density(prior, model, ybar)
-
-
-def surprisal(prior: Distribution1D, model: SamplingModel, ybar: float) -> float:
-    """Reciprocal predictive density S(ybar) = 1 / p(ybar). Diagnostic only."""
-    return math.exp(log_surprisal(prior, model, ybar))
 
 
 def quadratic_expectation(d: Distribution1D, action: float) -> float:

@@ -950,7 +950,8 @@ class TestCommandLine:
         ["prospect", "--scenario", str(SCENARIO_DIR / "figure5_sweep.json"),
          "--replicates", "100"],
         ["compare", "--scenario", str(SCENARIO_DIR / "citizenship_truncated.json")],
-    ], ids=["retro", "compare", "prospect", "compare_truncated"])
+        ["replicate-paper", "--replicates", "100"],
+    ], ids=["retro", "compare", "prospect", "compare_truncated", "replicate_paper"])
     def test_normal_readings_leave_scipy_special_unloaded(self, argv):
         probe = ("import sys; from beliefshift.cli.main import main; code = main(sys.argv[1:]); "
                  "sys.stderr.write(str(sorted(m for m in sys.modules "

@@ -1,7 +1,10 @@
-"""Tests for learning metrics: Wasserstein routes, KL, Lindley, surprisal,
-quadratic loss, and the assembled learning report."""
+"""Tests for learning metrics: Wasserstein routes, KL, Lindley, log
+surprisal, quadratic loss, and the assembled learning report."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,6 @@ from numpy.random import default_rng
 import oracles
 from beliefshift import (
     AbsoluteContinuityError,
-    DiscreteMeasure,
     GridDensity,
     MixtureDist,
     MomentError,
@@ -25,7 +27,6 @@ from beliefshift import (
     lindley_normal,
     log_surprisal,
     quadratic_expectation,
-    surprisal,
     to_grid,
     update_grid,
     w2_normal,
@@ -35,6 +36,7 @@ from beliefshift import (
 from beliefshift import distributions, metrics
 from beliefshift.metrics import t_nodes
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
 INF = math.inf
 # (prior, posterior) as (mu, sigma, lower, upper), and the tolerance of KL
 # and Lindley against 50-digit quadrature; infinite bounds make a normal.
@@ -182,19 +184,28 @@ class TestWpQuantile:
         np.testing.assert_allclose(t, 1.0 - t[::-1], atol=1e-15)
 
 
+class TestWassersteinOrder:
+    @pytest.mark.parametrize("p", [INF, math.nan, 0.5], ids=["inf", "nan", "half"])
+    @pytest.mark.parametrize("route", [
+        lambda p: wp_quantile(NormalDist(0, 1), NormalDist(0, 1), p=p),
+        lambda p: wp_quantile(GridDensity([0.0, 1.0], [0.5, 0.5]),
+                              GridDensity([0.0, 1.0], [0.5, 0.5]), p=p),
+        lambda p: wasserstein_discrete([0.0, 1.0], [1.0, 2.0], p=p),
+    ], ids=["quantile", "grid", "discrete"])
+    def test_order_must_be_finite_and_at_least_one(self, route, p):
+        with pytest.raises(ValueError, match="order p"):
+            route(p)
+
+
 class TestWassersteinDiscrete:
     def test_point_masses(self):
-        mu = DiscreteMeasure([0.0], [1.0])
-        nu = DiscreteMeasure([3.0], [1.0])
-        value, plan = wasserstein_discrete(mu, nu, p=1.0)
+        value, match = wasserstein_discrete([0.0], [3.0], p=1.0)
         np.testing.assert_allclose(value, 3.0, rtol=1e-12)
-        np.testing.assert_allclose(plan, [[1.0]], atol=1e-12)
-        assert not plan.flags.writeable
+        np.testing.assert_array_equal(match, [0])
+        assert not match.flags.writeable
 
     def test_overlapping_uniforms(self):
-        mu = DiscreteMeasure([0.0, 1.0], [0.5, 0.5])
-        nu = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
-        value, plan = wasserstein_discrete(mu, nu, p=1.0)
+        value, _ = wasserstein_discrete([0.0, 1.0], [1.0, 2.0], p=1.0)
         np.testing.assert_allclose(value, 1.0, atol=1e-9)
         oracle = oracles.assignment_wp(np.array([0.0, 1.0]), np.array([1.0, 2.0]), p=1.0)
         np.testing.assert_allclose(value, oracle, atol=1e-9)
@@ -205,33 +216,67 @@ class TestWassersteinDiscrete:
         xb = np.sort(NormalDist(2, 1).quantile(rng.random(50)))
         assert np.all(np.diff(xa) > 0) and np.all(np.diff(xb) > 0)
         w = np.full(50, 1.0 / 50.0)
-        lp_value, plan = wasserstein_discrete(DiscreteMeasure(xa, w), DiscreteMeasure(xb, w))
+        value, match = wasserstein_discrete(xa, xb)
         grid_value = wp_quantile(GridDensity(xa, w), GridDensity(xb, w), p=2.0)
         sort_value = oracles.sorted_matching_wp(xa, xb, p=2.0)
-        assert abs(lp_value - grid_value) < 1e-9
-        assert abs(lp_value - sort_value) < 1e-9
-        np.testing.assert_allclose(plan.sum(axis=1), w, atol=1e-9)
-        np.testing.assert_allclose(plan.sum(axis=0), w, atol=1e-9)
+        assert abs(value - grid_value) < 1e-9
+        assert abs(value - sort_value) < 1e-9
+        assert sorted(match.tolist()) == list(range(50))
 
     def test_two_dimensional_matches_assignment_oracle(self):
         rng = default_rng(42)
         pa = rng.normal(size=(20, 2))
         pb = rng.normal(loc=1.5, size=(20, 2))
-        w = np.full(20, 0.05)
-        value, _ = wasserstein_discrete(DiscreteMeasure(pa, w), DiscreteMeasure(pb, w), p=2.0)
+        value, _ = wasserstein_discrete(pa, pb, p=2.0)
         np.testing.assert_allclose(value, oracles.assignment_wp(pa, pb, p=2.0), atol=1e-9)
 
-    def test_dimension_mismatch(self):
-        mu = DiscreteMeasure([[0.0, 0.0]], [1.0])
-        nu = DiscreteMeasure([1.0], [1.0])
-        with pytest.raises(ValueError):
-            wasserstein_discrete(mu, nu)
+    @pytest.mark.parametrize("case", range(30))
+    def test_matches_assignment_oracle_with_ties(self, case):
+        # Every third case rounds its points to integers: ties in the cost
+        # are where an augmenting-path solver goes wrong.
+        rng = default_rng([21, case])
+        d, p = (1, 2, 3)[case % 3], (1.0, 2.0, 3.5)[case // 3 % 3]
+        n = int(rng.integers(1, 61))
+        a = rng.normal(size=(n, d)) * 3.0
+        b = rng.normal(1.0, 2.0, size=(n, d)) * 3.0
+        if case % 3 == 0:
+            a, b = np.round(a), np.round(b)
+        value, match = wasserstein_discrete(a, b, p=p)
+        assert sorted(match.tolist()) == list(range(n))
+        cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2) ** p
+        np.testing.assert_allclose(value**p, np.mean(cost[np.arange(n), match]), rtol=1e-12)
+        np.testing.assert_allclose(value, oracles.assignment_wp(a, b, p=p), rtol=1e-9)
 
-    def test_measure_validation(self):
-        with pytest.raises(ValueError):
-            DiscreteMeasure([0.0, 1.0], [0.5, 0.4])
-        with pytest.raises(ValueError):
-            DiscreteMeasure([0.0, 1.0], [1.0, 0.0])
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="shape"):
+            wasserstein_discrete([[0.0, 0.0]], [1.0])
+
+    @pytest.mark.parametrize("a, b", [
+        ([0.0, 1.0], [0.0]),
+        ([], []),
+        (np.zeros((0, 2)), np.zeros((0, 2))),
+    ], ids=["unequal_counts", "empty", "empty_2d"])
+    def test_counts_must_match_and_be_nonzero(self, a, b):
+        with pytest.raises(ValueError, match="shape"):
+            wasserstein_discrete(a, b)
+
+    @pytest.mark.parametrize("a, b, message", [
+        ("[nan, 0.0]", "[0.0, 1.0]", "points must be finite"),
+        ("[[0.0, inf]]", "[[0.0, 1.0]]", "points must be finite"),
+        ("[1e200, -1e200]", "[-1e200, 1e200]", "the order-2 transport cost overflows"),
+    ], ids=["nan_point", "inf_point", "cost_overflows"])
+    def test_nonfinite_input_raises_before_the_solver(self, a, b, message):
+        # A child process with a timeout: a solver fed a NaN cost can loop
+        # forever, and that must fail this test rather than stall the suite.
+        probe = ("import warnings\nfrom math import inf, nan\n"
+                 "from beliefshift import wasserstein_discrete\n"
+                 "warnings.simplefilter('error', RuntimeWarning)\n"
+                 f"try:\n    wasserstein_discrete({a}, {b}, p=2.0)\n"
+                 "except ValueError as exc:\n    print(exc)\n")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              cwd=str(REPO_ROOT), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == message
 
 
 class TestKl:
@@ -382,19 +427,20 @@ class TestSurprisal:
     PRIOR = NormalDist(0.0, 3.0)
 
     def test_matches_predictive_oracle(self):
-        value = surprisal(self.PRIOR, self.MODEL, 0.0)
-        expected = 1.0 / oracles.normal_pdf(0.0, 0.0, math.sqrt(10.0))
-        np.testing.assert_allclose(value, expected, rtol=1e-12)
-        assert abs(value - 7.93) < 0.005
+        value = log_surprisal(self.PRIOR, self.MODEL, 0.0)
+        expected = -math.log(oracles.normal_pdf(0.0, 0.0, math.sqrt(10.0)))
+        # An absolute 1e-12 on the log is a relative 1e-12 on the surprisal.
+        np.testing.assert_allclose(value, expected, rtol=0.0, atol=1e-12)
+        assert math.log(7.925) < value < math.log(7.935)
 
     def test_minimized_at_predictive_mode(self):
-        at_mode = surprisal(self.PRIOR, self.MODEL, 0.0)
-        assert at_mode < surprisal(self.PRIOR, self.MODEL, 1.0)
-        assert at_mode < surprisal(self.PRIOR, self.MODEL, -1.0)
+        at_mode = log_surprisal(self.PRIOR, self.MODEL, 0.0)
+        assert at_mode < log_surprisal(self.PRIOR, self.MODEL, 1.0)
+        assert at_mode < log_surprisal(self.PRIOR, self.MODEL, -1.0)
 
     def test_tail_blowup(self):
         pred_sd = math.sqrt(10.0)
-        assert surprisal(self.PRIOR, self.MODEL, 5.0 * pred_sd) > 1e5
+        assert log_surprisal(self.PRIOR, self.MODEL, 5.0 * pred_sd) > math.log(1e5)
 
     def test_log_form_safe_far_out(self):
         value = log_surprisal(self.PRIOR, self.MODEL, 30.0 * math.sqrt(10.0))
