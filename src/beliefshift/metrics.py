@@ -13,13 +13,14 @@ transition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .distributions import (
+    GRID_TAIL_TOL,
     Distribution1D,
     GridDensity,
     MixtureDist,
@@ -194,7 +195,9 @@ def wasserstein_discrete(a, b, p: float = 2.0) -> tuple[float, np.ndarray]:
         raise ValueError("points must be finite")
     a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
     with np.errstate(over="ignore"):
-        cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2) ** p
+        # hypot, not a root of squares: a distance that fits stays finite. The
+        # abs is for d = 1, where the reduce returns the one coordinate as is.
+        cost = np.hypot.reduce(np.abs(a[:, None, :] - b[None, :, :]), axis=2) ** p
         total = cost.sum()
     if not math.isfinite(total):
         raise ValueError(f"the order-{p:g} transport cost overflows")
@@ -329,17 +332,8 @@ class LearningReport:
     lindley: Optional[float]
     decomposition_exact: bool
 
-    CSV_COLUMNS = (
-        "w2",
-        "mean_shift_sq",
-        "sd_shift_sq",
-        "normalized_w2",
-        "kl_forward",
-        "kl_reverse",
-        "kl_sym",
-        "lindley",
-        "decomposition_exact",
-    )
+
+LearningReport.CSV_COLUMNS = tuple(f.name for f in fields(LearningReport))
 
 
 def _same_std_bounds(prior, post) -> bool:
@@ -369,7 +363,7 @@ def _as_shared_grids(prior, post) -> Optional[tuple[GridDensity, GridDensity]]:
 
 def _discretize_onto(d, grid: GridDensity) -> Optional[GridDensity]:
     clipped = 1.0 - (d.cdf(grid.xs[-1]) - d.cdf(grid.xs[0]))
-    if clipped > 1e-6:
+    if clipped > GRID_TAIL_TOL:
         return None
     raw = d.pdf(grid.xs) * grid.cell_widths()
     total = raw.sum()

@@ -302,7 +302,8 @@ def _w2_mixture_update(update_prior: Distribution1D, reference: Distribution1D,
     if isinstance(reference, MixtureDist):
         breaks = [np.clip(c.mu + c.sigma * _REF_BREAK_SDS, *c.support())
                   for _, c in reference.components]
-        ref_levels = reference.cdf(np.concatenate(breaks))
+        levels = reference.cdf(np.concatenate(breaks))
+        ref_levels = levels[(levels > 0.0) & (levels < 1.0)]  # 0 and 1 have no quantile
     w2 = np.empty(ybar.size)
     for start in range(0, ybar.size, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)

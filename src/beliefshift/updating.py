@@ -19,6 +19,7 @@ import numpy as np
 from ._normal import logsumexp
 from .distributions import (
     DEFAULT_GRID_NODES,
+    GRID_TAIL_TOL,
     Distribution1D,
     GridDensity,
     MixtureDist,
@@ -95,65 +96,64 @@ def _conjugate_moments(mu, sd, estimate, se):
     return mu + (sd / h) ** 2 * (estimate - mu), post_sd
 
 
+def _bayes(prior: Distribution1D, study: Study) -> tuple[Optional[Distribution1D], float]:
+    """One Bayes step: the posterior and the log marginal likelihood of the study.
+
+    Normal and truncated priors update the latent normal in closed form and
+    keep their bounds; the marginal is the latent one's times the ratio of
+    kept masses after and before. A grid reweights its nodes; a mixture steps
+    each component and reweights them by their marginals. The posterior is
+    None when every node of a grid, or of a grid component, or every
+    component of a mixture underflowed.
+    """
+    se = study.std_error
+    if isinstance(prior, (NormalDist, TruncatedNormalDist)):
+        mu, sd = _conjugate_moments(prior.mu, prior.sigma, study.estimate, se)
+        post = (NormalDist(float(mu), float(sd)) if isinstance(prior, NormalDist)
+                else TruncatedNormalDist(float(mu), float(sd), prior.lower, prior.upper))
+        return post, float(norm_logpdf(study.estimate, prior.mu, math.hypot(prior.sigma, se))
+                           + post._log_mass - prior._log_mass)
+    if isinstance(prior, GridDensity):
+        with np.errstate(divide="ignore"):
+            log_post = np.where(prior.ws > 0.0, np.log(prior.ws), -np.inf)
+        log_post = log_post + norm_logpdf(study.estimate, prior.xs, se)
+        log_marginal = float(logsumexp(log_post))
+        if not math.isfinite(log_marginal):
+            return None, log_marginal
+        w = np.exp(log_post - log_post.max())
+        return GridDensity(prior.xs, w / w.sum()), log_marginal
+    if isinstance(prior, MixtureDist):
+        posts, marginals = zip(*(_bayes(comp, study) for _, comp in prior.components))
+        logw = np.array([math.log(weight) + m
+                         for (weight, _), m in zip(prior.components, marginals)])
+        log_marginal = float(logsumexp(logw))
+        if any(post is None for post in posts) or not math.isfinite(log_marginal):
+            return None, log_marginal
+        w = np.exp(logw - log_marginal)
+        keep = w > 0.0
+        w = w[keep] / w[keep].sum()
+        posts = [post for post, k in zip(posts, keep) if k]
+        return MixtureDist(tuple(zip(w.tolist(), posts))), log_marginal
+    raise UnsupportedPriorError(f"unknown prior kind {type(prior).__name__}")
+
+
 def update_conjugate(prior: NormalDist, study: Study) -> NormalDist:
     """Normal-normal conjugate update: precisions add, means precision-average."""
     if not isinstance(prior, NormalDist):
         raise UnsupportedPriorError("conjugate updating requires a NormalDist prior")
-    post_mean, post_sd = _conjugate_moments(prior.mu, prior.sigma,
-                                            study.estimate, study.std_error)
-    return NormalDist(float(post_mean), float(post_sd))
-
-
-def _update_truncated_core(comp: TruncatedNormalDist, study: Study) -> TruncatedNormalDist:
-    core = update_conjugate(NormalDist(comp.mu, comp.sigma), study)
-    return TruncatedNormalDist(core.mu, core.sigma, comp.lower, comp.upper)
-
-
-def _log_marginal(comp, study: Study) -> float:
-    """Log marginal likelihood of the study under one mixture component."""
-    se = study.std_error
-    if isinstance(comp, NormalDist):
-        return float(norm_logpdf(study.estimate, comp.mu, math.hypot(comp.sigma, se)))
-    if isinstance(comp, TruncatedNormalDist):
-        # Normal marginal of the latent core, corrected by the ratio of
-        # truncation constants before and after the update.
-        post = _update_truncated_core(comp, study)
-        return float(norm_logpdf(study.estimate, comp.mu, math.hypot(comp.sigma, se))
-                     + post._log_mass - comp._log_mass)
-    if isinstance(comp, GridDensity):
-        with np.errstate(divide="ignore"):
-            logw = np.where(comp.ws > 0.0, np.log(comp.ws), -np.inf)
-        return float(logsumexp(logw + norm_logpdf(study.estimate, comp.xs, se)))
-    raise UnsupportedPriorError(
-        f"no closed-form marginal for {type(comp).__name__} mixture components"
-    )
+    return _bayes(prior, study)[0]
 
 
 def update_mixture(prior: MixtureDist, study: Study) -> MixtureDist:
-    """Componentwise update of a mixture prior.
-
-    Normal and truncated components update conjugately (the truncation
-    bounds are preserved) and grid components reweight on their nodes;
-    weights are reweighted by the component marginal likelihoods.
-    """
+    """Componentwise update of a mixture prior: normal and truncated components
+    update conjugately and keep their bounds, grid components reweight on
+    their nodes, and each weight scales by its component's marginal likelihood."""
     if not isinstance(prior, MixtureDist):
         raise UnsupportedPriorError("update_mixture requires a MixtureDist prior")
-    posts = []
-    logw = []
-    for weight, comp in prior.components:
-        if isinstance(comp, TruncatedNormalDist):
-            posts.append(_update_truncated_core(comp, study))
-        else:
-            posts.append(update(comp, study))
-        logw.append(math.log(weight) + _log_marginal(comp, study))
-    logw = np.array(logw)
-    if not np.any(np.isfinite(logw)):
-        raise DegenerateError("every mixture component's marginal likelihood underflowed")
-    w = np.exp(logw - logsumexp(logw))
-    keep = w > 0.0
-    w = w[keep] / w[keep].sum()
-    kept_posts = [p for p, k in zip(posts, keep) if k]
-    return MixtureDist(tuple(zip(w.tolist(), kept_posts)))
+    post, _ = _bayes(prior, study)
+    if post is None:
+        raise DegenerateError("posterior mass underflowed in every component or a grid one")
+    return post
 
 
 def default_grid_window(prior: Distribution1D, study: Study) -> tuple[float, float]:
@@ -184,7 +184,7 @@ def _likelihood_coverage_check(prior: Distribution1D, study: Study,
     log_total = log_lik_mass(supp_lo, supp_hi)
     log_inside = log_lik_mass(eff_lo, eff_hi) if eff_lo < eff_hi else -math.inf
     clipped = -math.expm1(log_inside - log_total) if math.isfinite(log_total) else 1.0
-    if clipped > 1e-6:
+    if clipped > GRID_TAIL_TOL:
         raise TailMassError(
             f"window [{lo:g}, {hi:g}] clips likelihood mass around the estimate "
             f"{study.estimate:g} (clipped {clipped:.6g} of the mass within the support)"
@@ -212,14 +212,10 @@ def update_grid(prior: Distribution1D, study: Study,
             lo, hi = default_grid_window(prior, study)
         grid = to_grid(prior, lo, hi, nodes)
         _likelihood_coverage_check(prior, study, lo, hi)
-    with np.errstate(divide="ignore"):
-        log_post = np.where(grid.ws > 0.0, np.log(grid.ws), -np.inf)
-    log_post = log_post + norm_logpdf(study.estimate, grid.xs, study.std_error)
-    peak = log_post.max()
-    if not np.isfinite(peak):
+    post, _ = _bayes(grid, study)
+    if post is None:
         raise DegenerateError("posterior mass underflowed at every grid node")
-    w = np.exp(log_post - peak)
-    return GridDensity(grid.xs, w / w.sum())
+    return post
 
 
 def update(prior: Distribution1D, study: Study,
@@ -260,10 +256,4 @@ def log_predictive_density(prior: Distribution1D, model: SamplingModel,
 
     Evaluated fully in log space so tail values do not underflow.
     """
-    pseudo = Study(float(ybar), model.std_error())
-    if isinstance(prior, MixtureDist):
-        terms = [math.log(w) + _log_marginal(comp, pseudo) for w, comp in prior.components]
-        return float(logsumexp(np.array(terms)))
-    if isinstance(prior, (NormalDist, TruncatedNormalDist, GridDensity)):
-        return _log_marginal(prior, pseudo)
-    raise UnsupportedPriorError(f"unknown prior kind {type(prior).__name__}")
+    return _bayes(prior, Study(float(ybar), model.std_error()))[1]

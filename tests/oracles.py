@@ -282,6 +282,36 @@ def truncnorm_entropy_exact(mu: float, sigma: float, lower: float, upper: float)
     return float(-_truncnorm_expect_mp(ctx, ctx.mpf(sigma), a, b, log_density, log_density))
 
 
+def truncnorm_log_predictive_exact(mu: float, sigma: float, lower: float, upper: float,
+                                   ybar: float, se: float) -> float:
+    """log of the integral over theta of a truncated normal prior's pdf
+    times the Normal(ybar; theta, se) likelihood, by 30-digit quadrature on
+    the latent standardized scale. Panels are graded around the product's
+    peak inside the bounds, on its own width and on the decay rate there,
+    so a peak pinned to a bound far out keeps its digits."""
+    import mpmath
+
+    ctx = mpmath.mp.clone()
+    ctx.dps = 30
+    a, b, log_density = _truncnorm_log_density_mp(ctx, mu, sigma, lower, upper)
+    mu, sigma, ybar, se = (ctx.mpf(v) for v in (mu, sigma, ybar, se))
+
+    def log_product(z):
+        r = (ybar - mu - sigma * z) / se
+        return log_density(z) - r * r / 2 - ctx.log(se) - ctx.log(2 * ctx.pi) / 2
+
+    # The unbounded peak of the log product, a concave quadratic, then clipped.
+    peak = min(max(sigma * (ybar - mu) / (sigma**2 + se**2), a), b)
+    width = se / ctx.sqrt(sigma**2 + se**2)
+    slope = abs(sigma * (ybar - mu - sigma * peak) / se**2 - peak)  # of the log product
+    steps = (width, 1 / max(ctx.one, slope))
+    points = {a, b} | {peak + sign * h * 2**k for sign in (-1, 1) for h in steps
+                       for k in range(-4, 10)}
+    points = sorted(x for x in points if a <= x <= b)
+    value = ctx.quad(lambda z: sigma * ctx.exp(log_product(z)), points)
+    return float(ctx.log(value))
+
+
 def mixture_quantile_exact(parts, t: float) -> float:
     """Quantile at level t of a mixture of normals, each part
     (weight, mu, sigma, lower) truncated below ``lower`` (-inf for none),

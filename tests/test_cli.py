@@ -15,7 +15,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -718,6 +718,20 @@ class TestCommandLine:
     # the per-replicate route, 5 to 75 ms a replicate.
     @settings(max_examples=12, deadline=None)
     @given(prospect_scenarios(st.one_of(truncations(), mixtures()), max_weights=1, max_ns=1))
+    # A consensus break 8 sds out whose level rounds to exactly 1.
+    @example({
+        "kind": "prospective",
+        "seed": 0,
+        "prospective_config": {
+            "consensus": dist_to_literal(MixtureDist(((0.787502808948429, NormalDist(0.0, 1.0)),
+                                                      (0.21249719105157117, NormalDist(1.0, 1.0))))),
+            "pioneer": {"type": "trunc_normal", "mu": 0.0, "sigma": 1.0, "lower": 0.0},
+            "weights": [0.0],
+            "ns": [1],
+            "sigma": 1.0804360854982413,
+            "replicates": 100,
+        },
+    })
     def test_prospect_fuzz_mixture_and_truncated_priors_exit_cleanly(self, scenario):
         self.check_prospect_fuzz(scenario)
 

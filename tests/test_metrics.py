@@ -260,6 +260,17 @@ class TestWassersteinDiscrete:
         with pytest.raises(ValueError, match="shape"):
             wasserstein_discrete(a, b)
 
+    @pytest.mark.parametrize("a, b, value, match", [
+        ([1e155, -1e155], [-1e155, 1e155], 0.0, [1, 0]),
+        ([[1e155, 0.0], [0.0, 1e155]], [[0.0, 1e155], [1e155, 0.0]], 0.0, [1, 0]),
+        ([[1e155, 0.0], [0.0, 1e155]], [[2e155, 0.0], [1e155, 1e155]], 1e155, [0, 1]),
+    ], ids=["1d_swap", "2d_swap", "2d_shift"])
+    def test_distances_whose_squares_overflow(self, a, b, value, match):
+        # Every distance fits in a double though its square does not.
+        got, got_match = wasserstein_discrete(a, b, p=1.0)
+        assert got == value
+        np.testing.assert_array_equal(got_match, match)
+
     @pytest.mark.parametrize("a, b, message", [
         ("[nan, 0.0]", "[0.0, 1.0]", "points must be finite"),
         ("[[0.0, inf]]", "[[0.0, 1.0]]", "points must be finite"),

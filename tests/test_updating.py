@@ -32,6 +32,22 @@ from beliefshift import (
 APPF_STUDY = Study(0.074, 0.121)
 LAWN_PRIOR = NormalDist(0.0, 5.0)
 LAWN_STUDIES = (Study(2.5, 1.7), Study(-1.4, 5.7), Study(1.8, 0.9), Study(-1.2, 2.6))
+# One component of each family a mixture takes.
+THREE_FAMILY_MIX = MixtureDist((
+    (0.3, NormalDist(0.0, 3.0)),
+    (0.3, TruncatedNormalDist(0.2, 0.4, 0.0, math.inf)),
+    (0.4, GridDensity(np.linspace(-1.0, 3.0, 9), np.array([1, 2, 4, 6, 7, 6, 4, 2, 1]) / 33.0)),
+))
+
+
+def predictive_oracle(comp, ybar: float, se: float) -> float:
+    """Marginal density of ybar under one prior component, from the oracles."""
+    if isinstance(comp, NormalDist):
+        return oracles.normal_pdf(ybar, comp.mu, math.hypot(comp.sigma, se))
+    if isinstance(comp, TruncatedNormalDist):
+        return math.exp(oracles.truncnorm_log_predictive_exact(
+            comp.mu, comp.sigma, comp.lower, comp.upper, ybar, se))
+    return oracles.riemann_predictive(comp.xs, comp.ws, ybar, se)
 
 
 class TestStudyAndModel:
@@ -252,6 +268,13 @@ class TestUpdateMixture:
         assert trunc_post.lower == 0.0
         assert trunc_post.upper == math.inf
 
+    def test_weights_of_truncated_and_grid_components_match_marginal_likelihoods(self):
+        study = Study(0.6, 0.5)
+        post = update_mixture(THREE_FAMILY_MIX, study)
+        raw = np.array([w * predictive_oracle(comp, study.estimate, study.std_error)
+                        for w, comp in THREE_FAMILY_MIX.components])
+        np.testing.assert_allclose(post.weights(), raw / raw.sum(), rtol=1e-12)
+
     def test_all_marginals_underflow_raises(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -370,6 +393,27 @@ class TestPredictive:
         expected = 0.5 * oracles.normal_pdf(1.0, 0.0, math.sqrt(10.0)) \
             + 0.5 * oracles.normal_pdf(1.0, 3.0, math.sqrt(2.0))
         np.testing.assert_allclose(value, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("prior, se, ybars", [
+        (TruncatedNormalDist(0.2, 0.4, 0.0, math.inf), 1.0 / math.sqrt(10.0), (-0.3, 0.7)),
+        # All kept mass 12 latent sds out, about 2e-33 of the latent normal.
+        (TruncatedNormalDist(0.0, 1.0, 12.0, math.inf), 0.5, (0.0, 12.3)),
+        (TruncatedNormalDist(2.0, 1.0, 12.0, 12.001), 0.5, (12.0, 20.0)),
+    ], ids=["half_line", "far_latent_tail", "narrow_far_interval"])
+    def test_density_truncated_prior_matches_quadrature(self, prior, se, ybars):
+        for ybar in ybars:
+            value = log_predictive_density(prior, SamplingModel(se, 1), ybar)
+            expected = oracles.truncnorm_log_predictive_exact(
+                prior.mu, prior.sigma, prior.lower, prior.upper, ybar, se)
+            np.testing.assert_allclose(value, expected, rtol=1e-12)
+
+    def test_density_mixture_of_every_family(self):
+        model = SamplingModel(1.0, 4)
+        for ybar in (-1.0, 0.6, 2.5):
+            value = math.exp(log_predictive_density(THREE_FAMILY_MIX, model, ybar))
+            expected = sum(w * predictive_oracle(comp, ybar, model.std_error())
+                           for w, comp in THREE_FAMILY_MIX.components)
+            np.testing.assert_allclose(value, expected, rtol=1e-12)
 
     def test_far_tail_stays_positive(self):
         prior = NormalDist(0.0, 3.0)
