@@ -78,6 +78,7 @@ _TOP = 1.0 - 2.0**-53  # the largest double below 1
 # target on W2 relative to the largest W2 on the draws' range.
 _CHEB_LEVELS = (64, 128, 256)
 _CHEB_RTOL = 1e-11
+_CHUNK_DRAWS = 4096  # streams and Clenshaw sums take cells in runs of this many draws
 
 
 @dataclass(frozen=True)
@@ -157,20 +158,18 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, np.uint64(m) * x
 
 
-def _replicate_uniforms(seed: int, replicates: int, cols: int) -> np.ndarray:
+def _replicate_uniforms(seeds: Sequence[int], replicates: int, cols: int) -> np.ndarray:
     """One Philox stream per replicate, keyed (seed, index); fixed column layout.
 
-    Row i equals ``Generator(Philox(key=[seed mod 2^64, i])).random(cols)``
-    for cols <= 4: numpy increments the counter before its first block,
-    so that block is Philox4x64-10 at counter (1, 0, 0, 0), and doubles
-    are (word >> 11) * 2^-53. All rows come from one array pass.
+    Row c * replicates + i equals
+    ``Generator(Philox(key=[seeds[c] mod 2^64, i])).random(cols)`` for
+    cols <= 4: numpy increments the counter before its first block, so that
+    block is Philox4x64-10 at counter (1, 0, 0, 0), and doubles are
+    (word >> 11) * 2^-53. All rows come from one array pass.
     """
-    k0 = np.full(replicates, int(seed) % (1 << 64), dtype=np.uint64)
-    k1 = np.arange(replicates, dtype=np.uint64)
-    c0 = np.ones(replicates, dtype=np.uint64)
-    c1 = np.zeros(replicates, dtype=np.uint64)
-    c2 = np.zeros(replicates, dtype=np.uint64)
-    c3 = np.zeros(replicates, dtype=np.uint64)
+    k0 = np.repeat(np.array([int(s) % (1 << 64) for s in seeds], dtype=np.uint64), replicates)
+    k1 = np.tile(np.arange(replicates, dtype=np.uint64), len(seeds))
+    c0, c1, c2, c3 = np.ones(k0.size, dtype=np.uint64), *np.zeros((3, k0.size), dtype=np.uint64)
     for r in range(10):
         if r:
             k0 += np.uint64(_PHILOX_W[0])
@@ -185,20 +184,22 @@ def _replicate_uniforms(seed: int, replicates: int, cols: int) -> np.ndarray:
     return out
 
 
-def _theta_from_uniforms(predictive_prior: Distribution1D, uniforms: np.ndarray) -> np.ndarray:
-    """Inverse-cdf draws of theta. Mixtures burn uniform 0 on the component
-    pick and uniform 1 on the component quantile; other priors use uniform 0."""
-    if isinstance(predictive_prior, MixtureDist):
-        cum_w = np.cumsum(predictive_prior.weights())
-        picks = np.searchsorted(cum_w, uniforms[:, 0], side="right")
-        picks = np.minimum(picks, len(predictive_prior.components) - 1)
-        theta = np.empty(uniforms.shape[0])
-        for k, (_, comp) in enumerate(predictive_prior.components):
-            mask = picks == k
-            if mask.any():
-                theta[mask] = comp.quantile(uniforms[mask, 1])
-        return theta
-    return np.asarray(predictive_prior.quantile(uniforms[:, 0]), dtype=float)
+def _theta_from_uniforms(priors: Sequence[Distribution1D], uniforms: np.ndarray) -> np.ndarray:
+    """Inverse-cdf draws of theta, one equal block of rows per prior. Mixtures
+    burn uniform 0 on the component pick and uniform 1 on the component
+    quantile; other priors use uniform 0. Each component's quantile runs once."""
+    laws, picks, levels = {}, [], []  # laws: id(component) -> (index, component)
+    for prior, u in zip(priors, np.split(uniforms, len(priors))):
+        comps = _components(prior)  # a one-component mixture picks 0 on every row
+        ids = np.array([laws.setdefault(id(c), (len(laws), c))[0] for _, c in comps])
+        k = np.searchsorted(np.cumsum([w for w, _ in comps]), u[:, 0], side="right")
+        picks.append(ids[np.minimum(k, ids.size - 1)])
+        levels.append(u[:, 1 if isinstance(prior, MixtureDist) else 0])
+    pick, level = np.concatenate(picks), np.concatenate(levels)
+    theta = np.empty(pick.size)
+    for j, law in laws.values():
+        theta[pick == j] = law.quantile(level[pick == j])
+    return theta
 
 
 def _components(d: Distribution1D):
@@ -213,11 +214,11 @@ def _w2_normal_update(update_prior: NormalDist, reference: NormalDist,
 
 def _sides(x, w, mu, sd):
     """P(X <= x), P(X > x) and the pdf at x of each row's normal mixture
-    (weights w and means mu per row, sds sd shared)."""
-    for k in range(sd.size):
-        wk = w[:, k:k + 1]
+    (weights w, means mu and sds sd per row)."""
+    for k in range(sd.shape[1]):
+        wk, sdk = w[:, k:k + 1], sd[:, k:k + 1]
         a = x - mu[:, k:k + 1]
-        a /= sd[k]
+        a /= sdk
         above = a > 0.0
         np.abs(a, out=a)
         e = a * a
@@ -229,7 +230,7 @@ def _sides(x, w, mu, sd):
         tail = lower_tail(a, e)
         tail *= wk
         rest = wk - tail
-        e *= wk / sd[k]
+        e *= wk / sdk
         if k == 0:
             lower, upper, dens = np.where(above, rest, tail), np.where(above, tail, rest), e
         else:
@@ -244,7 +245,7 @@ def _transport_w2(w, mu, sd, inverse, ref_levels) -> np.ndarray:
     """W2 from the reference to each row's posterior mixture, E_P[(X - T(X))^2]
     with T = G^-1(F_P), by Gauss-Legendre on the panels between breaks."""
     rows = mu.shape[0]
-    breaks = (mu[:, :, None] + sd[:, None] * _BREAK_SDS).reshape(rows, -1)
+    breaks = (mu[:, :, None] + sd[:, :, None] * _BREAK_SDS).reshape(rows, -1)
     breaks.sort(axis=1)
     if ref_levels is not None:
         def tails(x, upper, slope):
@@ -266,31 +267,24 @@ def _transport_w2(w, mu, sd, inverse, ref_levels) -> np.ndarray:
     return np.sqrt(x.sum(axis=1))
 
 
-def _w2_mixture_update(update_prior: Distribution1D, reference: Distribution1D,
-                       ybar: np.ndarray, se: float) -> np.ndarray:
-    """Batched W2 for a normal or normal-mixture update prior, by the 1-D
-    optimal map: W2^2(P, G) = E_P[(X - G^-1(F_P(X)))^2].
+def _w2_mixture_update(reference: Distribution1D, priors: Sequence[Distribution1D],
+                       ybar: np.ndarray, se: np.ndarray) -> np.ndarray:
+    """Batched W2 for normal or normal-mixture update priors, by the 1-D
+    optimal map: W2^2(P, G) = E_P[(X - G^-1(F_P(X)))^2], where ybar[c] and
+    se[c] are the outcomes and standard error of a study updating priors[c].
 
     The monotone rearrangement is the optimal map in 1-D (Villani 2003,
-    Topics in Optimal Transportation, ch. 2). Per replicate the posterior P
-    is again a normal mixture whose component sds are replicate-independent;
-    a normal update prior is the one-component case. F_P is only evaluated
-    forward, and G^-1 is taken from the smaller tail: mu + sigma * ndtri for
-    a normal reference, ``quantile`` otherwise. The integral runs over panels
-    between each posterior component's mean +/- 0, 2.25, 4.25 and 7.5 sds,
-    9-point Gauss-Legendre in each (see ``_BREAK_SDS``); a mixture reference
-    adds its components' mean +/- 0, 1, ..., 8 sds, where G^-1 bends, carried
-    to x through F_P by ``_mixture_quantiles``. Rows go in fixed-size blocks
-    on one thread, and no row's value depends on the others in its block.
+    Topics in Optimal Transportation, ch. 2). Per outcome the posterior P is
+    again a normal mixture; a normal update prior is the one-component case.
+    F_P is only evaluated forward, and G^-1 is taken from the smaller tail:
+    mu + sigma * ndtri for a normal reference, ``quantile`` otherwise. The
+    integral runs over panels between each posterior component's mean +/- 0,
+    2.25, 4.25 and 7.5 sds, 9-point Gauss-Legendre in each (see
+    ``_BREAK_SDS``); a mixture reference adds its components' mean +/- 0, 1,
+    ..., 8 sds, where G^-1 bends, carried to x through F_P by
+    ``_mixture_quantiles``. The rows of all priors with K components go in
+    fixed-size blocks on one thread; no row's value depends on its block.
     """
-    weights, mus, sds = (np.array(v) for v in zip(*(
-        (w, c.mu, c.sigma) for w, c in _components(update_prior))))
-    post_mu, post_sd = _conjugate_moments(mus, sds, ybar[:, None], se)
-    log_w = np.log(weights) + norm_logpdf(ybar[:, None], mus, np.hypot(sds, se))
-    log_w -= log_w.max(axis=1, keepdims=True)
-    post_w = np.exp(log_w)
-    post_w /= post_w.sum(axis=1, keepdims=True)
-
     if isinstance(reference, NormalDist):
         def inverse(level, below):  # level <= 1/2: the lower side of Phi^-1 alone
             sign = np.where(below, 1.0, -1.0)
@@ -304,15 +298,31 @@ def _w2_mixture_update(update_prior: Distribution1D, reference: Distribution1D,
                   for _, c in reference.components]
         levels = reference.cdf(np.concatenate(breaks))
         ref_levels = levels[(levels > 0.0) & (levels < 1.0)]  # 0 and 1 have no quantile
-    w2 = np.empty(ybar.size)
-    for start in range(0, ybar.size, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        w2[rows] = _transport_w2(post_w[rows], post_mu[rows], post_sd, inverse, ref_levels)
-    return w2
+    out = np.empty(ybar.shape)
+    counts = np.array([len(_components(prior)) for prior in priors])
+    for count in set(counts):
+        cells = np.flatnonzero(counts == count)
+        params = np.array([[(w, c.mu, c.sigma) for w, c in _components(priors[i])] for i in cells])
+        weights, mus, sds = params[:, None].transpose(3, 0, 1, 2)  # each cells x 1 x K
+        y, s = ybar[cells, :, None], se[cells, None, None]
+        post_mu, post_sd = _conjugate_moments(mus, sds, y, s)
+        log_w = np.log(weights) + norm_logpdf(y, mus, np.hypot(sds, s))
+        log_w -= log_w.max(axis=2, keepdims=True)
+        post_w = np.exp(log_w)
+        post_w /= post_w.sum(axis=2, keepdims=True)
+        post_w, post_mu, post_sd = (np.broadcast_to(a, log_w.shape).reshape(-1, count)
+                                    for a in (post_w, post_mu, post_sd))  # rows x K
+        w2 = np.empty(y.size)
+        for start in range(0, y.size, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            w2[rows] = _transport_w2(post_w[rows], post_mu[rows], post_sd[rows],
+                                     inverse, ref_levels)
+        out[cells] = w2.reshape(cells.size, -1)
+    return out
 
 
-def _chebyshev_w2(update_prior: Distribution1D, reference: Distribution1D,
-                  ybar: np.ndarray, se: float) -> np.ndarray:
+def _chebyshev_w2(reference: Distribution1D, priors: Sequence[Distribution1D], ybar: np.ndarray,
+                  se: np.ndarray, out: np.ndarray, open_: np.ndarray) -> np.ndarray:
     """The transport kernel at Chebyshev-Lobatto nodes in ybar, not at the draws.
 
     The posterior depends on the study only through ybar, and W2^2 is
@@ -326,47 +336,92 @@ def _chebyshev_w2(update_prior: Distribution1D, reference: Distribution1D,
     the last 8 alone read slowly converging series 20-30x low. A level is
     accepted when that error, carried through the square root where W2 is
     smallest, is at most _CHEB_RTOL of the largest W2. The series is then
-    summed at the draws by Clenshaw. If no level is accepted, the kernel runs
-    on the draws.
+    summed at the draws by Clenshaw.
+
+    Each level runs the kernel once, on the new nodes of the rows in open_,
+    and Clenshaw once per _CHUNK_DRAWS draws of the rows it passes. Accepted
+    rows are written to out, and the rows no level accepts are returned.
     """
-    lo, hi = ybar.min(), ybar.max()
+    lo, hi = ybar.min(axis=1), ybar.max(axis=1)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     sq = None
     for n in _CHEB_LEVELS:
+        if not open_.size:
+            break
         j = np.arange(n + 1) if sq is None else np.arange(1, n, 2)
-        new = _w2_mixture_update(update_prior, reference, mid + half * np.cos(np.pi * j / n), se)
-        sq = new**2 if sq is None else np.insert(sq, np.arange(1, sq.size), new**2)
-        coef = np.fft.rfft(np.concatenate([sq, sq[-2:0:-1]])).real / n
-        coef[[0, -1]] *= 0.5
-        err = 2.0 * np.abs(coef[-(n // 8):]).sum()
-        budget = _CHEB_RTOL * math.sqrt(sq.max())
+        nodes = mid[open_, None] + half[open_, None] * np.cos(np.pi * j / n)
+        new = _w2_mixture_update(reference, [priors[i] for i in open_], nodes, se[open_])**2
+        sq = new if sq is None else np.insert(sq, np.arange(1, sq.shape[1]), new, axis=1)
+        coef = np.fft.rfft(np.concatenate([sq, sq[:, -2:0:-1]], axis=1)).real / n
+        coef[:, [0, -1]] *= 0.5
+        err = 2.0 * np.abs(coef[:, -(n // 8):]).sum(axis=1)
+        budget = _CHEB_RTOL * np.sqrt(sq.max(axis=1))
         # Smallest W2^2 at the nodes first; the series is summed at the draws
         # only then, and the test repeated on its smallest value there.
-        low = sq.min()
-        if err <= budget * (math.sqrt(low) + math.sqrt(low + err)):
-            at = np.maximum(np.polynomial.chebyshev.chebval((ybar - mid) / half, coef), 0.0)
-            low = at.min()
-            if err <= budget * (math.sqrt(low) + math.sqrt(low + err)):
-                return np.sqrt(at)
-    return _w2_mixture_update(update_prior, reference, ybar, se)
+        low = sq.min(axis=1)
+        passed = np.flatnonzero(err <= budget * (np.sqrt(low) + np.sqrt(low + err)))
+        accepted = np.zeros(open_.size, dtype=bool)
+        step = max(1, _CHUNK_DRAWS // ybar.shape[1])
+        for p in (passed[start:start + step] for start in range(0, passed.size, step)):
+            x = (ybar[open_[p]] - mid[open_[p], None]) / half[open_[p], None]
+            at = np.polynomial.chebyshev.chebval(x, coef[p].T[:, :, None], tensor=False)
+            low = np.maximum(at, 0.0, out=at).min(axis=1)
+            ok = err[p] <= budget[p] * (np.sqrt(low) + np.sqrt(low + err[p]))
+            out[open_[p[ok]]] = np.sqrt(at[ok])
+            accepted[p[ok]] = True
+        open_, sq = open_[~accepted], sq[~accepted]
+    return open_
 
 
-def _batched_w2(update_prior: Distribution1D, reference: Distribution1D,
-                ybar: np.ndarray, se: float) -> np.ndarray:
-    if isinstance(update_prior, NormalDist) and isinstance(reference, NormalDist):
-        return _w2_normal_update(update_prior, reference, ybar, se)
-    if all(isinstance(c, NormalDist) for _, c in _components(update_prior)) and not any(
-            isinstance(c, GridDensity) for _, c in _components(reference)):
-        # Only where even the finest level costs fewer kernel rows than the draws.
-        if ybar.size > _CHEB_LEVELS[-1] + 1 and ybar.max() > ybar.min():
-            return _chebyshev_w2(update_prior, reference, ybar, se)
-        return _w2_mixture_update(update_prior, reference, ybar, se)
-    # General fallback: exact per-replicate updates, no silent skipping.
-    out = np.empty(ybar.size)
-    for i, y in enumerate(ybar):
-        post = update(update_prior, Study(float(y), se))
-        out[i] = wp_quantile(reference, post, p=2.0, nodes=DEFAULT_W2_NODES)
+def _batched_w2(reference: Distribution1D, priors: Sequence[Distribution1D],
+                ybar: np.ndarray, se: np.ndarray) -> np.ndarray:
+    """W2 from the reference to each posterior (cells as in ``_w2_mixture_update``):
+    closed form for normal pairs; the kernel for the rows it takes, all at once and on
+    Chebyshev nodes where even the finest level costs fewer rows than the draws;
+    otherwise an exact update per outcome and the quantile formula."""
+    out = np.empty(ybar.shape)
+    kernel = not any(isinstance(c, GridDensity) for _, c in _components(reference))
+    nodes, draws = [], []
+    for i, prior in enumerate(priors):
+        if isinstance(prior, NormalDist) and isinstance(reference, NormalDist):
+            out[i] = _w2_normal_update(prior, reference, ybar[i], se[i])
+        elif kernel and all(isinstance(c, NormalDist) for _, c in _components(prior)):
+            fits = ybar.shape[1] > _CHEB_LEVELS[-1] + 1 and ybar[i].max() > ybar[i].min()
+            (nodes if fits else draws).append(i)
+        else:  # general fallback: exact per-replicate updates, no silent skipping
+            out[i] = [wp_quantile(reference, update(prior, Study(float(y), float(se[i]))),
+                                  p=2.0, nodes=DEFAULT_W2_NODES) for y in ybar[i]]
+    # A row that no level accepts runs the kernel on its draws.
+    draws += list(_chebyshev_w2(reference, priors, ybar, se, out, np.array(nodes, dtype=int)))
+    if draws:
+        out[draws] = _w2_mixture_update(reference, [priors[i] for i in draws],
+                                        ybar[draws], se[draws])
     return out
+
+
+def _expected_learning(reference: Distribution1D, cells,
+                        replicates: int) -> list[ExpectedLearning]:
+    """The Monte Carlo engine over cells (predictive prior, update prior, se, seed)
+    that share a reference. Each stage runs once for all cells, the streams, theta
+    and ybar per run of _CHUNK_DRAWS draws; no cell's numbers depend on the others."""
+    replicates = int(replicates)
+    if replicates < MIN_REPLICATES:
+        raise ValueError(f"expected_learning_mc needs at least {MIN_REPLICATES} replicates")
+    predictive, updates, se, seeds = zip(*cells)
+    se = np.array(se)
+    ybar = np.empty((len(cells), replicates))
+    step = max(1, _CHUNK_DRAWS // replicates)
+    for run in (slice(start, start + step) for start in range(0, len(cells), step)):
+        uniforms = _replicate_uniforms(seeds[run], replicates, 3)
+        theta = _theta_from_uniforms(predictive[run], uniforms).reshape(-1, replicates)
+        # ybar's uniform follows theta's: column 2 after a mixture's pick, else 1.
+        cols = [2 if isinstance(pred, MixtureDist) else 1 for pred in predictive[run]]
+        noise = ndtri(uniforms.reshape(-1, replicates, 3)[np.arange(len(cols)), :, cols])
+        ybar[run] = theta + se[run, None] * noise
+    root_n = math.sqrt(replicates)
+    return [ExpectedLearning(float(w2.mean()), float(w2.std(ddof=1)) / root_n,
+                             float((w2**2).mean()), float((w2**2).std(ddof=1)) / root_n)
+            for w2 in _batched_w2(reference, updates, ybar, se)]
 
 
 def expected_learning_mc(predictive_prior: Distribution1D,
@@ -393,23 +448,8 @@ def expected_learning_mc(predictive_prior: Distribution1D,
     references with grid components, take the per-replicate route: an exact
     update each, and the quantile formula on ``DEFAULT_W2_NODES`` nodes.
     """
-    replicates = int(replicates)
-    if replicates < MIN_REPLICATES:
-        raise ValueError(f"expected_learning_mc needs at least {MIN_REPLICATES} replicates")
-    se = model.std_error()
-    cols = 3 if isinstance(predictive_prior, MixtureDist) else 2
-    uniforms = _replicate_uniforms(seed, replicates, cols)
-    theta = _theta_from_uniforms(predictive_prior, uniforms)
-    ybar = theta + se * ndtri(uniforms[:, -1])
-    w2 = _batched_w2(update_prior, reference_prior, ybar, se)
-    root_n = math.sqrt(replicates)
-    w2_sq = w2**2
-    return ExpectedLearning(
-        estimate=float(w2.mean()),
-        mc_std_error=float(w2.std(ddof=1)) / root_n,
-        second_moment=float(w2_sq.mean()),
-        second_moment_std_error=float(w2_sq.std(ddof=1)) / root_n,
-    )
+    cell = (predictive_prior, update_prior, model.std_error(), seed)
+    return _expected_learning(reference_prior, [cell], replicates)[0]
 
 
 def weight_sweep(consensus: Distribution1D,
@@ -423,24 +463,17 @@ def weight_sweep(consensus: Distribution1D,
 
     For each (w, n) the decision-maker prior (weight w) is both the
     predictive and the update prior while the consensus prior is the
-    reference; the design observes n draws of noise sd ``sigma``. Point
-    seeds are seed + row-major index, so a singleton sweep reproduces a
-    direct expected_learning_mc call exactly, routes included.
+    reference; the design observes n draws of noise sd ``sigma``. Point seeds
+    are seed + row-major index, and all cells run in one pass of the engine:
+    each point equals a direct expected_learning_mc call exactly.
     """
-    weights = list(weights)
     ns = list(ns)
-    if not weights or not ns:
+    grid = [(float(w), int(n)) for w in weights for n in ns]
+    if not grid:
         raise ValueError("weight_sweep needs nonempty weight and n lists")
-    points = []
-    index = 0
-    for w in weights:
-        for n in ns:
-            model = SamplingModel(sigma, int(n))
-            blended = decision_maker_prior(consensus, pioneer, float(w))
-            result = expected_learning_mc(
-                blended, blended, consensus, model,
-                replicates=replicates, seed=seed + index,
-            )
-            points.append(CurvePoint(float(w), int(n), result.estimate, result.mc_std_error))
-            index += 1
-    return points
+    cells = []
+    for w, n in grid:
+        blended = decision_maker_prior(consensus, pioneer, w)
+        cells.append((blended, blended, SamplingModel(sigma, n).std_error(), seed + len(cells)))
+    results = _expected_learning(consensus, cells, replicates)
+    return [CurvePoint(w, n, r.estimate, r.mc_std_error) for (w, n), r in zip(grid, results)]

@@ -91,9 +91,15 @@ def _conjugate_moments(mu, sd, estimate, se):
     min(sd, se) * max(sd, se) / hypot(sd, se) and the data weight is
     (sd / hypot(sd, se))**2.
     """
-    h = np.hypot(sd, se)
+    with np.errstate(over="ignore"):
+        h = np.hypot(sd, se)
+    scale = 1.0
+    if not np.isfinite(h).all():  # both past about 1.27e308: work those at 1/max(sd, se)
+        scale = np.where(np.isfinite(h), 1.0, np.maximum(sd, se))  # 1.0 keeps the rest's bits
+        sd, se = sd / scale, se / scale
+        h = np.hypot(sd, se)
     post_sd = np.minimum(sd, se) * (np.maximum(sd, se) / h)
-    return mu + (sd / h) ** 2 * (estimate - mu), post_sd
+    return mu + (sd / h) ** 2 * (estimate - mu), post_sd * scale
 
 
 def _bayes(prior: Distribution1D, study: Study) -> tuple[Optional[Distribution1D], float]:
@@ -103,8 +109,8 @@ def _bayes(prior: Distribution1D, study: Study) -> tuple[Optional[Distribution1D
     keep their bounds; the marginal is the latent one's times the ratio of
     kept masses after and before. A grid reweights its nodes; a mixture steps
     each component and reweights them by their marginals. The posterior is
-    None when every node of a grid, or of a grid component, or every
-    component of a mixture underflowed.
+    None when every node of a grid, or every component of a mixture,
+    underflowed; a mixture drops a grid component that did.
     """
     se = study.std_error
     if isinstance(prior, (NormalDist, TruncatedNormalDist)):
@@ -114,9 +120,9 @@ def _bayes(prior: Distribution1D, study: Study) -> tuple[Optional[Distribution1D
         return post, float(norm_logpdf(study.estimate, prior.mu, math.hypot(prior.sigma, se))
                            + post._log_mass - prior._log_mass)
     if isinstance(prior, GridDensity):
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):  # a likelihood that underflows
             log_post = np.where(prior.ws > 0.0, np.log(prior.ws), -np.inf)
-        log_post = log_post + norm_logpdf(study.estimate, prior.xs, se)
+            log_post = log_post + norm_logpdf(study.estimate, prior.xs, se)
         log_marginal = float(logsumexp(log_post))
         if not math.isfinite(log_marginal):
             return None, log_marginal
@@ -127,8 +133,9 @@ def _bayes(prior: Distribution1D, study: Study) -> tuple[Optional[Distribution1D
         logw = np.array([math.log(weight) + m
                          for (weight, _), m in zip(prior.components, marginals)])
         log_marginal = float(logsumexp(logw))
-        if any(post is None for post in posts) or not math.isfinite(log_marginal):
+        if not math.isfinite(log_marginal):
             return None, log_marginal
+        # A component whose posterior underflowed has marginal -inf, so weight 0.
         w = np.exp(logw - log_marginal)
         keep = w > 0.0
         w = w[keep] / w[keep].sum()
@@ -152,7 +159,7 @@ def update_mixture(prior: MixtureDist, study: Study) -> MixtureDist:
         raise UnsupportedPriorError("update_mixture requires a MixtureDist prior")
     post, _ = _bayes(prior, study)
     if post is None:
-        raise DegenerateError("posterior mass underflowed in every component or a grid one")
+        raise DegenerateError("posterior mass underflowed in every component")
     return post
 
 

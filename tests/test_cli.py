@@ -564,6 +564,10 @@ GOLDEN_RUNS = {
     "prospect_figure5_sweep.csv": ["prospect", "--scenario",
                                    str(SCENARIO_DIR / "figure5_sweep.json"),
                                    "--replicates", "100", "--seed", "7"],
+    # The bench's replicate count: the Chebyshev route, which 100 never reaches.
+    "prospect_figure5_sweep_500.csv": ["prospect", "--scenario",
+                                       str(SCENARIO_DIR / "figure5_sweep.json"),
+                                       "--replicates", "500", "--seed", "7"],
     "compare_table3_all.json": ["compare", "--scenario", str(SCENARIO_DIR / "table3_compare.json"),
                                 "--format", "json"],
     "prospect_figure5_sweep.json": ["prospect", "--scenario",

@@ -35,6 +35,7 @@ from beliefshift.prospective import (
     DEFAULT_W2_NODES,
     MIN_REPLICATES,
     _batched_w2,
+    _expected_learning,
     _replicate_uniforms,
     _theta_from_uniforms,
     _w2_mixture_update,
@@ -46,8 +47,18 @@ BASE_SE = SamplingModel(2.0, 5).std_error()
 
 
 def simulated_ybar(prior, se, seed, replicates):
-    uniforms = _replicate_uniforms(seed, replicates, 3)
-    return _theta_from_uniforms(prior, uniforms) + se * ndtri(uniforms[:, -1])
+    uniforms = _replicate_uniforms([seed], replicates, 3)
+    return _theta_from_uniforms([prior], uniforms) + se * ndtri(uniforms[:, -1])
+
+
+def batched_w2(update_prior, reference, ybar, se):
+    """The engine's W2 stage on one cell."""
+    return _batched_w2(reference, [update_prior], ybar[None], np.array([se]))[0]
+
+
+def kernel_w2(update_prior, reference, ybar, se):
+    """The transport kernel on one cell, at every draw."""
+    return _w2_mixture_update(reference, [update_prior], ybar[None], np.array([se]))[0]
 
 
 class QuantilesOnce:
@@ -212,11 +223,11 @@ class TestReplicateStreams:
                     .random(cols)
                     for i in range(1000)
                 ])
-                np.testing.assert_array_equal(_replicate_uniforms(seed, 1000, cols),
+                np.testing.assert_array_equal(_replicate_uniforms([seed], 1000, cols),
                                               np.clip(direct, 1e-16, 1.0 - 1e-16))
 
     def test_negative_seed_wraps(self):
-        u = _replicate_uniforms(-1, 2, 2)
+        u = _replicate_uniforms([-1], 2, 2)
         key = np.array([(1 << 64) - 1, 0], dtype=np.uint64)
         direct = Generator(Philox(key=key)).random(2)
         np.testing.assert_array_equal(u[0], np.clip(direct, 1e-16, 1.0 - 1e-16))
@@ -224,7 +235,7 @@ class TestReplicateStreams:
     def test_mixture_theta_uses_component_pick(self):
         mix = decision_maker_prior(CONSENSUS, PIONEER, 0.4)
         uniforms = np.array([[0.1, 0.5, 0.5], [0.9, 0.5, 0.5]])
-        theta = _theta_from_uniforms(mix, uniforms)
+        theta = _theta_from_uniforms([mix], uniforms)
         # u0 = 0.1 < 0.4 picks the pioneer median, u0 = 0.9 the consensus one.
         np.testing.assert_allclose(theta, [PIONEER.mu, CONSENSUS.mu], atol=1e-12)
 
@@ -239,7 +250,7 @@ class TestBatchedW2:
         else:
             mean, sd = mix.moments()
             ybar = mean + sd * sd_offsets
-        batched = _batched_w2(mix, CONSENSUS, ybar, se)
+        batched = batched_w2(mix, CONSENSUS, ybar, se)
         scalar = np.array([
             oracles.w2_quantile_gl4(CONSENSUS, update_mixture(mix, Study(float(y), se)))
             for y in ybar
@@ -254,7 +265,7 @@ class TestBatchedW2:
     ], ids=["separated_components", "sd_ratio_30"])
     def test_mixture_route_matches_dense_transport(self, mix, se):
         ybar = simulated_ybar(mix, se, seed=3, replicates=64)
-        batched = _batched_w2(mix, CONSENSUS, ybar, se)
+        batched = batched_w2(mix, CONSENSUS, ybar, se)
         dense = []
         for y in ybar:
             post = update_mixture(mix, Study(float(y), se))
@@ -282,7 +293,7 @@ class TestBatchedW2:
                                     for w, m, s in zip(weights, mus, sds)))
             mean, sd = mix.moments()
             ybar = mean + 1.5 * sd * rng.standard_normal(3)
-            for y, got in zip(ybar, _batched_w2(mix, CONSENSUS, ybar, se)):
+            for y, got in zip(ybar, batched_w2(mix, CONSENSUS, ybar, se)):
                 post = update_mixture(mix, Study(float(y), se))
                 parts = [(w, comp.mu, comp.sigma) for w, comp in post.components]
                 dense = oracles.transport_w2_dense(parts, CONSENSUS.mu, CONSENSUS.sigma,
@@ -305,7 +316,7 @@ class TestBatchedW2:
             "truncated_mixture_reference"])
     def test_non_normal_references_match_scalar_route(self, update_prior, reference, atol):
         ybar = simulated_ybar(update_prior, BASE_SE, seed=3, replicates=64)
-        batched = _batched_w2(update_prior, reference, ybar, BASE_SE)
+        batched = batched_w2(update_prior, reference, ybar, BASE_SE)
         once = QuantilesOnce(reference)
         scalar = [oracles.w2_quantile_gl4(once, update(update_prior, Study(float(y), BASE_SE)))
                   for y in ybar]
@@ -323,14 +334,14 @@ class TestBatchedW2:
         results = []
         for rows in (1000, 37):
             monkeypatch.setattr(prospective, "_BLOCK_ROWS", rows)
-            results.append(_w2_mixture_update(MIX_04, reference, ybar, BASE_SE).tobytes())
+            results.append(kernel_w2(MIX_04, reference, ybar, BASE_SE).tobytes())
         assert results[0] == results[1]
 
     def test_grid_references_take_the_per_replicate_route(self):
         grid = GridDensity([2.0, 3.0, 4.0], [0.25, 0.5, 0.25])
         reference = MixtureDist(((0.5, CONSENSUS), (0.5, grid)))
         ybar = simulated_ybar(MIX_04, BASE_SE, seed=3, replicates=4)
-        batched = _batched_w2(MIX_04, reference, ybar, BASE_SE)
+        batched = batched_w2(MIX_04, reference, ybar, BASE_SE)
         scalar = [wp_quantile(reference, update_mixture(MIX_04, Study(float(y), BASE_SE)),
                               nodes=DEFAULT_W2_NODES) for y in ybar]
         np.testing.assert_array_equal(batched, scalar)
@@ -341,14 +352,14 @@ class TestBatchedW2:
         consensus = TruncatedNormalDist(0.2, 0.4, 0.0, math.inf)
         blended = decision_maker_prior(consensus, NormalDist(0.0, 1.0), 0.5)
         se = SamplingModel(1.0, 50).std_error()
-        batched = _batched_w2(blended, consensus, np.array([ybar]), se)
+        batched = batched_w2(blended, consensus, np.array([ybar]), se)
         grid_post = update_grid(blended, Study(ybar, se), -6.0, 6.0, 20001)
         np.testing.assert_allclose(batched[0], wp_quantile(consensus, grid_post), atol=5e-4)
 
     def test_normal_route_matches_closed_form(self):
         se = SamplingModel(1.0, 4).std_error()
         ybar = np.linspace(-2.0, 8.0, 32)
-        batched = _batched_w2(CONSENSUS, PIONEER, ybar, se)
+        batched = batched_w2(CONSENSUS, PIONEER, ybar, se)
         scalar = []
         for y in ybar:
             mean, sd = oracles.conjugate_posterior(
@@ -381,13 +392,14 @@ def kernel_cases(draw):
 
 
 def count_kernel_rows(monkeypatch):
-    """Patch the kernel to record the rows of each call; returns that list."""
+    """Patch the kernel to record the rows of each call, over all its cells;
+    returns that list."""
     rows = []
     kernel = prospective._w2_mixture_update
 
-    def counted(update_prior, reference, ybar, se):
+    def counted(reference, priors, ybar, se):
         rows.append(ybar.size)
-        return kernel(update_prior, reference, ybar, se)
+        return kernel(reference, priors, ybar, se)
 
     monkeypatch.setattr(prospective, "_w2_mixture_update", counted)
     return rows
@@ -402,8 +414,8 @@ class TestChebyshevRoute:
     def test_matches_kernel_on_every_draw(self, case):
         prior, reference, se, seed = case
         ybar = simulated_ybar(prior, se, seed, replicates=600)
-        np.testing.assert_allclose(_batched_w2(prior, reference, ybar, se),
-                                   _w2_mixture_update(prior, reference, ybar, se),
+        np.testing.assert_allclose(batched_w2(prior, reference, ybar, se),
+                                   kernel_w2(prior, reference, ybar, se),
                                    rtol=0.0, atol=2e-10)
 
     @pytest.mark.xfail(strict=True, reason=(
@@ -416,8 +428,8 @@ class TestChebyshevRoute:
         reference = decision_maker_prior(CONSENSUS, PIONEER, 0.3)
         se = 4.9053542175871465
         ybar = simulated_ybar(prior, se, seed=0, replicates=600)
-        np.testing.assert_allclose(_batched_w2(prior, reference, ybar, se),
-                                   _w2_mixture_update(prior, reference, ybar, se),
+        np.testing.assert_allclose(batched_w2(prior, reference, ybar, se),
+                                   kernel_w2(prior, reference, ybar, se),
                                    rtol=0.0, atol=2e-10)
 
     def test_runs_the_kernel_on_nodes_not_draws(self, monkeypatch):
@@ -425,17 +437,17 @@ class TestChebyshevRoute:
         prior = decision_maker_prior(CONSENSUS, PIONEER, 0.5)
         se = SamplingModel(3.0, 50).std_error()
         ybar = simulated_ybar(prior, se, seed=7, replicates=500)
-        want = _w2_mixture_update(prior, CONSENSUS, ybar, se)
+        want = kernel_w2(prior, CONSENSUS, ybar, se)
         rows = count_kernel_rows(monkeypatch)
-        got = _batched_w2(prior, CONSENSUS, ybar, se)
+        got = batched_w2(prior, CONSENSUS, ybar, se)
         assert sum(rows) <= 257
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
     def test_separated_reference_falls_back_to_the_kernel_bytes(self, monkeypatch):
         ybar = simulated_ybar(MIX_04, BASE_SE, seed=7, replicates=500)
-        want = _w2_mixture_update(MIX_04, SEPARATED_REFERENCE, ybar, BASE_SE)
+        want = kernel_w2(MIX_04, SEPARATED_REFERENCE, ybar, BASE_SE)
         rows = count_kernel_rows(monkeypatch)
-        got = _batched_w2(MIX_04, SEPARATED_REFERENCE, ybar, BASE_SE)
+        got = batched_w2(MIX_04, SEPARATED_REFERENCE, ybar, BASE_SE)
         # Every level was tried, then the draws: 757 rows against 500.
         assert rows == [65, 64, 128, 500]
         assert got.tobytes() == want.tobytes()
@@ -444,10 +456,67 @@ class TestChebyshevRoute:
     def test_no_route_at_or_below_the_finest_level(self, monkeypatch, replicates):
         # The floor keeps every byte (and tests/golden/ with it).
         ybar = simulated_ybar(MIX_04, BASE_SE, seed=7, replicates=replicates)
-        want = _w2_mixture_update(MIX_04, CONSENSUS, ybar, BASE_SE)
+        want = kernel_w2(MIX_04, CONSENSUS, ybar, BASE_SE)
         rows = count_kernel_rows(monkeypatch)
-        assert _batched_w2(MIX_04, CONSENSUS, ybar, BASE_SE).tobytes() == want.tobytes()
+        assert batched_w2(MIX_04, CONSENSUS, ybar, BASE_SE).tobytes() == want.tobytes()
         assert rows == [replicates]
+
+
+TRUNCATED_BLEND = decision_maker_prior(TruncatedNormalDist(0.2, 0.4, 0.0, math.inf),
+                                       NormalDist(0.0, 1.0), 0.5)
+THREE_COMPONENTS = MixtureDist(((0.2, NormalDist(-2.0, 0.5)), (0.5, NormalDist(1.0, 1.0)),
+                                (0.3, NormalDist(4.0, 2.0))))
+# (reference, cells as (prior, model, seed)): the prior predicts and updates.
+# Against the normal reference: the closed form, the kernel with 2 and 3
+# components on Chebyshev nodes, and the per-replicate route. Against the
+# separated one: one component, and the base cell, which falls back to the
+# draws after every level.
+MIXED_SWEEPS = [
+    pytest.param(CONSENSUS, [(PIONEER, SamplingModel(3.0, 10), 1),
+                             (MIX_04, SamplingModel(3.0, 10), 2),
+                             (MIX_04, SamplingModel(3.0, 200), 3),
+                             (THREE_COMPONENTS, SamplingModel(3.0, 50), 4),
+                             (TRUNCATED_BLEND, SamplingModel(1.0, 50), 5)], id="normal_reference"),
+    pytest.param(SEPARATED_REFERENCE, [(PIONEER, SamplingModel(3.0, 10), 1),
+                                       (MIX_04, SamplingModel(2.0, 5), 7)], id="separated_reference"),
+]
+
+
+def engine(reference, cells, replicates=300):
+    return _expected_learning(reference, [(p, p, m.std_error(), seed) for p, m, seed in cells],
+                              replicates)
+
+
+def result_bytes(results):
+    return np.array([dataclasses.astuple(r) for r in results]).tobytes()
+
+
+class TestSweepEngine:
+    @pytest.mark.parametrize("reference, cells", MIXED_SWEEPS)
+    def test_each_cell_equals_its_one_cell_call(self, monkeypatch, reference, cells):
+        rows = count_kernel_rows(monkeypatch)
+        pooled = engine(reference, cells)
+        # Each kernel pass took every cell still open: no cell ran alone.
+        assert len(rows) == (3 if reference is CONSENSUS else 4)
+        alone = [expected_learning_mc(p, p, reference, m, replicates=300, seed=seed)
+                 for p, m, seed in cells]
+        assert result_bytes(pooled) == result_bytes(alone)
+
+    def test_a_cells_bytes_do_not_depend_on_its_company(self):
+        cells = MIXED_SWEEPS[0].values[1][:4]  # the kernel and closed-form cells
+        forward = engine(CONSENSUS, cells)
+        assert result_bytes(engine(CONSENSUS, cells[::-1])[::-1]) == result_bytes(forward)
+        odd, even = engine(CONSENSUS, cells[::2]), engine(CONSENSUS, cells[1::2])
+        assert result_bytes([odd[0], even[0], odd[1], even[1]]) == result_bytes(forward)
+
+    def test_figure5_pools_each_level_into_one_kernel_call(self, monkeypatch):
+        rows = count_kernel_rows(monkeypatch)
+        weight_sweep(CONSENSUS, PIONEER, 3.0, [i / 10 for i in range(11)], [10, 50, 200],
+                     replicates=500, seed=7)
+        # 27 mixture cells at 65 nodes, all 27 at 64 more, 17 at 128 more:
+        # 5,659 kernel rows, as when each cell ran alone.
+        assert rows == [27 * 65, 27 * 64, 17 * 128]
+        assert sum(rows) == 5659
 
 
 class TestWeightSweep:

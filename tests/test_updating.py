@@ -28,6 +28,7 @@ from beliefshift import (
     update_grid,
     update_mixture,
 )
+from beliefshift.updating import _conjugate_moments
 
 APPF_STUDY = Study(0.074, 0.121)
 LAWN_PRIOR = NormalDist(0.0, 5.0)
@@ -114,6 +115,29 @@ class TestConjugate:
             == NormalDist(0.0, 1e-300)
         assert update_conjugate(NormalDist(0.0, 1e300), Study(0.5, 1.0)) \
             == NormalDist(0.5, 1.0)
+
+    def test_scales_whose_hypot_overflows(self):
+        # hypot(sd, se) passes the largest double once both are past about
+        # 1.27e308; the posterior's own scales stay finite. The oracle runs
+        # at unit scale, as above.
+        c = 1e308
+        for mu, sd, est, se in ((0.0, 1.5, 0.0, 1.5), (0.3, 1.5, -0.2, 1.7), (0.0, 1.79, 1.0, 1.3)):
+            post = update_conjugate(NormalDist(c * mu, c * sd), Study(c * est, c * se))
+            mean, post_sd = oracles.conjugate_posterior(mu, sd, est, se)
+            np.testing.assert_allclose(post.mu, c * mean, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(post.sigma, c * post_sd, rtol=1e-12)
+        # The predictive sd, hypot(1.5e308, 1.5e308) = 2.1e308, is past the
+        # largest double, so the log density there reads -inf, not about -710.87.
+        assert log_predictive_density(NormalDist(0.0, 1.5e308), SamplingModel(1.5e308, 1),
+                                      0.0) == -math.inf
+
+    def test_overflow_rescue_leaves_finite_entries_bits(self):
+        sd, se = np.array([2.0, 1.5e308, 0.7]), np.array([3.0, 1.5e308, 1e-3])
+        mean, post_sd = _conjugate_moments(np.array([1.0, 0.0, -2.0]), sd, 0.5, se)
+        for i in (0, 2):
+            want_mean, want_sd = _conjugate_moments([1.0, 0.0, -2.0][i], sd[i], 0.5, se[i])
+            assert (mean[i], post_sd[i]) == (want_mean, want_sd)
+        assert post_sd[1] == 1.5e308 * (1.0 / math.sqrt(2.0))
 
     def test_sd_strictly_decreases(self):
         rng = default_rng(42)
@@ -280,6 +304,23 @@ class TestUpdateMixture:
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(DegenerateError):
                 update_mixture(self.MIX, Study(1e200, 1.0))
+
+    def test_grid_component_that_underflows_drops(self):
+        # The grid's likelihood underflows at both nodes, so its weight is 0;
+        # the normal component carries the study.
+        study = Study(1e200, 1.0)
+        mix = MixtureDist(((0.5, NormalDist(0.0, 1e160)),
+                           (0.5, GridDensity([0.0, 1.0], [0.5, 0.5]))))
+        assert update_mixture(mix, study).components == (
+            (1.0, update_conjugate(NormalDist(0.0, 1e160), study)),)
+
+    def test_every_component_underflowing_raises(self):
+        mix = MixtureDist(((0.5, NormalDist(0.0, 1.0)),
+                           (0.5, GridDensity([0.0, 1.0], [0.5, 0.5]))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(DegenerateError):
+                update_mixture(mix, Study(1e200, 1.0))
 
     def test_rejects_non_mixture(self):
         with pytest.raises(UnsupportedPriorError):
