@@ -17,7 +17,7 @@ from ..distributions import (DEFAULT_GRID_NODES, MIN_GRID_NODES, Distribution1D,
                              json_object)
 from ..errors import ScenarioError
 from ..prospective import DEFAULT_REPLICATES, MIN_REPLICATES
-from ..updating import Study
+from ..updating import SamplingModel, Study
 
 __all__ = [
     "GridSpec",
@@ -80,15 +80,16 @@ class ProspectiveConfig:
         object.__setattr__(self, "ns", tuple(int(n) for n in self.ns))
         object.__setattr__(self, "sigma", float(self.sigma))
         object.__setattr__(self, "replicates", int(self.replicates))
-        for name, low, high, rule in (("weights", 0.0, 1.0, "lie in [0, 1]"),
-                                      ("ns", 1, float("inf"), "be at least 1")):
+        for name in ("weights", "ns"):
             if not getattr(self, name):
                 raise ValueError(f"prospective_config.{name}: must be nonempty")
-            for j, value in enumerate(getattr(self, name)):
-                if not low <= value <= high:
-                    raise ValueError(f"prospective_config.{name}[{j}]: must {rule}")
-        if not 0.0 < self.sigma < float("inf"):
-            raise ValueError("prospective_config.sigma: must be positive and finite")
+        for j, w in enumerate(self.weights):
+            if not 0.0 <= w <= 1.0:
+                raise ValueError(f"prospective_config.weights[{j}]: must lie in [0, 1]")
+        # SamplingModel owns the sigma and n rules.
+        at_path("prospective_config.sigma", SamplingModel, self.sigma, 1)
+        for j, n in enumerate(self.ns):
+            at_path(f"prospective_config.ns[{j}]", SamplingModel, self.sigma, n)
         if self.replicates < MIN_REPLICATES:
             raise ValueError(f"prospective_config.replicates: must be at least {MIN_REPLICATES}")
 

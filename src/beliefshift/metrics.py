@@ -1,8 +1,8 @@
 """Learning metrics between a prior and a posterior.
 
 The headline metric is the Wasserstein-2 distance: closed form for
-normal pairs, quantile-function quadrature for general 1D pairs, and an
-exact assignment for equal-size point clouds in any dimension.
+normal pairs, quantile-function quadrature for general 1D pairs, and the
+rank coupling of equal-size point clouds on the line.
 KL divergence and Lindley information (closed form for normals and
 truncated normals, summed on a shared grid otherwise), log surprisal, and
 quadratic-loss expectations ride along as comparators, and
@@ -139,71 +139,31 @@ def wp_quantile(a, b, p: float = 2.0, nodes: int = DEFAULT_QUANTILE_NODES) -> fl
     return total ** (1.0 / p)
 
 
-def _assignment(cost: np.ndarray) -> np.ndarray:
-    """Column of each row in a least-cost perfect matching of a square cost
-    matrix, by shortest augmenting paths on reduced costs (Crouse 2016, "On
-    implementing 2D rectangular assignment algorithms"). Each row starts one
-    Dijkstra search over the columns; the duals u, v keep every reduced cost
-    cost[i, j] - u[i] - v[j] nonnegative, so the search stays exact.
-    """
-    n = cost.shape[0]
-    u, v = np.zeros(n), np.zeros(n)
-    col_of, row_of = np.full(n, -1), np.full(n, -1)
-    for start in range(n):
-        dist = np.full(n, np.inf)  # shortest reduced path to each column
-        via = np.zeros(n, dtype=int)  # the row each column was reached from
-        open_ = np.ones(n, dtype=bool)  # columns whose distance is not final
-        i, reach, rows = start, 0.0, [start]
-        while True:
-            r = reach + cost[i] - u[i] - v
-            closer = open_ & (r < dist)
-            dist[closer], via[closer] = r[closer], i
-            j = int(np.argmin(np.where(open_, dist, np.inf)))
-            reach, open_[j] = dist[j], False
-            if row_of[j] < 0:
-                break
-            i = row_of[j]
-            rows.append(i)
-        u[start] += reach
-        u[rows[1:]] += reach - dist[col_of[rows[1:]]]
-        v[~open_] -= reach - dist[~open_]
-        while True:  # flip the path's edges back to the start row
-            i = via[j]
-            row_of[j] = i
-            col_of[i], j = j, col_of[i]
-            if i == start:
-                break
-    return col_of
-
-
 def wasserstein_discrete(a, b, p: float = 2.0) -> tuple[float, np.ndarray]:
-    """Exact Wasserstein-p between two equal-size point clouds, mass 1/n on
-    each point, in any dimension.
+    """Exact Wasserstein-p between two equal-size point clouds on the line,
+    mass 1/n on each point.
 
-    ``a`` and ``b`` share a shape, (n,) or (n, d); the cost is the Euclidean
-    distance to the p-th power. Some permutation is an optimal plan
-    (Birkhoff-von Neumann), so this returns the optimal cost to the power
-    1/p and ``match``, a read-only int array: a's point i moves to b's point
-    ``match[i]``.
+    On the line the rank coupling is optimal for every p >= 1 (Villani 2003,
+    *Topics in Optimal Transportation*, ch. 2), so this pairs the clouds'
+    sorted points and returns the mean cost to the power 1/p, and ``match``,
+    a read-only int array: a's point i moves to b's point ``match[i]``.
     """
     p = _order(p)
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim not in (1, 2) or a.size == 0:
-        raise ValueError(f"point clouds must share a nonempty (n,) or (n, d) shape, "
-                         f"not {a.shape} and {b.shape}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("points must be finite")
-    a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
-    with np.errstate(over="ignore"):
-        # hypot, not a root of squares: a distance that fits stays finite. The
-        # abs is for d = 1, where the reduce returns the one coordinate as is.
-        cost = np.hypot.reduce(np.abs(a[:, None, :] - b[None, :, :]), axis=2) ** p
-        total = cost.sum()
+    if a.shape != b.shape or a.ndim != 1 or a.size == 0:
+        raise ValueError(f"point clouds must share a nonempty (n,) shape, "
+                         f"not {a.shape} and {b.shape}")
+    ia, ib = np.argsort(a, kind="stable"), np.argsort(b, kind="stable")
+    with np.errstate(over="ignore"):  # a difference or its p-th power past the largest double
+        total = (np.abs(a[ia] - b[ib]) ** p).sum()
     if not math.isfinite(total):
         raise ValueError(f"the order-{p:g} transport cost overflows")
-    match = _assignment(cost)
+    match = np.empty_like(ia)
+    match[ia] = ib
     match.setflags(write=False)
-    return float(np.mean(cost[np.arange(len(a)), match])) ** (1.0 / p), match
+    return float(total / a.size) ** (1.0 / p), match
 
 
 def _log_mass_and_sq(p_dist, q_dist) -> tuple[float, float]:

@@ -117,8 +117,12 @@ def _bayes(prior: Distribution1D, study: Study) -> tuple[Optional[Distribution1D
         mu, sd = _conjugate_moments(prior.mu, prior.sigma, study.estimate, se)
         post = (NormalDist(float(mu), float(sd)) if isinstance(prior, NormalDist)
                 else TruncatedNormalDist(float(mu), float(sd), prior.lower, prior.upper))
-        return post, float(norm_logpdf(study.estimate, prior.mu, math.hypot(prior.sigma, se))
-                           + post._log_mass - prior._log_mass)
+        # Past about 1.27e308 the hypot overflows: work at 1/max(sigma, se), as
+        # _conjugate_moments does; 1.0 keeps every finite case's bits.
+        scale = 1.0 if math.isfinite(math.hypot(prior.sigma, se)) else max(prior.sigma, se)
+        log_latent = norm_logpdf(study.estimate / scale, prior.mu / scale,
+                                 math.hypot(prior.sigma / scale, se / scale)) - math.log(scale)
+        return post, float(log_latent + post._log_mass - prior._log_mass)
     if isinstance(prior, GridDensity):
         with np.errstate(divide="ignore", over="ignore"):  # a likelihood that underflows
             log_post = np.where(prior.ws > 0.0, np.log(prior.ws), -np.inf)

@@ -810,8 +810,11 @@ class TestCommandLine:
         ({"sigma": math.inf}, [], "prospective_config.sigma"),
         ({"weights": []}, [], "prospective_config.weights"),
         ({"ns": []}, [], "prospective_config.ns"),
+        ({"sigma": 0}, [], "prospective_config.sigma"),
+        ({"ns": [0]}, [], "prospective_config.ns[0]"),
         ({}, ["--replicates", "5"], "--replicates"),
-    ], ids=["sigma_nan", "sigma_inf", "weights_empty", "ns_empty", "replicates_flag"])
+    ], ids=["sigma_nan", "sigma_inf", "weights_empty", "ns_empty", "sigma_zero", "n_zero",
+            "replicates_flag"])
     def test_prospective_range_errors_name_the_field(self, tmp_path, capsys, change, argv, field):
         scenario = tmp_path / "cell.json"
         scenario.write_text(json.dumps({

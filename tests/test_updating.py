@@ -127,9 +127,14 @@ class TestConjugate:
             np.testing.assert_allclose(post.mu, c * mean, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(post.sigma, c * post_sd, rtol=1e-12)
         # The predictive sd, hypot(1.5e308, 1.5e308) = 2.1e308, is past the
-        # largest double, so the log density there reads -inf, not about -710.87.
-        assert log_predictive_density(NormalDist(0.0, 1.5e308), SamplingModel(1.5e308, 1),
-                                      0.0) == -math.inf
+        # largest double; -log(sqrt(2 pi) * 2.1e308) by 30-digit mpmath.
+        value = log_predictive_density(NormalDist(0.0, 1.5e308), SamplingModel(1.5e308, 1), 0.0)
+        np.testing.assert_allclose(value, -710.867185873759, rtol=1e-12)
+        prior = TruncatedNormalDist(0.0, 1.5e308, 2e307, math.inf)
+        value = log_predictive_density(prior, SamplingModel(1.5e308, 1), 1e308)
+        expected = oracles.truncnorm_log_predictive_exact(
+            prior.mu, prior.sigma, prior.lower, prior.upper, 1e308, 1.5e308)
+        np.testing.assert_allclose(value, expected, rtol=1e-12)
 
     def test_overflow_rescue_leaves_finite_entries_bits(self):
         sd, se = np.array([2.0, 1.5e308, 0.7]), np.array([3.0, 1.5e308, 1e-3])
