@@ -14,7 +14,6 @@ from .distributions import (
     NormalDist,
     TruncatedNormalDist,
     dist_from_literal,
-    dist_to_literal,
     to_grid,
 )
 from .errors import (
@@ -70,7 +69,6 @@ __all__ = [
     "GridDensity",
     "MixtureDist",
     "to_grid",
-    "dist_to_literal",
     "dist_from_literal",
     # errors
     "BeliefShiftError",

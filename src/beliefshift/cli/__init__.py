@@ -9,7 +9,6 @@ from .scenarios import (
     Scenario,
     load_scenario,
     parse_scenario,
-    serialize_scenario,
 )
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "ReplicationResult",
     "load_scenario",
     "parse_scenario",
-    "serialize_scenario",
     "run_replicate_paper",
     "run_retrospective",
     "run_prospective",

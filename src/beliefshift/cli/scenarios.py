@@ -1,4 +1,4 @@
-"""Scenario files: JSON ingestion, validation, and round-trip serialization.
+"""Scenario files: JSON ingestion and validation.
 
 A scenario bundles everything one analysis needs: a kind tag, the input
 beliefs, the studies or sweep configuration, a seed, and an optional grid
@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..distributions import (DEFAULT_GRID_NODES, MIN_GRID_NODES, Distribution1D, _dist_at,
-                             at_path, dist_to_literal, json_int, json_list, json_number,
-                             json_object)
+                             at_path, json_int, json_list, json_number, json_object)
 from ..errors import ScenarioError
 from ..prospective import DEFAULT_REPLICATES, MIN_REPLICATES
 from ..updating import SamplingModel, Study
@@ -26,7 +25,6 @@ __all__ = [
     "Scenario",
     "SCENARIO_KINDS",
     "parse_scenario",
-    "serialize_scenario",
     "load_scenario",
 ]
 
@@ -184,42 +182,6 @@ def parse_scenario(obj) -> Scenario:
         )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
-
-
-def serialize_scenario(scenario: Scenario) -> dict:
-    """JSON-ready dict; parse_scenario(serialize_scenario(s)) == s."""
-    out: dict = {"kind": scenario.kind, "seed": scenario.seed}
-    if scenario.prior is not None:
-        out["prior"] = dist_to_literal(scenario.prior)
-    if scenario.studies:
-        out["studies"] = [
-            {"estimate": s.estimate, "std_error": s.std_error} for s in scenario.studies
-        ]
-    if scenario.posteriors:
-        entries = []
-        for spec in scenario.posteriors:
-            entry: dict = {"label": spec.label}
-            if spec.dist is not None:
-                entry["dist"] = dist_to_literal(spec.dist)
-            else:
-                entry["study"] = {"estimate": spec.study.estimate,
-                                  "std_error": spec.study.std_error}
-            entries.append(entry)
-        out["posteriors"] = entries
-    if scenario.prospective_config is not None:
-        cfg = scenario.prospective_config
-        out["prospective_config"] = {
-            "consensus": dist_to_literal(cfg.consensus),
-            "pioneer": dist_to_literal(cfg.pioneer),
-            "weights": list(cfg.weights),
-            "ns": list(cfg.ns),
-            "sigma": cfg.sigma,
-            "replicates": cfg.replicates,
-        }
-    if scenario.grid is not None:
-        out["grid"] = {"lo": scenario.grid.lo, "hi": scenario.grid.hi,
-                       "nodes": scenario.grid.nodes}
-    return out
 
 
 def load_scenario(path: str) -> Scenario:

@@ -42,7 +42,6 @@ __all__ = [
     "Distribution1D",
     "to_grid",
     "dist_from_literal",
-    "dist_to_literal",
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -661,31 +660,8 @@ def to_grid(d: Distribution1D, lo: float, hi: float,
     return GridDensity(xs, raw / total)
 
 
-def dist_to_literal(d: Distribution1D) -> dict:
-    """Serialize a distribution to its tagged scenario-file literal."""
-    if isinstance(d, NormalDist):
-        return {"type": "normal", "mu": d.mu, "sigma": d.sigma}
-    if isinstance(d, TruncatedNormalDist):
-        out = {"type": "trunc_normal", "mu": d.mu, "sigma": d.sigma}
-        if not math.isinf(d.lower):
-            out["lower"] = d.lower
-        if not math.isinf(d.upper):
-            out["upper"] = d.upper
-        return out
-    if isinstance(d, MixtureDist):
-        return {
-            "type": "mixture",
-            "components": [
-                {"weight": w, "dist": dist_to_literal(comp)} for w, comp in d.components
-            ],
-        }
-    if isinstance(d, GridDensity):
-        return {"type": "grid", "xs": d.xs.tolist(), "ws": d.ws.tolist()}
-    raise ValueError(f"cannot serialize {type(d).__name__}")
-
-
 def dist_from_literal(obj) -> Distribution1D:
-    """Parse the tagged literal form produced by :func:`dist_to_literal`.
+    """Parse a distribution's tagged scenario-file literal.
 
     Raises ValueError whose message starts with the offending field's path,
     ``literal.components[1].dist.sigma: expected a number`` for instance."""

@@ -11,13 +11,15 @@ Gauss-Legendre panels laid out from each posterior component's mean and
 sd, with the posterior cdf only evaluated forward, one pass per component,
 in fixed-size blocks of replicates on one thread. With more than 257
 replicates that kernel runs at nested Chebyshev-Lobatto nodes in ybar (65,
-129, then 257) rather than at every draw: the first level whose trailing
-coefficients put the error in W2 at most 1e-11 of the largest W2 is summed
-at the draws, and a cell where none does runs the kernel on the draws.
-Figure 5's cells at 2,500 replicates move by at most 6e-13 of their
-``mc_std_error``. A normal pair is closed form, and everything else takes
-exact per-replicate updates and quantile quadrature. The all-normal
-identity case has an exact closed form to check the machinery against.
+129, then 257) rather than at every draw. The nodes span the inner draws;
+the 0.5% at each end run the kernel in the first level's call. The first
+level whose trailing coefficients put the error in W2 at most 1e-11 of the
+largest W2 is summed at the inner draws, and a cell where none does runs the
+kernel on them. Figure 5's cells at 2,500 replicates move by at most
+1.5e-13 of their ``mc_std_error``. A normal pair is closed form, and
+everything else takes exact per-replicate updates and quantile quadrature.
+The all-normal identity case has an exact closed form to check the
+machinery against.
 """
 
 from __future__ import annotations
@@ -75,9 +77,15 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _TINY = np.finfo(float).tiny  # levels are floored here: the map's far tail has no mass
 _TOP = 1.0 - 2.0**-53  # the largest double below 1
 # Chebyshev route in ybar: nested Chebyshev-Lobatto levels, and the error
-# target on W2 relative to the largest W2 on the draws' range.
+# target on W2 relative to the largest W2 on the inner draws' range.
 _CHEB_LEVELS = (64, 128, 256)
 _CHEB_RTOL = 1e-11
+# The series is fitted on the inner draws; ceil(draws / _CHEB_ENDS) at each
+# end (0.5%) run the kernel. On Figure 5 at 500 replicates the extreme draws
+# stretched [min, max] from about [-5.8, 5.6] to [-8, 10], and 17 of the 27
+# mixture cells needed 257 nodes there; on the inner range all take 129, and
+# the kernel rows fall from 5,659 to 3,645.
+_CHEB_ENDS = 200
 _CHUNK_DRAWS = 4096  # streams and Clenshaw sums take cells in runs of this many draws
 
 
@@ -327,31 +335,56 @@ def _chebyshev_w2(reference: Distribution1D, priors: Sequence[Distribution1D], y
 
     The posterior depends on the study only through ybar, and W2^2 is
     analytic in ybar (W2 itself has a near-kink where the posterior's sd
-    crosses the reference's), so the Chebyshev series of W2^2 on
-    [min ybar, max ybar] converges geometrically (Trefethen, Approximation
-    Theory and Approximation Practice, ch. 8). Levels of 65, 129 and 257
-    nodes are nested: each adds the odd nodes. The coefficients come from a
-    DCT-I by FFT. Twice the sum of the last eighth of them estimates the
-    error in W2^2, the series' tail aliased onto the nodes; the largest of
-    the last 8 alone read slowly converging series 20-30x low. A level is
-    accepted when that error, carried through the square root where W2 is
-    smallest, is at most _CHEB_RTOL of the largest W2. The series is then
-    summed at the draws by Clenshaw.
+    crosses the reference's), so its Chebyshev series converges
+    geometrically, at a rate set by how far the nearest complex singularity
+    lies from the interval relative to its half-width (Trefethen,
+    Approximation Theory and Approximation Practice, ch. 8). The series is
+    fitted on the range of each row's inner draws: the ceil(draws /
+    _CHEB_ENDS) draws at each end, picked by a stable argsort, run the kernel
+    themselves, in the first level's call. Levels of 65, 129 and 257 nodes
+    are nested: each adds the odd nodes. The coefficients come from a DCT-I
+    by FFT. Twice the sum of the last eighth of them estimates the error in
+    W2^2, the series' tail aliased onto the nodes; the largest of the last 8
+    alone read slowly converging series 20-30x low. A level is accepted when
+    that error, carried through the square root where W2 is smallest, is at
+    most _CHEB_RTOL of the largest W2. The series is then summed at the inner
+    draws by Clenshaw, which never leaves [-1, 1].
 
-    Each level runs the kernel once, on the new nodes of the rows in open_,
+    Each level runs the kernel once, on the new nodes of the rows still open,
     and Clenshaw once per _CHUNK_DRAWS draws of the rows it passes. Accepted
-    rows are written to out, and the rows no level accepts are returned.
+    rows are written to out; the rows no level accepts run the kernel on
+    their inner draws, in one more call. The rows of open_ whose inner draws
+    are all equal have no range to fit, and are returned untouched.
     """
-    lo, hi = ybar.min(axis=1), ybar.max(axis=1)
+    if not open_.size:
+        return open_
+    ends = -(-ybar.shape[1] // _CHEB_ENDS)
+    inner, edges = slice(ends, -ends), np.r_[:ends, -ends:0]
+    ys = ybar[open_]
+    order = ys.argsort(axis=1, kind="stable")
+    ys = np.take_along_axis(ys, order, axis=1)
+    lo, hi = ys[:, ends], ys[:, -1 - ends]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    live = np.flatnonzero(hi > lo)  # positions in open_ of the rows still open
+
+    def kernel(rows, y):
+        return _w2_mixture_update(reference, [priors[i] for i in open_[rows]], y, se[open_[rows]])
+
+    def write(rows, cols, w2):
+        out[open_[rows, None], order[rows][:, cols]] = w2
+
     sq = None
     for n in _CHEB_LEVELS:
-        if not open_.size:
+        if not live.size:
             break
         j = np.arange(n + 1) if sq is None else np.arange(1, n, 2)
-        nodes = mid[open_, None] + half[open_, None] * np.cos(np.pi * j / n)
-        new = _w2_mixture_update(reference, [priors[i] for i in open_], nodes, se[open_])**2
-        sq = new if sq is None else np.insert(sq, np.arange(1, sq.shape[1]), new, axis=1)
+        nodes = mid[live, None] + half[live, None] * np.cos(np.pi * j / n)
+        if sq is None:
+            new = kernel(live, np.concatenate([nodes, ys[live][:, edges]], axis=1))
+            write(live, edges, new[:, n + 1:])
+            sq = new[:, :n + 1]**2
+        else:
+            sq = np.insert(sq, np.arange(1, sq.shape[1]), kernel(live, nodes)**2, axis=1)
         coef = np.fft.rfft(np.concatenate([sq, sq[:, -2:0:-1]], axis=1)).real / n
         coef[:, [0, -1]] *= 0.5
         err = 2.0 * np.abs(coef[:, -(n // 8):]).sum(axis=1)
@@ -360,17 +393,21 @@ def _chebyshev_w2(reference: Distribution1D, priors: Sequence[Distribution1D], y
         # only then, and the test repeated on its smallest value there.
         low = sq.min(axis=1)
         passed = np.flatnonzero(err <= budget * (np.sqrt(low) + np.sqrt(low + err)))
-        accepted = np.zeros(open_.size, dtype=bool)
+        accepted = np.zeros(live.size, dtype=bool)
         step = max(1, _CHUNK_DRAWS // ybar.shape[1])
         for p in (passed[start:start + step] for start in range(0, passed.size, step)):
-            x = (ybar[open_[p]] - mid[open_[p], None]) / half[open_[p], None]
+            rows = live[p]
+            x = (ys[rows, inner] - mid[rows, None]) / half[rows, None]
+            np.clip(x, -1.0, 1.0, out=x)  # rounding only: the inner draws span [lo, hi]
             at = np.polynomial.chebyshev.chebval(x, coef[p].T[:, :, None], tensor=False)
             low = np.maximum(at, 0.0, out=at).min(axis=1)
             ok = err[p] <= budget[p] * (np.sqrt(low) + np.sqrt(low + err[p]))
-            out[open_[p[ok]]] = np.sqrt(at[ok])
+            write(rows[ok], inner, np.sqrt(at[ok]))
             accepted[p[ok]] = True
-        open_, sq = open_[~accepted], sq[~accepted]
-    return open_
+        live, sq = live[~accepted], sq[~accepted]
+    if live.size:
+        write(live, inner, kernel(live, ys[live, inner]))
+    return open_[hi <= lo]
 
 
 def _batched_w2(reference: Distribution1D, priors: Sequence[Distribution1D],
@@ -386,12 +423,11 @@ def _batched_w2(reference: Distribution1D, priors: Sequence[Distribution1D],
         if isinstance(prior, NormalDist) and isinstance(reference, NormalDist):
             out[i] = _w2_normal_update(prior, reference, ybar[i], se[i])
         elif kernel and all(isinstance(c, NormalDist) for _, c in _components(prior)):
-            fits = ybar.shape[1] > _CHEB_LEVELS[-1] + 1 and ybar[i].max() > ybar[i].min()
-            (nodes if fits else draws).append(i)
+            (nodes if ybar.shape[1] > _CHEB_LEVELS[-1] + 1 else draws).append(i)
         else:  # general fallback: exact per-replicate updates, no silent skipping
             out[i] = [wp_quantile(reference, update(prior, Study(float(y), float(se[i]))),
                                   p=2.0, nodes=DEFAULT_W2_NODES) for y in ybar[i]]
-    # A row that no level accepts runs the kernel on its draws.
+    # A row whose inner draws are all equal runs the kernel on its draws.
     draws += list(_chebyshev_w2(reference, priors, ybar, se, out, np.array(nodes, dtype=int)))
     if draws:
         out[draws] = _w2_mixture_update(reference, [priors[i] for i in draws],
@@ -441,10 +477,11 @@ def expected_learning_mc(predictive_prior: Distribution1D,
     W2 is closed form for a normal update prior against a normal
     reference, and the transport-map kernel for normal or normal-mixture
     update priors against references without grid components. With more
-    than 257 replicates the kernel runs at Chebyshev nodes in ybar and the
-    series of W2^2 is summed at the draws, when its trailing coefficients
-    put the error in W2 at most 1e-11 of the largest W2; otherwise it runs
-    on every draw. Update priors with truncated or grid components, and
+    than 257 replicates the kernel runs at Chebyshev nodes spanning the inner
+    draws and at the 0.5% of draws at each end, and the series of W2^2 is
+    summed at the inner draws when its trailing coefficients put the error
+    in W2 at most 1e-11 of the largest W2; otherwise the kernel runs on
+    every draw. Update priors with truncated or grid components, and
     references with grid components, take the per-replicate route: an exact
     update each, and the quantile formula on ``DEFAULT_W2_NODES`` nodes.
     """

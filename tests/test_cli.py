@@ -25,7 +25,6 @@ from beliefshift import (
     MixtureDist,
     NormalDist,
     ScenarioError,
-    dist_to_literal,
     learning_report,
 )
 from beliefshift.cli import (
@@ -36,13 +35,13 @@ from beliefshift.cli import (
     run_compare,
     run_prospective,
     run_retrospective,
-    serialize_scenario,
 )
 from beliefshift.cli import replication
 from beliefshift.cli.main import _report_rows, _write_out
 from beliefshift.cli.replication import make_check
 from beliefshift.distributions import DEFAULT_GRID_NODES
 from beliefshift.prospective import DEFAULT_REPLICATES, MIN_REPLICATES
+from literals import dist_to_literal, serialize_scenario
 from test_distributions import truncations
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

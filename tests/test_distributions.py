@@ -18,10 +18,10 @@ from beliefshift import (
     TailMassError,
     TruncatedNormalDist,
     dist_from_literal,
-    dist_to_literal,
     to_grid,
 )
 from beliefshift import distributions
+from literals import dist_to_literal
 
 STD_NORMAL = NormalDist(0.0, 1.0)
 TRUNC = TruncatedNormalDist(0.2, 0.4, 0.0, math.inf)

@@ -448,9 +448,30 @@ class TestChebyshevRoute:
         want = kernel_w2(MIX_04, SEPARATED_REFERENCE, ybar, BASE_SE)
         rows = count_kernel_rows(monkeypatch)
         got = batched_w2(MIX_04, SEPARATED_REFERENCE, ybar, BASE_SE)
-        # Every level was tried, then the draws: 757 rows against 500.
-        assert rows == [65, 64, 128, 500]
+        # Every level was tried, the 3 end draws at each end in the first
+        # call, then the 494 inner draws: 757 rows against 500, none twice.
+        assert rows == [65 + 6, 64, 128, 494]
         assert got.tobytes() == want.tobytes()
+
+    def test_equal_inner_draws_run_the_kernel_on_every_draw(self, monkeypatch):
+        # The draws span [-4, 8], but the inner ones, which the series would
+        # be fitted on, span nothing.
+        ybar = np.full(500, 2.5)
+        ybar[:3], ybar[-3:] = [-4.0, -3.0, -2.0], [6.0, 7.0, 8.0]
+        want = kernel_w2(MIX_04, CONSENSUS, ybar, BASE_SE)
+        rows = count_kernel_rows(monkeypatch)
+        assert batched_w2(MIX_04, CONSENSUS, ybar, BASE_SE).tobytes() == want.tobytes()
+        assert rows == [500]
+
+    def test_far_outlier_takes_the_kernel_not_the_series(self):
+        # Against the inner range, a draw at 1e4 sits near x = 1,400, where
+        # T_128 is past the largest double; it runs the kernel instead.
+        ybar = simulated_ybar(MIX_04, BASE_SE, seed=7, replicates=500)
+        ybar[0] = 1e4
+        want = kernel_w2(MIX_04, CONSENSUS, ybar, BASE_SE)
+        got = batched_w2(MIX_04, CONSENSUS, ybar, BASE_SE)
+        assert got[0].tobytes() == want[0].tobytes()
+        np.testing.assert_allclose(got[1:], want[1:], rtol=0.0, atol=1e-11 * want[1:].max())
 
     @pytest.mark.parametrize("replicates", [MIN_REPLICATES, 257])
     def test_no_route_at_or_below_the_finest_level(self, monkeypatch, replicates):
@@ -513,10 +534,31 @@ class TestSweepEngine:
         rows = count_kernel_rows(monkeypatch)
         weight_sweep(CONSENSUS, PIONEER, 3.0, [i / 10 for i in range(11)], [10, 50, 200],
                      replicates=500, seed=7)
-        # 27 mixture cells at 65 nodes, all 27 at 64 more, 17 at 128 more:
-        # 5,659 kernel rows, as when each cell ran alone.
-        assert rows == [27 * 65, 27 * 64, 17 * 128]
-        assert sum(rows) == 5659
+        # 27 mixture cells at 65 nodes and their 3 end draws at each end, then
+        # all 27 at 64 more: 3,645 kernel rows, as when each cell ran alone.
+        assert rows == [27 * 71, 27 * 64]
+        assert sum(rows) == 3645
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("replicates", [300, 2500])
+    def test_figure5_cells_match_the_kernel_on_every_draw(self, monkeypatch, replicates, seed):
+        stage = []
+        batched = prospective._batched_w2
+
+        def recorded(*args):
+            stage.extend(args)
+            return batched(*args)
+
+        monkeypatch.setattr(prospective, "_batched_w2", recorded)
+        weight_sweep(CONSENSUS, PIONEER, 3.0, [i / 10 for i in range(11)], [10, 50, 200],
+                     replicates=replicates, seed=seed)
+        reference, priors, ybar, se = stage
+        mixtures = [i for i, prior in enumerate(priors) if isinstance(prior, MixtureDist)]
+        assert len(mixtures) == 27
+        got = batched(reference, priors, ybar, se)[mixtures]
+        want = _w2_mixture_update(reference, [priors[i] for i in mixtures],
+                                  ybar[mixtures], se[mixtures])
+        assert (np.abs(got - want) <= 1e-11 * want.max(axis=1, keepdims=True)).all()
 
 
 class TestWeightSweep:
