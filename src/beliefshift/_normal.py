@@ -1,9 +1,9 @@
 """Standard-normal special functions on numpy alone.
 
-``ndtr``, ``log_ndtr``, ``ndtri``, ``ndtri_exp``, ``erfcx`` and
-``logsumexp`` take scalars or arrays and are tail safe: each keeps its
-relative digits as far out as a double reaches, and each returns the
-customary values at infinities and at the ends of its domain.
+``ndtr``, ``log_ndtr``, ``ndtri``, ``ndtri_exp`` and ``erfcx`` take
+scalars or arrays and are tail safe: each keeps its relative digits as
+far out as a double reaches, and each returns the customary values at
+infinities and at the ends of its domain.
 
 Phi and erfcx use the rational erfc forms of Cody (1969, Math. Comp. 23)
 as tabulated in Moshier's Cephes library (1989, ndtr.c), each on its own
@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-__all__ = ["ndtr", "log_ndtr", "ndtri", "ndtri_exp", "erfcx", "logsumexp"]
+__all__ = ["ndtr", "log_ndtr", "ndtri", "ndtri_exp", "erfcx"]
 
 _SQRT_HALF = math.sqrt(0.5)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -298,17 +298,3 @@ def ndtri_exp(y):
     _fill(out, np.isfinite(y) & (y <= _LOG_HALF), lambda ym: _ndtri_lower(np.exp(ym), ym), y)
     out[y == -np.inf] = -np.inf
     return _restore(out, scalar)
-
-
-def logsumexp(a):
-    """log(sum(exp(a))) over all elements. The largest terms are summed
-    apart and the rest enter through log1p (Blanchard, Higham and Higham,
-    IMA J. Numer. Anal. 41, 2021); -inf when every term is -inf."""
-    a = np.asarray(a, dtype=float)
-    top = a.max()
-    if not np.isfinite(top):
-        return top  # -inf (every term -inf), inf, or nan
-    ties = a == top
-    m = float(np.count_nonzero(ties))
-    s = np.exp(np.where(ties, -np.inf, a) - top).sum()
-    return np.log1p(s / m) + np.log(m) + top

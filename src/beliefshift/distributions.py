@@ -687,7 +687,10 @@ def json_object(value, path: str, allowed=None, required=()) -> dict:
 def json_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{path}: expected a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal past the largest double
+        raise ValueError(f"{path}: expected a number within the range of a double") from None
 
 
 def json_int(value, path: str) -> int:

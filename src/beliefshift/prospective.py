@@ -37,10 +37,10 @@ from .distributions import (
     MixtureDist,
     NormalDist,
     _mixture_quantiles,
-    norm_logpdf,
 )
+from .errors import DegenerateError
 from .metrics import wp_quantile
-from .updating import SamplingModel, Study, _conjugate_moments, update
+from .updating import SamplingModel, Study, _bayes, _conjugate_moments, _reweight
 
 __all__ = [
     "ExpectedLearning",
@@ -216,7 +216,7 @@ def _components(d: Distribution1D):
 
 def _w2_normal_update(update_prior: NormalDist, reference: NormalDist,
                       ybar: np.ndarray, se: float) -> np.ndarray:
-    post_mu, post_sd = _conjugate_moments(update_prior.mu, update_prior.sigma, ybar, se)
+    post_mu, post_sd, _ = _conjugate_moments(update_prior.mu, update_prior.sigma, ybar, se)
     return np.hypot(post_mu - reference.mu, post_sd - reference.sigma)
 
 
@@ -313,12 +313,9 @@ def _w2_mixture_update(reference: Distribution1D, priors: Sequence[Distribution1
         params = np.array([[(w, c.mu, c.sigma) for w, c in _components(priors[i])] for i in cells])
         weights, mus, sds = params[:, None].transpose(3, 0, 1, 2)  # each cells x 1 x K
         y, s = ybar[cells, :, None], se[cells, None, None]
-        post_mu, post_sd = _conjugate_moments(mus, sds, y, s)
-        log_w = np.log(weights) + norm_logpdf(y, mus, np.hypot(sds, s))
-        log_w -= log_w.max(axis=2, keepdims=True)
-        post_w = np.exp(log_w)
-        post_w /= post_w.sum(axis=2, keepdims=True)
-        post_w, post_mu, post_sd = (np.broadcast_to(a, log_w.shape).reshape(-1, count)
+        post_mu, post_sd, log_marginal = _conjugate_moments(mus, sds, y, s)
+        post_w, _ = _reweight(np.log(weights) + log_marginal)
+        post_w, post_mu, post_sd = (np.broadcast_to(a, post_w.shape).reshape(-1, count)
                                     for a in (post_w, post_mu, post_sd))  # rows x K
         w2 = np.empty(y.size)
         for start in range(0, y.size, _BLOCK_ROWS):
@@ -424,9 +421,12 @@ def _batched_w2(reference: Distribution1D, priors: Sequence[Distribution1D],
             out[i] = _w2_normal_update(prior, reference, ybar[i], se[i])
         elif kernel and all(isinstance(c, NormalDist) for _, c in _components(prior)):
             (nodes if ybar.shape[1] > _CHEB_LEVELS[-1] + 1 else draws).append(i)
-        else:  # general fallback: exact per-replicate updates, no silent skipping
-            out[i] = [wp_quantile(reference, update(prior, Study(float(y), float(se[i]))),
-                                  p=2.0, nodes=DEFAULT_W2_NODES) for y in ybar[i]]
+        else:  # general fallback: an exact Bayes step per replicate, no silent skipping
+            for j, y in enumerate(ybar[i]):
+                post, _ = _bayes(prior, Study(float(y), float(se[i])))
+                if post is None:
+                    raise DegenerateError(f"posterior mass underflowed everywhere at ybar {y:g}")
+                out[i, j] = wp_quantile(reference, post, p=2.0, nodes=DEFAULT_W2_NODES)
     # A row whose inner draws are all equal runs the kernel on its draws.
     draws += list(_chebyshev_w2(reference, priors, ybar, se, out, np.array(nodes, dtype=int)))
     if draws:

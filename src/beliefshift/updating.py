@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._normal import logsumexp
 from .distributions import (
     DEFAULT_GRID_NODES,
     GRID_TAIL_TOL,
@@ -76,6 +75,12 @@ class SamplingModel:
             raise ValueError("sigma must be positive and finite")
         if self.n < 1:
             raise ValueError("sample size n must be at least 1")
+        try:
+            positive = self.std_error() > 0.0
+        except OverflowError:  # n past the largest double
+            positive = False
+        if not positive:
+            raise ValueError("sigma / sqrt(n) must be a positive finite double")
 
     def std_error(self) -> float:
         """Standard error of the sample mean, sigma / sqrt(n)."""
@@ -84,7 +89,8 @@ class SamplingModel:
 
 def _conjugate_moments(mu, sd, estimate, se):
     """Posterior (mean, sd) of Normal(mu, sd) after a Normal(estimate, se)
-    likelihood; array arguments broadcast.
+    likelihood, and the log density of estimate under the marginal
+    Normal(mu, hypot(sd, se)); array arguments broadcast.
 
     Precision addition written without squaring raw scales, so sds near
     1e-300 or 1e300 neither underflow nor overflow: the posterior sd is
@@ -99,7 +105,25 @@ def _conjugate_moments(mu, sd, estimate, se):
         sd, se = sd / scale, se / scale
         h = np.hypot(sd, se)
     post_sd = np.minimum(sd, se) * (np.maximum(sd, se) / h)
-    return mu + (sd / h) ** 2 * (estimate - mu), post_sd * scale
+    with np.errstate(over="ignore"):  # a z that squares past the doubles has log density -inf
+        log_marginal = norm_logpdf(estimate / scale, mu / scale, h) - np.log(scale)
+    return mu + (sd / h) ** 2 * (estimate - mu), post_sd * scale, log_marginal
+
+
+def _reweight(log_w):
+    """Weights exp(log_w - max) / sum, and the log of sum(exp(log_w)), along
+    the last axis (kept). The log-sum takes the largest terms apart and the
+    rest through log1p (Blanchard, Higham and Higham, IMA J. Numer. Anal. 41,
+    2021); where the largest term is not finite it is that term, and w is nan."""
+    top = log_w.max(axis=-1, keepdims=True)
+    ties = log_w == top
+    with np.errstate(invalid="ignore", divide="ignore"):  # a top that is not finite
+        w = np.exp(log_w - top)
+        m = np.count_nonzero(ties, axis=-1, keepdims=True)
+        rest = np.where(ties, 0.0, w).sum(axis=-1, keepdims=True)
+        log_sum = np.where(np.isfinite(top), np.log1p(rest / m) + np.log(m) + top, top)
+        w /= w.sum(axis=-1, keepdims=True)
+    return w, log_sum
 
 
 def _bayes(prior: Distribution1D, study: Study) -> tuple[Optional[Distribution1D], float]:
@@ -114,37 +138,27 @@ def _bayes(prior: Distribution1D, study: Study) -> tuple[Optional[Distribution1D
     """
     se = study.std_error
     if isinstance(prior, (NormalDist, TruncatedNormalDist)):
-        mu, sd = _conjugate_moments(prior.mu, prior.sigma, study.estimate, se)
+        mu, sd, log_latent = _conjugate_moments(prior.mu, prior.sigma, study.estimate, se)
         post = (NormalDist(float(mu), float(sd)) if isinstance(prior, NormalDist)
                 else TruncatedNormalDist(float(mu), float(sd), prior.lower, prior.upper))
-        # Past about 1.27e308 the hypot overflows: work at 1/max(sigma, se), as
-        # _conjugate_moments does; 1.0 keeps every finite case's bits.
-        scale = 1.0 if math.isfinite(math.hypot(prior.sigma, se)) else max(prior.sigma, se)
-        log_latent = norm_logpdf(study.estimate / scale, prior.mu / scale,
-                                 math.hypot(prior.sigma / scale, se / scale)) - math.log(scale)
         return post, float(log_latent + post._log_mass - prior._log_mass)
     if isinstance(prior, GridDensity):
         with np.errstate(divide="ignore", over="ignore"):  # a likelihood that underflows
             log_post = np.where(prior.ws > 0.0, np.log(prior.ws), -np.inf)
             log_post = log_post + norm_logpdf(study.estimate, prior.xs, se)
-        log_marginal = float(logsumexp(log_post))
-        if not math.isfinite(log_marginal):
-            return None, log_marginal
-        w = np.exp(log_post - log_post.max())
-        return GridDensity(prior.xs, w / w.sum()), log_marginal
+        w, log_marginal = _reweight(log_post)
+        log_marginal = float(log_marginal[0])
+        return (GridDensity(prior.xs, w) if math.isfinite(log_marginal) else None), log_marginal
     if isinstance(prior, MixtureDist):
         posts, marginals = zip(*(_bayes(comp, study) for _, comp in prior.components))
-        logw = np.array([math.log(weight) + m
-                         for (weight, _), m in zip(prior.components, marginals)])
-        log_marginal = float(logsumexp(logw))
+        w, log_marginal = _reweight(np.log(prior.weights()) + marginals)
+        log_marginal = float(log_marginal[0])
         if not math.isfinite(log_marginal):
             return None, log_marginal
         # A component whose posterior underflowed has marginal -inf, so weight 0.
-        w = np.exp(logw - log_marginal)
         keep = w > 0.0
-        w = w[keep] / w[keep].sum()
         posts = [post for post, k in zip(posts, keep) if k]
-        return MixtureDist(tuple(zip(w.tolist(), posts))), log_marginal
+        return MixtureDist(tuple(zip(w[keep].tolist(), posts))), log_marginal
     raise UnsupportedPriorError(f"unknown prior kind {type(prior).__name__}")
 
 

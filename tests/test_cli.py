@@ -257,6 +257,103 @@ def scenario_mutations(draw):
     return scenario, [json_path(keys[:j]) for j in range(1, len(keys) + 1)]
 
 
+# Values of the wrong type or past a double's range, for any schema field.
+JUNK_VALUES = ["x", True, False, None, [], [None], {}, 10**400, -10**400]
+JUNK = st.sampled_from(JUNK_VALUES)
+# Hypothesis draws the ends of an integer range far more often than the
+# middle, so a rare branch is taken on a middle value of integers(0, 19).
+RARELY = 10
+
+
+def fuzz_field(valid, bad=JUNK):
+    """Mostly a draw of ``valid``, about one time in 20 one of ``bad``."""
+    return st.integers(0, 19).flatmap(lambda k: bad if k == RARELY else valid)
+
+
+def fuzz_number(lo=-10.0, hi=10.0):
+    """Mostly a number in [lo, hi], sometimes an edge value or JUNK."""
+    return fuzz_field(st.floats(lo, hi),
+                      st.sampled_from([0, -1, math.nan, math.inf, *JUNK_VALUES]))
+
+
+@st.composite
+def fuzz_object(draw, fields, keep=()):
+    """A JSON object over ``fields`` (key: strategy); about one key in 20 is
+    dropped, except those in ``keep``, and one object in 20 has an unknown key."""
+    obj = {key: draw(value) for key, value in fields.items()
+           if key in keep or draw(st.integers(0, 19)) != RARELY}
+    if draw(st.integers(0, 19)) == RARELY:
+        obj["extra"] = 1
+    return obj
+
+
+@st.composite
+def fuzz_dist(draw, depth=1):
+    """A distribution literal of any family, its fields fuzzed; mixture
+    components nest ``depth`` levels."""
+    kind = draw(st.sampled_from(["normal", "trunc_normal", "grid"] + ["mixture"] * (depth > 0)))
+    if kind == "grid":
+        size = draw(st.integers(2, 4))
+        xs = sorted(draw(st.lists(st.floats(-5.0, 5.0), min_size=size, max_size=size,
+                                  unique=True)))
+        ws = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+        ws = [w / sum(ws) for w in ws] if sum(ws) else ws
+        fields = {"xs": fuzz_field(st.just(xs)), "ws": fuzz_field(st.just(ws))}
+    elif kind == "mixture":
+        component = fuzz_object({"weight": fuzz_field(st.just(0.5)), "dist": fuzz_dist(depth - 1)})
+        fields = {"components": fuzz_field(st.lists(component, min_size=2, max_size=2))}
+    else:
+        fields = {"mu": fuzz_number(), "sigma": fuzz_number(0.05, 5.0)}
+        if kind == "trunc_normal":
+            fields.update(lower=fuzz_number(-10.0, 0.0), upper=fuzz_number(0.5, 10.0))
+    return draw(fuzz_object({"type": fuzz_field(st.just(kind)), **fields}))
+
+
+def fuzz_study():
+    return fuzz_object({"estimate": fuzz_number(), "std_error": fuzz_number(0.05, 5.0)})
+
+
+# The command each kind runs under.
+FUZZ_COMMANDS = {"compare": "compare", "retrospective": "retro", "prospective": "prospect"}
+
+
+@st.composite
+def scenario_documents(draw):
+    """(command, document): a whole scenario file over the schema's keys,
+    every field sometimes of the wrong type, null, a list or 10**400. At most
+    1 x 2 cells of 100 to 200 replicates and windows of at most 4,096 nodes,
+    so that no example allocates by the size it asks for."""
+    kind = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    fields = {"kind": fuzz_field(st.just(kind)), "seed": fuzz_field(st.integers(0, 2**64))}
+    if kind == "prospective":
+        fields["prospective_config"] = fuzz_field(fuzz_object({
+            # No mixtures: a blend with a truncated or grid component takes the
+            # per-replicate route, and a mixture reference there costs up to
+            # 75 ms a replicate.
+            "consensus": fuzz_dist(depth=0), "pioneer": fuzz_dist(depth=0),
+            "weights": fuzz_field(st.lists(fuzz_number(0.0, 1.0), min_size=1, max_size=1)),
+            "ns": fuzz_field(st.lists(fuzz_field(st.integers(1, 100)), min_size=1, max_size=2)),
+            "sigma": fuzz_number(0.05, 5.0),
+            # Never missing, which means 10,000, and no integer JUNK.
+            "replicates": fuzz_field(st.integers(100, 200), st.sampled_from(["x", None, 1.5])),
+        }, keep=("replicates",)))
+    else:
+        fields["prior"] = fuzz_dist()
+        if kind == "retrospective":
+            fields["studies"] = fuzz_field(st.lists(fuzz_study(), min_size=1, max_size=2))
+        else:
+            label = fuzz_field(st.just("p"))
+            posterior = st.one_of(fuzz_object({"label": label, "dist": fuzz_dist()}),
+                                  fuzz_object({"label": label, "study": fuzz_study()}))
+            fields["posteriors"] = fuzz_field(st.lists(posterior, min_size=1, max_size=2))
+            if draw(st.booleans()):
+                fields["grid"] = fuzz_object({"lo": fuzz_number(-10.0, -1.0),
+                                              "hi": fuzz_number(1.0, 10.0),
+                                              "nodes": fuzz_field(st.integers(64, 4096))})
+    command = draw(fuzz_field(st.just(FUZZ_COMMANDS[kind]), st.sampled_from(["compare", "retro"])))
+    return command, draw(fuzz_object(fields))
+
+
 def lawn_scenario():
     return load_scenario(str(SCENARIO_DIR / "lawn_signs.json"))
 
@@ -750,6 +847,22 @@ class TestCommandLine:
             assert math.isfinite(row["expected_learning"]) and row["expected_learning"] >= 0.0
             assert math.isfinite(row["mc_std_error"]) and row["mc_std_error"] > 0.0
 
+    @settings(max_examples=100, deadline=None)
+    @given(scenario_documents())
+    def test_whole_scenario_file_fuzz_exits_cleanly(self, case):
+        command, document = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.json"
+            path.write_text(json.dumps(document), encoding="utf-8")
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main([command, "--scenario", str(path)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in printed.getvalue()
+        assert not caught, [str(w.message) for w in caught]
+
     def test_kind_mismatch_exits_one(self, capsys):
         code = main(["retro", "--scenario", str(SCENARIO_DIR / "table3_compare.json")])
         assert code == 1
@@ -789,8 +902,11 @@ class TestCommandLine:
          "prior.components[1].dist.sigma: expected a number"),
         ({"type": "normal", "mu": 0}, "prior.sigma: missing"),
         (mixture_literal(extra={"x": 1}), "prior.components[1]: unknown keys x"),
+        ({"type": "normal", "mu": 10**400, "sigma": 1},
+         "prior.mu: expected a number within the range of a double"),
     ], ids=["string", "bool", "grid_xs_string", "grid_xs_bool", "grid_ws_string",
-            "grid_ws_bool", "nested_sigma_string", "missing_sigma", "component_unknown_key"])
+            "grid_ws_bool", "nested_sigma_string", "missing_sigma", "component_unknown_key",
+            "integer_past_the_doubles"])
     def test_mixture_weight_must_be_a_number(self, tmp_path, capsys, prior, message):
         # Each of these used to run with exit 0 (a string weight; true read as
         # 1.0; grid nodes "0" or false read as 0.0; an unknown component key),
@@ -812,8 +928,10 @@ class TestCommandLine:
         ({"sigma": 0}, [], "prospective_config.sigma"),
         ({"ns": [0]}, [], "prospective_config.ns[0]"),
         ({}, ["--replicates", "5"], "--replicates"),
+        ({"ns": [10**400]}, [], "prospective_config.ns[0]"),
+        ({"sigma": 1e-300, "ns": [10**300]}, [], "prospective_config.ns[0]"),
     ], ids=["sigma_nan", "sigma_inf", "weights_empty", "ns_empty", "sigma_zero", "n_zero",
-            "replicates_flag"])
+            "replicates_flag", "n_past_the_doubles", "std_error_underflows"])
     def test_prospective_range_errors_name_the_field(self, tmp_path, capsys, change, argv, field):
         scenario = tmp_path / "cell.json"
         scenario.write_text(json.dumps({

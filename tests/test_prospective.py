@@ -14,6 +14,7 @@ from scipy.special import ndtri
 import oracles
 from beliefshift import (
     CurvePoint,
+    DegenerateError,
     ExpectedLearning,
     GridDensity,
     MixtureDist,
@@ -40,6 +41,7 @@ from beliefshift.prospective import (
     _theta_from_uniforms,
     _w2_mixture_update,
 )
+from beliefshift.updating import _bayes
 
 CONSENSUS = NormalDist(3.0, 1.0)
 PIONEER = NormalDist(0.0, 3.0)
@@ -345,6 +347,46 @@ class TestBatchedW2:
         scalar = [wp_quantile(reference, update_mixture(MIX_04, Study(float(y), BASE_SE)),
                               nodes=DEFAULT_W2_NODES) for y in ybar]
         np.testing.assert_array_equal(batched, scalar)
+
+    def test_truncated_update_priors_take_the_exact_step(self):
+        # A bare truncated prior keeps its family, as a mixture component
+        # does. A grid window 10 sds past the latent mean would clip 9.9e-5
+        # of the likelihood mass and raise TailMassError.
+        prior = TruncatedNormalDist(0.0, 1.0, 10.0, math.inf)
+        ybar = simulated_ybar(prior, 0.01, seed=3, replicates=4)
+        batched = batched_w2(prior, prior, ybar, 0.01)
+        scalar = [wp_quantile(prior, _bayes(prior, Study(float(y), 0.01))[0],
+                              nodes=DEFAULT_W2_NODES) for y in ybar]
+        np.testing.assert_array_equal(batched, scalar)
+
+    def test_a_replicate_whose_posterior_underflows_everywhere_raises(self):
+        grid = GridDensity([0.0, 1.0], [0.5, 0.5])
+        with pytest.raises(DegenerateError, match="underflowed everywhere at ybar 1e"):
+            batched_w2(grid, CONSENSUS, np.array([1e200]), 1.0)
+
+    def test_kernel_rows_are_the_bayes_step_bit_for_bit(self, monkeypatch):
+        rows = []
+
+        def record(w, mu, sd, inverse, ref_levels):
+            rows.append(np.stack([w, mu, sd], axis=-1))
+            return np.zeros(len(w))
+
+        monkeypatch.setattr(prospective, "_transport_w2", record)
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            k = int(rng.integers(2, 5))
+            raw = rng.uniform(0.01, 1.0, k)
+            prior = MixtureDist(tuple(zip((raw / raw.sum()).tolist(), [
+                NormalDist(mu, sd) for mu, sd in zip(rng.uniform(-5.0, 5.0, k),
+                                                     10.0 ** rng.uniform(-2.0, 2.0, k))])))
+            se, ybar = 10.0 ** rng.uniform(-2.0, 2.0), rng.uniform(-20.0, 20.0, 50)
+            rows.clear()
+            kernel_w2(prior, CONSENSUS, ybar, se)
+            for row, y in zip(np.concatenate(rows), ybar):
+                post, _ = _bayes(prior, Study(float(y), se))
+                # _bayes drops a component whose weight underflows to 0.
+                want = [[w, c.mu, c.sigma] for w, c in post.components]
+                assert row[row[:, 0] > 0.0].tolist() == want
 
     @pytest.mark.parametrize("ybar", [-1.7, -0.3, 0.5, 2.5])
     def test_truncated_blend_matches_grid_route(self, ybar):

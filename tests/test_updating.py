@@ -21,6 +21,7 @@ from beliefshift import (
     TruncatedNormalDist,
     UnsupportedPriorError,
     log_predictive_density,
+    log_surprisal,
     sequential_update,
     to_grid,
     update,
@@ -69,6 +70,10 @@ class TestStudyAndModel:
             SamplingModel(0.0, 10)
         with pytest.raises(ValueError):
             SamplingModel(1.0, 0)
+        # sigma / sqrt(n) underflows to 0, or sqrt(n) is past the doubles.
+        for sigma, n in ((1e-300, 10**300), (1.0, 10**400)):
+            with pytest.raises(ValueError, match="positive finite double"):
+                SamplingModel(sigma, n)
 
 
 class TestConjugate:
@@ -138,11 +143,11 @@ class TestConjugate:
 
     def test_overflow_rescue_leaves_finite_entries_bits(self):
         sd, se = np.array([2.0, 1.5e308, 0.7]), np.array([3.0, 1.5e308, 1e-3])
-        mean, post_sd = _conjugate_moments(np.array([1.0, 0.0, -2.0]), sd, 0.5, se)
-        for i in (0, 2):
-            want_mean, want_sd = _conjugate_moments([1.0, 0.0, -2.0][i], sd[i], 0.5, se[i])
-            assert (mean[i], post_sd[i]) == (want_mean, want_sd)
-        assert post_sd[1] == 1.5e308 * (1.0 / math.sqrt(2.0))
+        got = _conjugate_moments(np.array([1.0, 0.0, -2.0]), sd, 0.5, se)
+        for i in (0, 2):  # mean, sd and log marginal
+            assert tuple(a[i] for a in got) == _conjugate_moments([1.0, 0.0, -2.0][i], sd[i],
+                                                                  0.5, se[i])
+        assert got[1][1] == 1.5e308 * (1.0 / math.sqrt(2.0))
 
     def test_sd_strictly_decreases(self):
         rng = default_rng(42)
@@ -460,6 +465,15 @@ class TestPredictive:
             expected = sum(w * predictive_oracle(comp, ybar, model.std_error())
                            for w, comp in THREE_FAMILY_MIX.components)
             np.testing.assert_allclose(value, expected, rtol=1e-12)
+
+    def test_ybar_whose_z_squares_past_the_doubles_reads_minus_inf(self):
+        # The log density at 1e308 is about -5e615: -inf is the nearest double,
+        # and no overflow warning is printed on the way.
+        prior, model = NormalDist(0.0, 1.0), SamplingModel(1.0, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_predictive_density(prior, model, 1e308) == -math.inf
+            assert log_surprisal(prior, model, 1e308) == math.inf
 
     def test_far_tail_stays_positive(self):
         prior = NormalDist(0.0, 3.0)
