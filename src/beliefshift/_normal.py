@@ -78,7 +78,7 @@ _ERFCX_TAIL = _stacked(
 # erfcx(t) = S(v) / (sqrt(pi) t), v = 1/t^2, for t >= _ASYMPTOTIC: the
 # asymptotic series, where Cephes' R/S (fit up to t = 26.6) drifts to 2e-15.
 _ASYMPTOTIC = 100.0
-_ERFCX_SERIES = (1.0, -0.5, 0.75, -1.875, 6.5625)
+_ERFCX_SERIES = _stacked((1.0, -0.5, 0.75, -1.875, 6.5625), (1.0,))
 # Wichura's AS241 (PPND16; Appl. Statist. 37, 1988) for Phi^-1(p), p <= 1/2:
 # x = q A(r) / B(r) with q = p - 1/2, r = 0.180625 - q^2 from _P_CENTRAL up;
 # below it x = -C(r - 1.6) / D(r - 1.6) with r = sqrt(-log p) up to 5, and
@@ -117,16 +117,6 @@ _LOG_NEWTON_BELOW = -700.0
 _LOG_NEWTON_ITERATIONS = 4
 
 
-def _polynomial(x, coefs):
-    """sum_k coefs[k] x^k by Horner's rule, in place in one array."""
-    out = np.multiply(x, coefs[-1])
-    for c in coefs[-2:0:-1]:
-        out += c
-        out *= x
-    out += coefs[0]
-    return out
-
-
 def _rational(x, table):
     """num(x) / den(x) for a ``_stacked`` table, elementwise: Horner's rule
     on both at once, one (2, n) array, half the ufunc calls of two passes."""
@@ -157,7 +147,7 @@ def _erfcx_tail(t):
     u = 1.0 / t
     out = _rational(u, _ERFCX_TAIL)
     _fill(out, t >= _ASYMPTOTIC,
-          lambda uf, tf: _polynomial(uf * uf, _ERFCX_SERIES) / (_SQRT_PI * tf), u, t)
+          lambda uf, tf: _rational(uf * uf, _ERFCX_SERIES) / (_SQRT_PI * tf), u, t)
     return out
 
 

@@ -14,13 +14,13 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from ..errors import NumericError, ScenarioError
 from ..metrics import LearningReport, learning_report
 from ..prospective import DEFAULT_REPLICATES, MIN_REPLICATES, CurvePoint, weight_sweep
 from ..updating import sequential_update, update
-from ..distributions import DEFAULT_GRID_NODES, MIN_GRID_NODES
 from .replication import run_replicate_paper
 from .scenarios import Scenario, load_scenario
 
@@ -89,26 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_grid(scenario: Scenario, args) -> tuple[Optional[float], Optional[float], int]:
-    lo = hi = None
-    nodes = DEFAULT_GRID_NODES
-    if scenario.grid is not None:
-        lo, hi, nodes = scenario.grid.lo, scenario.grid.hi, scenario.grid.nodes
-    if getattr(args, "grid_lo", None) is not None:
-        lo = args.grid_lo
-    if getattr(args, "grid_hi", None) is not None:
-        hi = args.grid_hi
-    if getattr(args, "grid_nodes", None) is not None:
-        nodes = args.grid_nodes
-        if nodes < MIN_GRID_NODES:
-            raise ScenarioError(f"--grid-nodes: must be at least {MIN_GRID_NODES}")
-    if (lo is None) != (hi is None):
-        raise ScenarioError("grid: lo and hi must be given together")
-    if lo is not None and not -math.inf < lo < hi < math.inf:
-        raise ScenarioError("grid: lo and hi must be finite, with lo strictly below hi")
-    return lo, hi, int(nodes)
-
-
 def _print_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
               for i, h in enumerate(headers)]
@@ -149,20 +129,21 @@ def _write_out(path: str, fmt: str, header: Sequence[str], rows) -> None:
     else:
         content = json.dumps([{h: _json_value(v) for h, v in zip(header, row)} for row in rows],
                              indent=2) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(content)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(content)
+    except OSError as exc:
+        raise ScenarioError(f"--out {path}: {exc}") from exc
 
 
 def _report_rows(rows: list[tuple[str, LearningReport]], columns: Sequence[str]) -> list[tuple]:
     return [(label, *(getattr(report, c) for c in columns)) for label, report in rows]
 
 
-def run_retrospective(scenario: Scenario,
-                      lo: Optional[float] = None,
-                      hi: Optional[float] = None,
-                      nodes: int = DEFAULT_GRID_NODES) -> list[tuple[str, LearningReport]]:
+def run_retrospective(scenario: Scenario) -> list[tuple[str, LearningReport]]:
     """Per-step learning reports plus the end-to-end (cumulative) report."""
-    posteriors = sequential_update(scenario.prior, scenario.studies, lo, hi, nodes)
+    grid = scenario.grid
+    posteriors = sequential_update(scenario.prior, scenario.studies, grid.lo, grid.hi, grid.nodes)
     beliefs = [scenario.prior, *posteriors]
     rows = [(f"step_{i}", learning_report(before, after))
             for i, (before, after) in enumerate(zip(beliefs, posteriors), start=1)]
@@ -170,38 +151,51 @@ def run_retrospective(scenario: Scenario,
     return rows
 
 
-def run_prospective(scenario: Scenario,
-                    replicates: Optional[int] = None,
-                    seed: Optional[int] = None) -> list[CurvePoint]:
-    """Weight/sample-size sweep using the scenario's prospective config."""
+def run_prospective(scenario: Scenario) -> list[CurvePoint]:
+    """Weight/sample-size sweep using the scenario's prospective config and seed."""
     cfg = scenario.prospective_config
-    return weight_sweep(
-        cfg.consensus, cfg.pioneer, cfg.sigma, cfg.weights, cfg.ns,
-        replicates=cfg.replicates if replicates is None else replicates,
-        seed=scenario.seed if seed is None else seed,
-    )
+    return weight_sweep(cfg.consensus, cfg.pioneer, cfg.sigma, cfg.weights, cfg.ns,
+                        replicates=cfg.replicates, seed=scenario.seed)
 
 
-def run_compare(scenario: Scenario,
-                lo: Optional[float] = None,
-                hi: Optional[float] = None,
-                nodes: int = DEFAULT_GRID_NODES) -> list[tuple[str, LearningReport]]:
+def run_compare(scenario: Scenario) -> list[tuple[str, LearningReport]]:
     """One learning report per posterior spec (direct or via a study)."""
+    grid = scenario.grid
     rows: list[tuple[str, LearningReport]] = []
     for spec in scenario.posteriors:
         post = spec.dist
         if post is None:
-            post = update(scenario.prior, spec.study, lo, hi, nodes)
+            post = update(scenario.prior, spec.study, grid.lo, grid.hi, grid.nodes)
         rows.append((spec.label, learning_report(scenario.prior, post)))
     return rows
 
 
-def _cmd_retro(args) -> int:
+def _request(args, kind: str) -> Scenario:
+    """The scenario file of ``kind`` with the command's flags folded in:
+    --grid-lo, --grid-hi and --grid-nodes into ``grid``, --replicates into
+    ``prospective_config``, --seed into ``seed``. The scenario's own checks
+    run once on the result."""
     scenario = load_scenario(args.scenario)
-    if scenario.kind != "retrospective":
-        raise ScenarioError(f"kind: expected retrospective, got {scenario.kind}")
-    lo, hi, nodes = _resolve_grid(scenario, args)
-    rows = run_retrospective(scenario, lo, hi, nodes)
+    if scenario.kind != kind:
+        raise ScenarioError(f"kind: expected {kind}, got {scenario.kind}")
+    try:
+        if kind == "prospective":
+            cfg = scenario.prospective_config
+            if args.replicates is not None:
+                cfg = replace(cfg, replicates=args.replicates)
+            changes = {"prospective_config": cfg}
+        else:
+            flags = {"lo": args.grid_lo, "hi": args.grid_hi, "nodes": args.grid_nodes}
+            changes = {"grid": replace(scenario.grid,
+                                       **{k: v for k, v in flags.items() if v is not None})}
+        return replace(scenario, seed=scenario.seed if args.seed is None else args.seed,
+                       **changes)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
+
+
+def _cmd_retro(args) -> int:
+    rows = run_retrospective(_request(args, "retrospective"))
     columns = LearningReport.CSV_COLUMNS
     _print_table(
         ["step", "w2", "normalized_w2", "kl_sym", "lindley", "decomposition_exact"],
@@ -219,10 +213,7 @@ def _cmd_retro(args) -> int:
 
 
 def _cmd_prospect(args) -> int:
-    scenario = load_scenario(args.scenario)
-    if scenario.kind != "prospective":
-        raise ScenarioError(f"kind: expected prospective, got {scenario.kind}")
-    points = run_prospective(scenario, replicates=args.replicates, seed=args.seed)
+    points = run_prospective(_request(args, "prospective"))
     _print_table(
         ["w", "n", "expected_learning", "mc_std_error"],
         [[_fmt(pt.w), str(pt.n), _fmt(pt.expected_learning), _fmt(pt.mc_std_error)]
@@ -235,11 +226,7 @@ def _cmd_prospect(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    scenario = load_scenario(args.scenario)
-    if scenario.kind != "compare":
-        raise ScenarioError(f"kind: expected compare, got {scenario.kind}")
-    lo, hi, nodes = _resolve_grid(scenario, args)
-    rows = run_compare(scenario, lo, hi, nodes)
+    rows = run_compare(_request(args, "compare"))
     columns = _METRIC_COLUMNS[args.metric]
     headers = ["posterior"] + list(columns)
     table_rows = []

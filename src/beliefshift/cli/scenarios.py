@@ -33,18 +33,22 @@ SCENARIO_KINDS = ("retrospective", "prospective", "compare")
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Explicit discretization window for grid-based updates."""
+    """Discretization of grid-based updates: the node count, and a window
+    (both edges) or none, which leaves the window to ``update``."""
 
-    lo: float
-    hi: float
+    lo: Optional[float] = None
+    hi: Optional[float] = None
     nodes: int = DEFAULT_GRID_NODES
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
         object.__setattr__(self, "nodes", int(self.nodes))
-        if not -math.inf < self.lo < self.hi < math.inf:
-            raise ValueError("grid: lo and hi must be finite, with lo strictly below hi")
+        if (self.lo is None) != (self.hi is None):
+            raise ValueError("grid: lo and hi must be given together")
+        if self.lo is not None:
+            object.__setattr__(self, "lo", float(self.lo))
+            object.__setattr__(self, "hi", float(self.hi))
+            if not -math.inf < self.lo < self.hi < math.inf:
+                raise ValueError("grid: lo and hi must be finite, with lo strictly below hi")
         if self.nodes < MIN_GRID_NODES:
             raise ValueError(f"grid.nodes: must be at least {MIN_GRID_NODES}")
 
@@ -102,7 +106,7 @@ class Scenario:
     studies: tuple[Study, ...] = ()
     posteriors: tuple[PosteriorSpec, ...] = ()
     prospective_config: Optional[ProspectiveConfig] = None
-    grid: Optional[GridSpec] = None
+    grid: GridSpec = GridSpec()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "studies", tuple(self.studies))
@@ -189,7 +193,7 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"scenario file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file {path}: invalid JSON ({exc})") from exc

@@ -59,7 +59,7 @@ def serialize_scenario(scenario) -> dict:
             "sigma": cfg.sigma,
             "replicates": cfg.replicates,
         }
-    if scenario.grid is not None:
+    if scenario.grid.lo is not None:
         out["grid"] = {"lo": scenario.grid.lo, "hi": scenario.grid.hi,
                        "nodes": scenario.grid.nodes}
     return out

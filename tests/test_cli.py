@@ -3,6 +3,7 @@ output formats, and the replication harness plumbing."""
 
 import contextlib
 import copy
+import dataclasses
 import importlib
 import io
 import json
@@ -26,8 +27,10 @@ from beliefshift import (
     NormalDist,
     ScenarioError,
     learning_report,
+    weight_sweep,
 )
 from beliefshift.cli import (
+    GridSpec,
     ReplicationResult,
     load_scenario,
     main,
@@ -169,6 +172,27 @@ def run_fuzz_scenario(command, scenario, fmt="json"):
             return code, read_json_strict(out)
         header, *lines = out.read_text(encoding="utf-8").splitlines()
         return code, [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+CITIZENSHIP = SCENARIO_DIR / "citizenship_truncated.json"
+# A window on the citizenship prior's support and a node count below the
+# default, each of which moves its W2, as flags and as the file's section.
+CITIZENSHIP_GRID_FLAGS = ["--grid-lo", "0", "--grid-hi", "2.5", "--grid-nodes", "512"]
+CITIZENSHIP_GRID = {"lo": 0, "hi": 2.5, "nodes": 512}
+
+
+def citizenship_file(tmp_path, kind, grid=None):
+    """The citizenship prior and study as a compare or retrospective file,
+    with ``grid`` as its grid section if given: its path."""
+    document = json.loads(CITIZENSHIP.read_text(encoding="utf-8"))
+    if kind == "retrospective":
+        document = {"kind": kind, "prior": document["prior"],
+                    "studies": [document["posteriors"][0]["study"]]}
+    if grid is not None:
+        document["grid"] = grid
+    path = tmp_path / f"{kind}_{grid is not None}.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    return path
 
 
 TABLE3_DICT = {
@@ -354,6 +378,42 @@ def scenario_documents(draw):
     return command, draw(fuzz_object(fields))
 
 
+@st.composite
+def fuzz_flags(draw, command):
+    """Flags for ``command``, each mostly left out or valid, about one time in
+    20 invalid: an infinite or nan edge, one edge alone, a count below the
+    floor. At most 4,096 nodes and 200 replicates, as in the documents."""
+    if command == "prospect":
+        flags = {"--replicates": fuzz_field(st.integers(MIN_REPLICATES, 200) | st.none(),
+                                            st.integers(-1, MIN_REPLICATES - 1))}
+    else:
+        window = draw(st.booleans())
+
+        def edge(valid):
+            return fuzz_field(valid if window else st.none(),
+                              st.sampled_from([math.inf, -math.inf, math.nan, None]))
+        flags = {"--grid-lo": edge(st.floats(-10.0, -1.0)), "--grid-hi": edge(st.floats(1.0, 10.0)),
+                 "--grid-nodes": fuzz_field(st.integers(64, 4096) | st.none(),
+                                            st.integers(-1, 63))}
+    flags["--seed"] = st.integers(-2**64, 2**65) | st.none()
+    return [f"{flag}={value!r}" for flag, values in flags.items()
+            if (value := draw(values)) is not None]
+
+
+def run_fuzz_document(command, document, flags=()):
+    """Exit code of ``command`` on the scenario file ``document`` with
+    ``flags``, everything it printed, and the warnings it raised."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--scenario", str(path), *flags])
+    return code, printed.getvalue(), [str(w.message) for w in caught]
+
+
 def lawn_scenario():
     return load_scenario(str(SCENARIO_DIR / "lawn_signs.json"))
 
@@ -446,6 +506,13 @@ class TestScenarioSchema:
         scenario = parse_scenario({**TABLE3_DICT, "grid": {"lo": -2.0, "hi": 2.0}})
         assert scenario.grid.nodes == DEFAULT_GRID_NODES
 
+    def test_no_grid_section_is_no_window_at_the_default_count(self):
+        assert parse_scenario(TABLE3_DICT).grid == GridSpec(None, None, DEFAULT_GRID_NODES)
+        # GridSpec holds the flags' rules too: a window is both edges or neither.
+        for edges in ({"lo": 0.0}, {"hi": 1.0}):
+            with pytest.raises(ValueError, match="grid: lo and hi must be given together"):
+                GridSpec(**edges)
+
     def test_boolean_rejected_as_number(self):
         with pytest.raises(ScenarioError, match="seed"):
             parse_scenario({**TABLE3_DICT, "seed": True})
@@ -491,6 +558,18 @@ class TestRunRetrospective:
         assert len(rows) == 2
         assert abs(rows[0][1].w2 - 7.07) < 0.01
         assert rows[0][1].w2 == rows[1][1].w2
+
+    def test_reads_the_scenario_grid(self, tmp_path, capsys):
+        # The rows of the file's grid are those of the same grid given as flags.
+        rows = run_retrospective(load_scenario(str(
+            citizenship_file(tmp_path, "retrospective", CITIZENSHIP_GRID))))
+        columns = LearningReport.CSV_COLUMNS
+        library, by_flags = tmp_path / "library.csv", tmp_path / "flags.csv"
+        _write_out(str(library), "csv", ("step", *columns), _report_rows(rows, columns))
+        assert main(["retro", "--scenario", str(citizenship_file(tmp_path, "retrospective")),
+                     *CITIZENSHIP_GRID_FLAGS, "--out", str(by_flags)]) == 0
+        capsys.readouterr()
+        assert library.read_bytes() == by_flags.read_bytes()
 
 
 class TestRunCompare:
@@ -543,6 +622,17 @@ class TestRunCompare:
         expected = oracles.normal_w2(0.0, 10.0, mean, sd)
         assert abs(report.w2 - expected) < 1e-9
 
+    def test_reads_the_scenario_grid(self, tmp_path, capsys):
+        # The default 4,096-node window reads 0.3343245485782415.
+        with_grid = citizenship_file(tmp_path, "compare", CITIZENSHIP_GRID)
+        assert run_compare(load_scenario(str(with_grid)))[0][1].w2 == 0.33434178083022087
+        by_file, by_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+        assert main(["compare", "--scenario", str(with_grid), "--out", str(by_file)]) == 0
+        assert main(["compare", "--scenario", str(CITIZENSHIP), *CITIZENSHIP_GRID_FLAGS,
+                     "--out", str(by_flags)]) == 0
+        capsys.readouterr()
+        assert by_flags.read_bytes() == by_file.read_bytes()
+
 
 class TestRunProspective:
     def test_point_grid_size(self):
@@ -561,6 +651,36 @@ class TestRunProspective:
         points = run_prospective(scenario)
         assert len(points) == 4
         assert all(pt.expected_learning > 0.0 for pt in points)
+
+    def test_reads_replicates_and_seed_from_the_scenario(self, tmp_path, capsys):
+        document = {
+            "kind": "prospective",
+            "seed": 3,
+            "prospective_config": {
+                "consensus": {"type": "normal", "mu": 3, "sigma": 1},
+                "pioneer": {"type": "normal", "mu": 0, "sigma": 3},
+                "weights": [0.5],
+                "ns": [10],
+                "sigma": 3.0,
+                "replicates": 150,
+            },
+        }
+        scenario = parse_scenario(document)
+        cfg = dataclasses.replace(scenario.prospective_config, replicates=120)
+        changed = dataclasses.replace(scenario, seed=5, prospective_config=cfg)
+        points = run_prospective(changed)
+        assert points == weight_sweep(cfg.consensus, cfg.pioneer, cfg.sigma, cfg.weights, cfg.ns,
+                                      replicates=120, seed=5)
+        assert points != run_prospective(scenario)
+        # The CLI folds --replicates and --seed into the same fields.
+        path, library, by_flags = (tmp_path / f for f in ("cell.json", "lib.csv", "flags.csv"))
+        path.write_text(json.dumps(document), encoding="utf-8")
+        _write_out(str(library), "csv", ("w", "n", "expected_learning", "mc_std_error"),
+                   [(pt.w, pt.n, pt.expected_learning, pt.mc_std_error) for pt in points])
+        assert main(["prospect", "--scenario", str(path), "--replicates", "120", "--seed", "5",
+                     "--out", str(by_flags)]) == 0
+        capsys.readouterr()
+        assert by_flags.read_bytes() == library.read_bytes()
 
 
 class TestReplicationResult:
@@ -850,18 +970,20 @@ class TestCommandLine:
     @settings(max_examples=100, deadline=None)
     @given(scenario_documents())
     def test_whole_scenario_file_fuzz_exits_cleanly(self, case):
-        command, document = case
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "fuzz.json"
-            path.write_text(json.dumps(document), encoding="utf-8")
-            printed = io.StringIO()
-            with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed), \
-                    warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                code = main([command, "--scenario", str(path)])
+        code, printed, caught = run_fuzz_document(*case)
         assert code in (0, 1, 2)
-        assert "Traceback" not in printed.getvalue()
-        assert not caught, [str(w.message) for w in caught]
+        assert "Traceback" not in printed
+        assert not caught, caught
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_flags_over_whole_scenario_file_fuzz_exits_cleanly(self, data):
+        command, document = data.draw(scenario_documents())
+        flags = data.draw(fuzz_flags(command))
+        code, printed, caught = run_fuzz_document(command, document, flags)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in printed
+        assert not caught, caught
 
     def test_kind_mismatch_exits_one(self, capsys):
         code = main(["retro", "--scenario", str(SCENARIO_DIR / "table3_compare.json")])
@@ -889,6 +1011,25 @@ class TestCommandLine:
                      "--grid-lo", "0"])
         assert code == 1
         assert "grid" in capsys.readouterr().err
+
+    def test_grid_nodes_flag_names_the_scenario_field(self, capsys):
+        # The flag is folded into the scenario's grid, whose check names it.
+        assert main(["compare", "--scenario", str(CITIZENSHIP), "--grid-nodes", "10"]) == 1
+        assert capsys.readouterr().err == "error: grid.nodes: must be at least 64\n"
+
+    @pytest.mark.parametrize("out", [".", "missing/out.csv"], ids=["directory", "missing_parent"])
+    def test_unwritable_out_exits_one(self, tmp_path, capsys, out):
+        path = tmp_path / out
+        assert main(["compare", "--scenario", str(SCENARIO_DIR / "table3_compare.json"),
+                     "--out", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: --out {path}: ")
+
+    def test_scenario_file_not_utf8_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"kind": "compare", "label": "\u00e9"}'.encode("latin-1"))
+        assert main(["compare", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: scenario file {path}: 'utf-8' codec can't decode")
 
     @pytest.mark.parametrize("prior, message", [
         (mixture_literal(weight="0.5"), "prior.components[0].weight: expected a number"),

@@ -197,7 +197,7 @@ class TestExpectedLearningMc:
             assert result.estimate <= math.sqrt(result.second_moment) \
                 + 3.0 * result.mc_std_error + 1e-12
 
-    def test_truncated_priors_use_grid_fallback(self):
+    def test_truncated_priors_take_the_per_replicate_route(self):
         trunc = TruncatedNormalDist(0.5, 1.0, 0.0, math.inf)
         result = expected_learning_mc(trunc, trunc, trunc, SamplingModel(1.0, 4),
                                       replicates=100, seed=3)
