@@ -53,9 +53,7 @@ from .updating import (
     log_predictive_density,
     sequential_update,
     update,
-    update_conjugate,
     update_grid,
-    update_mixture,
 )
 
 __version__ = "0.1.0"
@@ -82,8 +80,6 @@ __all__ = [
     # updating
     "Study",
     "SamplingModel",
-    "update_conjugate",
-    "update_mixture",
     "update_grid",
     "update",
     "sequential_update",

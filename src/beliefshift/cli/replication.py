@@ -32,7 +32,7 @@ from ..prospective import (
     expected_learning_mc,
     weight_sweep,
 )
-from ..updating import SamplingModel, Study, sequential_update, update_conjugate, update_grid
+from ..updating import SamplingModel, Study, sequential_update, update, update_grid
 
 __all__ = ["ReplicationResult", "make_check", "run_replicate_paper"]
 
@@ -86,7 +86,7 @@ def run_replicate_paper(seed: int = 0, replicates: int = DEFAULT_REPLICATES
         "(3-0)^2 = 9 and W2 = sqrt(34) = 5.831, which matches the running-text value 5.8."
     )
 
-    post_conj = update_conjugate(prior_31, Study(6.67, 5.77))
+    post_conj = update(prior_31, Study(6.67, 5.77))
     add(make_check("conjugate_posterior_mean", 5.00, post_conj.mu, 0.01))
     add(make_check("conjugate_posterior_sd", 5.00, post_conj.sigma, 0.01))
 
@@ -131,7 +131,7 @@ def run_replicate_paper(seed: int = 0, replicates: int = DEFAULT_REPLICATES
     appf_grid_post = update_grid(appf_prior, appf_study)
     appf_w2 = wp_quantile(appf_prior, appf_grid_post, p=2.0)
     add(make_check("appendixF_normal_w2", 0.27, appf_w2, 0.01))
-    conj_w2 = w2_normal(appf_prior, update_conjugate(appf_prior, appf_study))
+    conj_w2 = w2_normal(appf_prior, update(appf_prior, appf_study))
     add(make_check("appendixF_normal_grid_matches_conjugate", conj_w2, appf_w2, 1e-3))
 
     # --- Appendix F, truncated reading.
@@ -156,7 +156,7 @@ def run_replicate_paper(seed: int = 0, replicates: int = DEFAULT_REPLICATES
     for _ in range(20):
         x = rng.normal(rng.uniform(-2, 2), rng.uniform(0.5, 2.0), size=100)
         y = rng.normal(rng.uniform(-2, 2), rng.uniform(0.5, 2.0), size=100)
-        value, _ = wasserstein_discrete(x, y, p=2.0)
+        value = wasserstein_discrete(x, y, p=2.0)
         # The same law as two empirical grids, summed over merged cumulative levels.
         mass = np.full(x.size, 1.0 / x.size)
         grid = wp_quantile(GridDensity(np.sort(x), mass), GridDensity(np.sort(y), mass), p=2.0)

@@ -37,7 +37,7 @@ class DegenerateError(NumericError):
 
 
 class UnsupportedPriorError(BeliefShiftError):
-    """The requested closed-form path does not exist for this prior kind."""
+    """The Bayes step (``updating._bayes``) has no route for this prior kind."""
 
 
 class ScenarioError(BeliefShiftError):

@@ -139,14 +139,13 @@ def wp_quantile(a, b, p: float = 2.0, nodes: int = DEFAULT_QUANTILE_NODES) -> fl
     return total ** (1.0 / p)
 
 
-def wasserstein_discrete(a, b, p: float = 2.0) -> tuple[float, np.ndarray]:
+def wasserstein_discrete(a, b, p: float = 2.0) -> float:
     """Exact Wasserstein-p between two equal-size point clouds on the line,
     mass 1/n on each point.
 
     On the line the rank coupling is optimal for every p >= 1 (Villani 2003,
     *Topics in Optimal Transportation*, ch. 2), so this pairs the clouds'
-    sorted points and returns the mean cost to the power 1/p, and ``match``,
-    a read-only int array: a's point i moves to b's point ``match[i]``.
+    sorted points and returns the mean cost to the power 1/p.
     """
     p = _order(p)
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -155,15 +154,11 @@ def wasserstein_discrete(a, b, p: float = 2.0) -> tuple[float, np.ndarray]:
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
         raise ValueError(f"point clouds must share a nonempty (n,) shape, "
                          f"not {a.shape} and {b.shape}")
-    ia, ib = np.argsort(a, kind="stable"), np.argsort(b, kind="stable")
     with np.errstate(over="ignore"):  # a difference or its p-th power past the largest double
-        total = (np.abs(a[ia] - b[ib]) ** p).sum()
+        total = (np.abs(np.sort(a) - np.sort(b)) ** p).sum()
     if not math.isfinite(total):
         raise ValueError(f"the order-{p:g} transport cost overflows")
-    match = np.empty_like(ia)
-    match[ia] = ib
-    match.setflags(write=False)
-    return float(total / a.size) ** (1.0 / p), match
+    return float(total / a.size) ** (1.0 / p)
 
 
 def _log_mass_and_sq(p_dist, q_dist) -> tuple[float, float]:
@@ -208,9 +203,13 @@ def kl_normal(p_dist, q_dist) -> float:
         raise AbsoluteContinuityError("p's support is not inside q's")
     log_mass_q, sq_q = _log_mass_and_sq(p_dist, q_dist)
     log_mass_p, sq_p = _log_mass_and_sq(p_dist, p_dist)
-    var_ratio = (p_dist.sigma / q_dist.sigma) ** 2
+    ratio = p_dist.sigma / q_dist.sigma
+    var_ratio = ratio * ratio
+    # Past about 1e154 either way the squared ratio leaves the doubles: logs first.
+    log_var_ratio = (math.log(var_ratio) if 0.0 < var_ratio < math.inf
+                     else 2.0 * (math.log(p_dist.sigma) - math.log(q_dist.sigma)))
     # Mathematically nonnegative; clamp float residue near equality.
-    return max(0.0, 0.5 * (sq_q - math.log(var_ratio) - sq_p) + (log_mass_q - log_mass_p))
+    return max(0.0, 0.5 * (sq_q - log_var_ratio - sq_p) + (log_mass_q - log_mass_p))
 
 
 def _require_same_grid(p_dist: GridDensity, q_dist: GridDensity) -> None:
@@ -343,13 +342,14 @@ def learning_report(prior: Distribution1D, post: Distribution1D) -> LearningRepo
     """
     prior_mean, prior_sd = prior.moments()
     post_mean, post_sd = post.moments()
-    mean_shift_sq = (post_mean - prior_mean) ** 2
-    sd_shift_sq = (post_sd - prior_sd) ** 2
+    mean_shift, sd_shift = post_mean - prior_mean, post_sd - prior_sd
+    # Products, not ** 2: a square past the largest double reads inf, not OverflowError.
+    mean_shift_sq, sd_shift_sq = mean_shift * mean_shift, sd_shift * sd_shift
 
     normal_family = all(isinstance(d, (NormalDist, TruncatedNormalDist)) for d in (prior, post))
     decomposition_exact = normal_family and _same_std_bounds(prior, post)
     if decomposition_exact:
-        w2 = math.sqrt(mean_shift_sq + sd_shift_sq)
+        w2 = math.hypot(mean_shift, sd_shift)
     else:
         w2 = wp_quantile(prior, post, p=2.0)
 

@@ -33,8 +33,6 @@ from .errors import DegenerateError, TailMassError, UnsupportedPriorError
 __all__ = [
     "Study",
     "SamplingModel",
-    "update_conjugate",
-    "update_mixture",
     "update_grid",
     "update",
     "sequential_update",
@@ -162,25 +160,6 @@ def _bayes(prior: Distribution1D, study: Study) -> tuple[Optional[Distribution1D
     raise UnsupportedPriorError(f"unknown prior kind {type(prior).__name__}")
 
 
-def update_conjugate(prior: NormalDist, study: Study) -> NormalDist:
-    """Normal-normal conjugate update: precisions add, means precision-average."""
-    if not isinstance(prior, NormalDist):
-        raise UnsupportedPriorError("conjugate updating requires a NormalDist prior")
-    return _bayes(prior, study)[0]
-
-
-def update_mixture(prior: MixtureDist, study: Study) -> MixtureDist:
-    """Componentwise update of a mixture prior: normal and truncated components
-    update conjugately and keep their bounds, grid components reweight on
-    their nodes, and each weight scales by its component's marginal likelihood."""
-    if not isinstance(prior, MixtureDist):
-        raise UnsupportedPriorError("update_mixture requires a MixtureDist prior")
-    post, _ = _bayes(prior, study)
-    if post is None:
-        raise DegenerateError("posterior mass underflowed in every component")
-    return post
-
-
 def default_grid_window(prior: Distribution1D, study: Study) -> tuple[float, float]:
     """Window spanning prior mean +/- 8 sd unioned with estimate +/- 8 se,
     clipped to the prior's support."""
@@ -225,8 +204,8 @@ def update_grid(prior: Distribution1D, study: Study,
     is reweighted on its own nodes; other priors discretize onto the default
     window first. Raises ValueError for one edge or an edge that is not
     finite and below the other, TailMassError when the window clips prior
-    or likelihood mass, and DegenerateError when every node's posterior
-    mass underflows.
+    or likelihood mass, and, through ``update``, DegenerateError when every
+    node's posterior mass underflows.
     """
     if (lo is None) != (hi is None):
         raise ValueError("grid window needs both lo and hi")
@@ -237,23 +216,23 @@ def update_grid(prior: Distribution1D, study: Study,
             lo, hi = default_grid_window(prior, study)
         grid = to_grid(prior, lo, hi, nodes)
         _likelihood_coverage_check(prior, study, lo, hi)
-    post, _ = _bayes(grid, study)
-    if post is None:
-        raise DegenerateError("posterior mass underflowed at every grid node")
-    return post
+    return update(grid, study)
 
 
 def update(prior: Distribution1D, study: Study,
            lo: Optional[float] = None, hi: Optional[float] = None,
            nodes: int = DEFAULT_GRID_NODES) -> Distribution1D:
-    """One Bayes step: conjugate for a normal prior, componentwise for a
-    mixture, and ``update_grid`` for any other prior or whenever a grid
-    window is given."""
-    if lo is None and hi is None:
-        if isinstance(prior, NormalDist):
-            return update_conjugate(prior, study)
-        if isinstance(prior, MixtureDist):
-            return update_mixture(prior, study)
+    """The public Bayes step. With no window a normal, mixture or grid prior
+    takes ``_bayes`` directly: conjugate for a normal, componentwise for a
+    mixture, reweighted on its own nodes for a grid. Any other prior, or any
+    window, goes through ``update_grid``. Raises DegenerateError when the
+    posterior mass underflows everywhere.
+    """
+    if lo is None and hi is None and isinstance(prior, (NormalDist, MixtureDist, GridDensity)):
+        post, _ = _bayes(prior, study)
+        if post is None:
+            raise DegenerateError("posterior mass underflowed everywhere")
+        return post
     return update_grid(prior, study, lo, hi, nodes)
 
 
@@ -263,8 +242,8 @@ def sequential_update(prior: Distribution1D, studies: Sequence[Study],
     """Fold studies into the prior one at a time: the posterior after each.
 
     Normal priors stay in the conjugate family (so the final posterior is
-    order-invariant); mixtures use the closed-form mixture update; other
-    priors move to a grid at the first step and stay there.
+    order-invariant); mixtures stay mixtures; other priors move to a grid
+    at the first step and stay there.
     """
     studies = list(studies)
     if not studies:

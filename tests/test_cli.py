@@ -850,6 +850,21 @@ class TestCommandLine:
         assert abs(rows[0]["w2"] - 7.071) < 0.005
         assert rows[0]["decomposition_exact"] is True
 
+    def test_compare_mean_shift_whose_square_overflows(self, tmp_path, capsys):
+        scenario = tmp_path / "huge.json"
+        scenario.write_text(json.dumps({
+            "kind": "compare",
+            "prior": {"type": "normal", "mu": 0, "sigma": 1e160},
+            "posteriors": [{"label": "shifted", "dist": {"type": "normal", "mu": 1e160,
+                                                         "sigma": 1e160}}],
+        }), encoding="utf-8")
+        out = tmp_path / "huge.json.out"
+        assert main(["compare", "--scenario", str(scenario), "--format", "json",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        [row] = json.loads(out.read_text(encoding="utf-8"))
+        assert (row["w2"], row["normalized_w2"], row["mean_shift_sq"]) == (1e160, 1.0, None)
+
     def test_compare_truncated_prior_against_normal_is_not_exact(self, tmp_path, capsys):
         # A finite standardized bound once matched the normal's infinite one.
         scenario = tmp_path / "pair.json"
@@ -1164,7 +1179,7 @@ class TestCommandLine:
         assert code == 0 and err == ""
         row = json.loads(out.read_text(encoding="utf-8"))[0]
         assert row["w2"] == 0.0 and row["kl_sym"] == 0.0 and row["lindley"] == 0.0
-        # A 1e300 prior shrinks to sd 1, and sd_shift_sq is out of range.
+        # A 1e300 prior shrinks to sd 1: KL(prior || post), about 5e599, is out of range.
         code, err, _ = outcomes[1e300]
         assert code == 2
         assert err.startswith("numeric error:")

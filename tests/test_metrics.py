@@ -195,13 +195,11 @@ class TestWassersteinOrder:
 
 class TestWassersteinDiscrete:
     def test_point_masses(self):
-        value, match = wasserstein_discrete([0.0], [3.0], p=1.0)
+        value = wasserstein_discrete([0.0], [3.0], p=1.0)
         np.testing.assert_allclose(value, 3.0, rtol=1e-12)
-        np.testing.assert_array_equal(match, [0])
-        assert not match.flags.writeable
 
     def test_overlapping_uniforms(self):
-        value, _ = wasserstein_discrete([0.0, 1.0], [1.0, 2.0], p=1.0)
+        value = wasserstein_discrete([0.0, 1.0], [1.0, 2.0], p=1.0)
         np.testing.assert_allclose(value, 1.0, atol=1e-9)
         oracle = oracles.assignment_wp(np.array([0.0, 1.0]), np.array([1.0, 2.0]), p=1.0)
         np.testing.assert_allclose(value, oracle, atol=1e-9)
@@ -212,17 +210,16 @@ class TestWassersteinDiscrete:
         xb = np.sort(NormalDist(2, 1).quantile(rng.random(50)))
         assert np.all(np.diff(xa) > 0) and np.all(np.diff(xb) > 0)
         w = np.full(50, 1.0 / 50.0)
-        value, match = wasserstein_discrete(xa, xb)
+        value = wasserstein_discrete(xa, xb)
         grid_value = wp_quantile(GridDensity(xa, w), GridDensity(xb, w), p=2.0)
         sort_value = oracles.sorted_matching_wp(xa, xb, p=2.0)
         assert abs(value - grid_value) < 1e-9
         assert abs(value - sort_value) < 1e-9
-        assert sorted(match.tolist()) == list(range(50))
 
     @pytest.mark.parametrize("case", range(30))
     def test_matches_assignment_oracle_with_ties(self, case):
         # Every third case rounds its points to integers: tied points must
-        # still give a permutation and an optimal cost.
+        # still give an optimal cost.
         rng = default_rng([21, case])
         p = (1.0, 2.0, 3.5)[case // 3 % 3]
         n = int(rng.integers(1, 61))
@@ -230,10 +227,7 @@ class TestWassersteinDiscrete:
         b = rng.normal(1.0, 2.0, size=n) * 3.0
         if case % 3 == 0:
             a, b = np.round(a), np.round(b)
-        value, match = wasserstein_discrete(a, b, p=p)
-        assert sorted(match.tolist()) == list(range(n))
-        cost = np.abs(a[:, None] - b[None, :]) ** p
-        np.testing.assert_allclose(value**p, np.mean(cost[np.arange(n), match]), rtol=1e-12)
+        value = wasserstein_discrete(a, b, p=p)
         np.testing.assert_allclose(value, oracles.assignment_wp(a, b, p=p), rtol=1e-9)
 
     def test_dimension_mismatch(self):
@@ -254,16 +248,14 @@ class TestWassersteinDiscrete:
         with pytest.raises(ValueError, match="shape"):
             wasserstein_discrete(a, b)
 
-    @pytest.mark.parametrize("a, b, p, value, match", [
-        ([1e155, -1e155], [-1e155, 1e155], 1.0, 0.0, [1, 0]),
+    @pytest.mark.parametrize("a, b, p, value", [
+        ([1e155, -1e155], [-1e155, 1e155], 1.0, 0.0),
         # Only the unmatched pairs' costs, (2e200)^2, pass the largest double.
-        ([1e200, -1e200], [-1e200, 1e200], 2.0, 0.0, [1, 0]),
+        ([1e200, -1e200], [-1e200, 1e200], 2.0, 0.0),
     ], ids=["1d_swap", "unmatched_costs_overflow"])
-    def test_distances_whose_squares_overflow(self, a, b, p, value, match):
+    def test_distances_whose_squares_overflow(self, a, b, p, value):
         # Every distance fits in a double though its square does not.
-        got, got_match = wasserstein_discrete(a, b, p=p)
-        assert got == value
-        np.testing.assert_array_equal(got_match, match)
+        assert wasserstein_discrete(a, b, p=p) == value
 
     @pytest.mark.parametrize("a, b, p, message", [
         ([math.nan, 0.0], [0.0, 1.0], 2.0, "points must be finite"),
@@ -301,6 +293,14 @@ class TestKl:
         fwd = kl_normal(NormalDist(0, 1), NormalDist(0, 10))
         rev = kl_normal(NormalDist(0, 10), NormalDist(0, 1))
         assert fwd != rev
+
+    @pytest.mark.parametrize("p_sd, q_sd", [(1.0, 1e300), (1e-300, 1e300)],
+                             ids=["squared_ratio_underflows", "ratio_underflows"])
+    def test_sd_ratio_past_the_doubles(self, p_sd, q_sd):
+        # KL = log(q_sd / p_sd) + p_sd^2 / (2 q_sd^2) - 1/2, and the middle term is 0 here.
+        expected = math.log(q_sd) - math.log(p_sd) - 0.5
+        np.testing.assert_allclose(kl_normal(NormalDist(0, p_sd), NormalDist(0, q_sd)),
+                                   expected, rtol=1e-15)
 
     def test_grid_identity(self):
         g = to_grid(NormalDist(0, 1), -8, 8, 512)
@@ -540,6 +540,18 @@ class TestLearningReport:
         assert report.lindley is None
         assert not report.decomposition_exact
         assert report.w2 > 0.0
+
+    @pytest.mark.parametrize("scale, mean_shift_sq", [(1e160, INF), (1e-200, 0.0)],
+                             ids=["square_overflows", "square_underflows"])
+    def test_mean_shift_of_one_prior_sd_at_extreme_scales(self, scale, mean_shift_sq):
+        # W2 is the mean shift, one prior sd, though its square passes the
+        # largest double or falls below the smallest.
+        report = learning_report(NormalDist(0.0, scale), NormalDist(scale, scale))
+        assert report.decomposition_exact
+        assert report.w2 == scale
+        assert report.normalized_w2 == 1.0
+        assert report.mean_shift_sq == mean_shift_sq
+        assert report.sd_shift_sq == 0.0
 
     def test_collapse_limit_normalized_to_one(self):
         report = learning_report(NormalDist(2, 3), NormalDist(2, 3e-6))

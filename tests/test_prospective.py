@@ -27,7 +27,6 @@ from beliefshift import (
     expected_learning_mc,
     update,
     update_grid,
-    update_mixture,
     weight_sweep,
     wp_quantile,
 )
@@ -254,7 +253,7 @@ class TestBatchedW2:
             ybar = mean + sd * sd_offsets
         batched = batched_w2(mix, CONSENSUS, ybar, se)
         scalar = np.array([
-            oracles.w2_quantile_gl4(CONSENSUS, update_mixture(mix, Study(float(y), se)))
+            oracles.w2_quantile_gl4(CONSENSUS, update(mix, Study(float(y), se)))
             for y in ybar
         ])
         np.testing.assert_allclose(batched, scalar, atol=1e-9)
@@ -270,7 +269,7 @@ class TestBatchedW2:
         batched = batched_w2(mix, CONSENSUS, ybar, se)
         dense = []
         for y in ybar:
-            post = update_mixture(mix, Study(float(y), se))
+            post = update(mix, Study(float(y), se))
             parts = [(w, comp.mu, comp.sigma) for w, comp in post.components]
             dense.append(oracles.transport_w2_dense(parts, CONSENSUS.mu, CONSENSUS.sigma))
         np.testing.assert_allclose(batched, dense, atol=1e-9)
@@ -296,7 +295,7 @@ class TestBatchedW2:
             mean, sd = mix.moments()
             ybar = mean + 1.5 * sd * rng.standard_normal(3)
             for y, got in zip(ybar, batched_w2(mix, CONSENSUS, ybar, se)):
-                post = update_mixture(mix, Study(float(y), se))
+                post = update(mix, Study(float(y), se))
                 parts = [(w, comp.mu, comp.sigma) for w, comp in post.components]
                 dense = oracles.transport_w2_dense(parts, CONSENSUS.mu, CONSENSUS.sigma,
                                                    panels=1000)
@@ -344,7 +343,7 @@ class TestBatchedW2:
         reference = MixtureDist(((0.5, CONSENSUS), (0.5, grid)))
         ybar = simulated_ybar(MIX_04, BASE_SE, seed=3, replicates=4)
         batched = batched_w2(MIX_04, reference, ybar, BASE_SE)
-        scalar = [wp_quantile(reference, update_mixture(MIX_04, Study(float(y), BASE_SE)),
+        scalar = [wp_quantile(reference, update(MIX_04, Study(float(y), BASE_SE)),
                               nodes=DEFAULT_W2_NODES) for y in ybar]
         np.testing.assert_array_equal(batched, scalar)
 

@@ -25,11 +25,9 @@ from beliefshift import (
     sequential_update,
     to_grid,
     update,
-    update_conjugate,
     update_grid,
-    update_mixture,
 )
-from beliefshift.updating import _conjugate_moments
+from beliefshift.updating import _bayes, _conjugate_moments
 
 APPF_STUDY = Study(0.074, 0.121)
 LAWN_PRIOR = NormalDist(0.0, 5.0)
@@ -78,17 +76,17 @@ class TestStudyAndModel:
 
 class TestConjugate:
     def test_vaccine_example(self):
-        post = update_conjugate(NormalDist(0.0, 10.0), Study(6.67, 5.77))
+        post = update(NormalDist(0.0, 10.0), Study(6.67, 5.77))
         assert abs(post.mu - 5.00) < 0.01
         assert abs(post.sigma - 5.00) < 0.01
 
     def test_lawn_sign_first_step(self):
-        post = update_conjugate(LAWN_PRIOR, Study(2.5, 1.7))
+        post = update(LAWN_PRIOR, Study(2.5, 1.7))
         assert abs(post.mu - 2.24) < 0.005
         assert abs(post.sigma - 1.61) < 0.005
 
     def test_equal_precision_symmetric(self):
-        post = update_conjugate(NormalDist(0.0, 1.0), Study(0.0, 1.0))
+        post = update(NormalDist(0.0, 1.0), Study(0.0, 1.0))
         assert post.mu == 0.0
         np.testing.assert_allclose(post.sigma, 1.0 / math.sqrt(2.0), rtol=1e-15)
 
@@ -97,7 +95,7 @@ class TestConjugate:
         for _ in range(50):
             prior = NormalDist(rng.uniform(-5, 5), rng.uniform(0.2, 4.0))
             study = Study(rng.uniform(-5, 5), rng.uniform(0.2, 4.0))
-            post = update_conjugate(prior, study)
+            post = update(prior, study)
             mean, sd = oracles.conjugate_posterior(prior.mu, prior.sigma,
                                                    study.estimate, study.std_error)
             np.testing.assert_allclose(post.mu, mean, rtol=1e-12)
@@ -111,14 +109,14 @@ class TestConjugate:
             for _ in range(20):
                 mu, est = rng.uniform(-5, 5, size=2)
                 sd, se = rng.uniform(0.2, 4.0, size=2)
-                post = update_conjugate(NormalDist(c * mu, c * sd), Study(c * est, c * se))
+                post = update(NormalDist(c * mu, c * sd), Study(c * est, c * se))
                 mean, post_sd = oracles.conjugate_posterior(mu, sd, est, se)
                 np.testing.assert_allclose(post.mu, c * mean, rtol=1e-12)
                 np.testing.assert_allclose(post.sigma, c * post_sd, rtol=1e-12)
         # Scales 1e300 apart: the narrower side wins outright.
-        assert update_conjugate(NormalDist(0.0, 1e-300), Study(0.5, 1.0)) \
+        assert update(NormalDist(0.0, 1e-300), Study(0.5, 1.0)) \
             == NormalDist(0.0, 1e-300)
-        assert update_conjugate(NormalDist(0.0, 1e300), Study(0.5, 1.0)) \
+        assert update(NormalDist(0.0, 1e300), Study(0.5, 1.0)) \
             == NormalDist(0.5, 1.0)
 
     def test_scales_whose_hypot_overflows(self):
@@ -127,7 +125,7 @@ class TestConjugate:
         # at unit scale, as above.
         c = 1e308
         for mu, sd, est, se in ((0.0, 1.5, 0.0, 1.5), (0.3, 1.5, -0.2, 1.7), (0.0, 1.79, 1.0, 1.3)):
-            post = update_conjugate(NormalDist(c * mu, c * sd), Study(c * est, c * se))
+            post = update(NormalDist(c * mu, c * sd), Study(c * est, c * se))
             mean, post_sd = oracles.conjugate_posterior(mu, sd, est, se)
             np.testing.assert_allclose(post.mu, c * mean, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(post.sigma, c * post_sd, rtol=1e-12)
@@ -154,7 +152,7 @@ class TestConjugate:
         for _ in range(50):
             prior = NormalDist(rng.uniform(-5, 5), rng.uniform(0.2, 4.0))
             study = Study(rng.uniform(-5, 5), rng.uniform(0.2, 50.0))
-            assert update_conjugate(prior, study).sigma < prior.sigma
+            assert update(prior, study).sigma < prior.sigma
 
     def test_mean_strictly_between(self):
         rng = default_rng(42)
@@ -163,13 +161,9 @@ class TestConjugate:
             est = float(rng.uniform(-5, 5))
             if est == prior.mu:
                 continue
-            post = update_conjugate(prior, Study(est, rng.uniform(0.2, 4.0)))
+            post = update(prior, Study(est, rng.uniform(0.2, 4.0)))
             lo, hi = sorted((prior.mu, est))
             assert lo < post.mu < hi
-
-    def test_rejects_non_normal_prior(self):
-        with pytest.raises(UnsupportedPriorError):
-            update_conjugate(TruncatedNormalDist(0.0, 1.0, 0.0, math.inf), Study(1.0, 1.0))
 
 
 class TestUpdateGrid:
@@ -215,7 +209,7 @@ class TestUpdateGrid:
             prior = NormalDist(rng.uniform(-3, 3), rng.uniform(0.3, 2.0))
             study = Study(rng.uniform(-3, 3), rng.uniform(0.3, 2.0))
             grid_post = update_grid(prior, study)
-            exact = update_conjugate(prior, study)
+            exact = update(prior, study)
             mean, sd = grid_post.moments()
             assert abs(mean - exact.mu) < 1e-3
             assert abs(sd - exact.sigma) < 1e-3
@@ -269,7 +263,7 @@ class TestUpdateMixture:
 
     def test_component_weights_match_marginal_likelihoods(self):
         study = Study(2.0, 1.5)
-        post = update_mixture(self.MIX, study)
+        post = update(self.MIX, study)
         raw = np.array([
             w * oracles.normal_pdf(study.estimate, comp.mu,
                                    math.hypot(comp.sigma, study.std_error))
@@ -277,13 +271,13 @@ class TestUpdateMixture:
         ])
         np.testing.assert_allclose(post.weights(), raw / raw.sum(), rtol=1e-12)
         for (_, comp), (_, prior_comp) in zip(post.components, self.MIX.components):
-            exact = update_conjugate(prior_comp, study)
+            exact = update(prior_comp, study)
             np.testing.assert_allclose(comp.mu, exact.mu, rtol=1e-12)
             np.testing.assert_allclose(comp.sigma, exact.sigma, rtol=1e-12)
 
     def test_agrees_with_grid_route(self):
         study = Study(2.0, 1.5)
-        post = update_mixture(self.MIX, study)
+        post = update(self.MIX, study)
         grid_prior = to_grid(self.MIX, -25.0, 28.0, 8192)
         grid_post = update_grid(grid_prior, study)
         m1, s1 = post.moments()
@@ -296,7 +290,7 @@ class TestUpdateMixture:
     def test_truncated_component_keeps_bounds(self):
         mix = MixtureDist(((0.5, TruncatedNormalDist(1.0, 1.0, 0.0, math.inf)),
                            (0.5, NormalDist(0.0, 2.0))))
-        post = update_mixture(mix, Study(1.5, 1.0))
+        post = update(mix, Study(1.5, 1.0))
         trunc_post = post.components[0][1]
         assert isinstance(trunc_post, TruncatedNormalDist)
         assert trunc_post.lower == 0.0
@@ -304,7 +298,7 @@ class TestUpdateMixture:
 
     def test_weights_of_truncated_and_grid_components_match_marginal_likelihoods(self):
         study = Study(0.6, 0.5)
-        post = update_mixture(THREE_FAMILY_MIX, study)
+        post = update(THREE_FAMILY_MIX, study)
         raw = np.array([w * predictive_oracle(comp, study.estimate, study.std_error)
                         for w, comp in THREE_FAMILY_MIX.components])
         np.testing.assert_allclose(post.weights(), raw / raw.sum(), rtol=1e-12)
@@ -313,7 +307,7 @@ class TestUpdateMixture:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(DegenerateError):
-                update_mixture(self.MIX, Study(1e200, 1.0))
+                update(self.MIX, Study(1e200, 1.0))
 
     def test_grid_component_that_underflows_drops(self):
         # The grid's likelihood underflows at both nodes, so its weight is 0;
@@ -321,8 +315,8 @@ class TestUpdateMixture:
         study = Study(1e200, 1.0)
         mix = MixtureDist(((0.5, NormalDist(0.0, 1e160)),
                            (0.5, GridDensity([0.0, 1.0], [0.5, 0.5]))))
-        assert update_mixture(mix, study).components == (
-            (1.0, update_conjugate(NormalDist(0.0, 1e160), study)),)
+        assert update(mix, study).components == (
+            (1.0, update(NormalDist(0.0, 1e160), study)),)
 
     def test_every_component_underflowing_raises(self):
         mix = MixtureDist(((0.5, NormalDist(0.0, 1.0)),
@@ -330,11 +324,7 @@ class TestUpdateMixture:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(DegenerateError):
-                update_mixture(mix, Study(1e200, 1.0))
-
-    def test_rejects_non_mixture(self):
-        with pytest.raises(UnsupportedPriorError):
-            update_mixture(NormalDist(0.0, 1.0), Study(0.0, 1.0))
+                update(mix, Study(1e200, 1.0))
 
 
 class TestSequential:
@@ -354,7 +344,7 @@ class TestSequential:
 
     def test_single_study_equals_conjugate(self):
         assert sequential_update(LAWN_PRIOR, [Study(2.5, 1.7)]) == [
-            update_conjugate(LAWN_PRIOR, Study(2.5, 1.7))]
+            update(LAWN_PRIOR, Study(2.5, 1.7))]
 
     def test_permutation_invariance(self):
         base = sequential_update(LAWN_PRIOR, LAWN_STUDIES)[-1]
@@ -390,10 +380,14 @@ class TestUpdateDispatch:
     MIX = MixtureDist(((0.5, NormalDist(0.0, 3.0)), (0.5, NormalDist(3.0, 1.0))))
     TRUNC = TruncatedNormalDist(0.2, 0.4, 0.0, math.inf)
 
+    GRID = THREE_FAMILY_MIX.components[2][1]
+
     def test_routes_by_family(self):
         study = Study(1.0, 1.0)
-        assert update(LAWN_PRIOR, study) == update_conjugate(LAWN_PRIOR, study)
-        assert update(self.MIX, study) == update_mixture(self.MIX, study)
+        for prior in (LAWN_PRIOR, self.MIX, self.GRID):
+            assert update(prior, study) == _bayes(prior, study)[0]
+        assert update(self.GRID, study) == update_grid(self.GRID, study)
+        # A bare truncated prior still goes through the default grid window.
         assert update(self.TRUNC, study) == update_grid(self.TRUNC, study)
 
     def test_a_window_sends_every_prior_to_the_grid(self):
@@ -484,3 +478,7 @@ class TestPredictive:
             assert math.exp(log_value) > 0.0
             expected = -0.5 * z * z - math.log(pred_sd) - 0.5 * math.log(2.0 * math.pi)
             np.testing.assert_allclose(log_value, expected, rtol=1e-9)
+
+    def test_prior_outside_the_families_is_unsupported(self):
+        with pytest.raises(UnsupportedPriorError):
+            log_predictive_density(oracles.CauchyStub(), SamplingModel(1, 1), 0.0)
