@@ -129,7 +129,7 @@ def run_replicate_paper(seed: int = 0, replicates: int = DEFAULT_REPLICATES
     appf_prior = NormalDist(0.3, 0.3)
     appf_study = Study(0.074, 0.121)
     appf_grid_post = update_grid(appf_prior, appf_study)
-    appf_w2 = wp_quantile(appf_prior, appf_grid_post, p=2.0)
+    appf_w2 = wp_quantile(appf_prior, appf_grid_post)
     add(make_check("appendixF_normal_w2", 0.27, appf_w2, 0.01))
     conj_w2 = w2_normal(appf_prior, update(appf_prior, appf_study))
     add(make_check("appendixF_normal_grid_matches_conjugate", conj_w2, appf_w2, 1e-3))
@@ -137,7 +137,7 @@ def run_replicate_paper(seed: int = 0, replicates: int = DEFAULT_REPLICATES
     # --- Appendix F, truncated reading.
     trunc_prior = TruncatedNormalDist(0.2, 0.4, lower=0.0)
     trunc_post = update_grid(trunc_prior, appf_study)
-    trunc_w2 = wp_quantile(trunc_prior, trunc_post, p=2.0)
+    trunc_w2 = wp_quantile(trunc_prior, trunc_post)
     add(make_check("appendixF_truncated_w2", 0.34, trunc_w2, 0.02))
 
     # --- Cross-method consistency.
@@ -146,7 +146,7 @@ def run_replicate_paper(seed: int = 0, replicates: int = DEFAULT_REPLICATES
     for _ in range(50):
         a, b = _random_normals(rng, 2)
         exact = w2_normal(a, b)
-        approx = wp_quantile(a, b, p=2.0)
+        approx = wp_quantile(a, b)
         if exact > 0.0:
             worst_rel = max(worst_rel, abs(approx - exact) / exact)
     add(make_check("crosscheck_quantile_vs_closed_form_max_rel", 0.0, worst_rel, 1e-4))
@@ -156,10 +156,10 @@ def run_replicate_paper(seed: int = 0, replicates: int = DEFAULT_REPLICATES
     for _ in range(20):
         x = rng.normal(rng.uniform(-2, 2), rng.uniform(0.5, 2.0), size=100)
         y = rng.normal(rng.uniform(-2, 2), rng.uniform(0.5, 2.0), size=100)
-        value = wasserstein_discrete(x, y, p=2.0)
+        value = wasserstein_discrete(x, y)
         # The same law as two empirical grids, summed over merged cumulative levels.
         mass = np.full(x.size, 1.0 / x.size)
-        grid = wp_quantile(GridDensity(np.sort(x), mass), GridDensity(np.sort(y), mass), p=2.0)
+        grid = wp_quantile(GridDensity(np.sort(x), mass), GridDensity(np.sort(y), mass))
         worst_abs = max(worst_abs, abs(value - grid))
     add(make_check("crosscheck_discrete_vs_sorted_matching_max_abs", 0.0, worst_abs, 1e-9))
 

@@ -54,6 +54,34 @@ MIN_GRID_NODES = 64
 DEFAULT_GRID_NODES = 4096
 
 
+_TINY = np.finfo(float).tiny  # the smallest normal double
+
+
+def _root_sum_sq(w: np.ndarray, *gaps: np.ndarray) -> float:
+    """sqrt(sum over gaps d of sum(w * d^2)): every W2 of quantile gaps, and
+    the mixture sd.
+
+    Where the plain sum leaves [smallest normal double, inf) and the largest
+    |d| is finite and nonzero, each d is divided by the power of two at that
+    |d| and the root multiplied back, so the result holds wherever it is
+    itself a double; inside that range no bit moves.
+    """
+    def total(ds) -> float:
+        with np.errstate(over="ignore"):
+            return float(sum(np.dot(w, d * d) for d in ds))
+
+    plain = total(gaps)
+    if _TINY <= plain < math.inf:
+        return math.sqrt(plain)
+    big = max(float(np.max(np.abs(d))) for d in gaps)
+    if big == 0.0 or not math.isfinite(big):
+        return math.sqrt(plain)
+    exp = math.frexp(big)[1]
+    root = math.sqrt(total([np.ldexp(d, -exp) for d in gaps]))
+    with np.errstate(over="ignore"):  # a root past the largest double reads inf
+        return float(np.ldexp(root, exp))
+
+
 def _as_float_array(x):
     arr = np.asarray(x, dtype=float)
     return arr, arr.ndim == 0
@@ -453,8 +481,7 @@ class GridDensity:
 
     def moments(self) -> tuple[float, float]:
         mean = float(np.dot(self.ws, self.xs))
-        var = float(np.dot(self.ws, (self.xs - mean) ** 2))
-        return mean, math.sqrt(max(var, 0.0))
+        return mean, _root_sum_sq(self.ws, self.xs - mean)
 
     def support(self) -> tuple[float, float]:
         return float(self.xs[0]), float(self.xs[-1])
@@ -607,8 +634,7 @@ class MixtureDist:
         sds = np.array([s for _, s in stats_])
         mean = float(np.dot(ws, means))
         # Law of total variance over the component label.
-        var = float(np.dot(ws, sds**2) + np.dot(ws, (means - mean) ** 2))
-        return mean, math.sqrt(max(var, 0.0))
+        return mean, _root_sum_sq(ws, sds, means - mean)
 
     def support(self) -> tuple[float, float]:
         los, his = zip(*(comp.support() for _, comp in self.components))

@@ -26,6 +26,7 @@ from .distributions import (
     MixtureDist,
     NormalDist,
     TruncatedNormalDist,
+    _root_sum_sq,
 )
 from .errors import AbsoluteContinuityError, MomentError
 from .updating import SamplingModel, log_predictive_density
@@ -49,6 +50,7 @@ DEFAULT_QUANTILE_NODES = 4096
 _ALL_MOMENTS = (NormalDist, TruncatedNormalDist, MixtureDist, GridDensity)
 # Innermost panel boundary of the endpoint-clustered quadrature.
 _T_EPS = 1e-12
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 @lru_cache(maxsize=32)
@@ -77,88 +79,78 @@ def w2_normal(a: NormalDist, b: NormalDist) -> float:
     return math.hypot(a.mu - b.mu, a.sigma - b.sigma)
 
 
-def _wp_grid_exact(a: GridDensity, b: GridDensity, p: float) -> float:
-    # Both quantile functions are steps, so |F^-1 - G^-1|^p is piecewise
+def _wp_grid_exact(a: GridDensity, b: GridDensity) -> float:
+    # Both quantile functions are steps, so (F^-1 - G^-1)^2 is piecewise
     # constant between the merged cumulative levels: sum it exactly.
     levels = np.unique(np.concatenate([a._cum, b._cum, [1.0]]))
     levels = levels[(levels > 0.0) & (levels <= 1.0)]
     widths = np.diff(np.concatenate([[0.0], levels]))
-    mids = levels - 0.5 * widths
-    qa = a.xs[np.minimum(np.searchsorted(a._cum, mids, side="left"), a.xs.size - 1)]
-    qb = b.xs[np.minimum(np.searchsorted(b._cum, mids, side="left"), b.xs.size - 1)]
-    return float(np.dot(widths, np.abs(qa - qb) ** p) ** (1.0 / p))
+    # Each step is read at its right end, the top one at the largest t below 1.
+    t = np.minimum(levels, _BELOW_ONE)
+    return _root_sum_sq(widths, a.quantile(t) - b.quantile(t))
 
 
-def _check_tail_convergence(a, b, p: float, total: float) -> None:
-    """Probe |F^-1 - G^-1|^p near the endpoints for moment divergence.
+def _check_tail_convergence(a, b, w2: float) -> None:
+    """Probe (F^-1 - G^-1)^2 near the endpoints for a divergent second moment.
 
-    For a finite p-th moment the scaled probe h(t) = |diff|^p * t must
-    decay toward the endpoint; heavy tails keep it flat or growing. The
-    probe points are fixed decades, independent of the node count.
+    For a finite second moment the scaled probe h(t) = (diff / w2)^2 * t
+    must decay toward the endpoint; heavy tails keep it flat or growing.
+    The probe points are fixed decades, independent of the node count.
     """
-    if total <= 0.0:
+    if w2 <= 0.0:
         return
     probes = 10.0 ** np.arange(-12.0, -3.9)
     for ts in (probes, 1.0 - probes):
-        diff = np.abs(np.asarray(a.quantile(ts), dtype=float)
-                      - np.asarray(b.quantile(ts), dtype=float))
-        h = diff**p * probes
+        diff = (np.asarray(a.quantile(ts), dtype=float)
+                - np.asarray(b.quantile(ts), dtype=float)) / w2
+        h = diff * diff * probes
         # h[0] sits at the most extreme probe; h[-1] is the mildest.
-        if h[0] > 0.5 * h[-1] and h[0] > 1e-9 * total:
+        if h[0] > 0.5 * h[-1] and h[0] > 1e-9:
             raise MomentError(
-                f"quantile integrand fails to decay near the endpoints; "
-                f"the order-{p:g} moment appears divergent"
+                "quantile integrand fails to decay near the endpoints; "
+                "the second moment appears divergent"
             )
 
 
-def _order(p: float) -> float:
-    p = float(p)
-    if not 1.0 <= p < math.inf:
-        raise ValueError("wasserstein order p must be finite and at least 1")
-    return p
-
-
-def wp_quantile(a, b, p: float = 2.0, nodes: int = DEFAULT_QUANTILE_NODES) -> float:
-    """Wasserstein-p via the quantile formula (int |F^-1 - G^-1|^p dt)^(1/p).
+def wp_quantile(a, b, nodes: int = DEFAULT_QUANTILE_NODES) -> float:
+    """W2 via the quantile formula (int (F^-1 - G^-1)^2 dt)^(1/2).
 
     Grid-grid pairs are summed exactly over merged cumulative levels;
     everything else uses endpoint-clustered midpoint quadrature. Inputs
     only need a vectorized ``quantile`` method. Raises MomentError when
-    the tails reveal a divergent p-th moment; the package's own families
+    the tails reveal a divergent second moment; the package's own families
     have every moment, so only other inputs are probed.
     """
-    p = _order(p)
     if isinstance(a, GridDensity) and isinstance(b, GridDensity):
-        return _wp_grid_exact(a, b, p)
+        return _wp_grid_exact(a, b)
     t, w = t_nodes(int(nodes))
-    qa = np.asarray(a.quantile(t), dtype=float)
-    qb = np.asarray(b.quantile(t), dtype=float)
-    total = float(np.dot(w, np.abs(qa - qb) ** p))
-    if not all(isinstance(d, _ALL_MOMENTS) for d in (a, b)):
-        _check_tail_convergence(a, b, p, total)
-    return total ** (1.0 / p)
+    d = np.asarray(a.quantile(t), dtype=float) - np.asarray(b.quantile(t), dtype=float)
+    value = _root_sum_sq(w, d)
+    if not all(isinstance(dist, _ALL_MOMENTS) for dist in (a, b)):
+        _check_tail_convergence(a, b, value)
+    return value
 
 
-def wasserstein_discrete(a, b, p: float = 2.0) -> float:
-    """Exact Wasserstein-p between two equal-size point clouds on the line,
-    mass 1/n on each point.
+def wasserstein_discrete(a, b) -> float:
+    """Exact W2 between two equal-size point clouds on the line, mass 1/n
+    on each point.
 
-    On the line the rank coupling is optimal for every p >= 1 (Villani 2003,
-    *Topics in Optimal Transportation*, ch. 2), so this pairs the clouds'
-    sorted points and returns the mean cost to the power 1/p.
+    On the line the rank coupling is optimal (Villani 2003, *Topics in
+    Optimal Transportation*, ch. 2), so this pairs the clouds' sorted
+    points and returns the root mean squared gap.
     """
-    p = _order(p)
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("points must be finite")
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
         raise ValueError(f"point clouds must share a nonempty (n,) shape, "
                          f"not {a.shape} and {b.shape}")
-    with np.errstate(over="ignore"):  # a difference or its p-th power past the largest double
-        total = (np.abs(np.sort(a) - np.sort(b)) ** p).sum()
-    if not math.isfinite(total):
-        raise ValueError(f"the order-{p:g} transport cost overflows")
-    return float(total / a.size) ** (1.0 / p)
+    with np.errstate(over="ignore"):  # a difference past the largest double
+        d = np.sort(a) - np.sort(b)
+    value = _root_sum_sq(np.full(a.size, 1.0 / a.size), d)
+    if not math.isfinite(value):
+        raise ValueError("the transport cost overflows")
+    return value
 
 
 def _log_mass_and_sq(p_dist, q_dist) -> tuple[float, float]:
@@ -190,6 +182,19 @@ def _log_mass_and_sq(p_dist, q_dist) -> tuple[float, float]:
     return log_mass, 2.0 * lo * mean_y + mean_y * mean_y + var_y
 
 
+def _log_sd_ratio(p_dist, q_dist, squared: bool = False) -> float:
+    """log(sigma_p / sigma_q), or twice it when ``squared``: the log of the
+    ratio (or its square) while that is a positive finite double, which keeps
+    every golden bit, else the difference of logs, as past about 1e308 (1e154
+    squared) either way the ratio leaves the doubles."""
+    ratio = p_dist.sigma / q_dist.sigma
+    if squared:
+        ratio *= ratio
+    if 0.0 < ratio < math.inf:
+        return math.log(ratio)
+    return (2.0 if squared else 1.0) * (math.log(p_dist.sigma) - math.log(q_dist.sigma))
+
+
 def kl_normal(p_dist, q_dist) -> float:
     """KL(p || q) in nats between normals or truncated normals.
 
@@ -203,11 +208,7 @@ def kl_normal(p_dist, q_dist) -> float:
         raise AbsoluteContinuityError("p's support is not inside q's")
     log_mass_q, sq_q = _log_mass_and_sq(p_dist, q_dist)
     log_mass_p, sq_p = _log_mass_and_sq(p_dist, p_dist)
-    ratio = p_dist.sigma / q_dist.sigma
-    var_ratio = ratio * ratio
-    # Past about 1e154 either way the squared ratio leaves the doubles: logs first.
-    log_var_ratio = (math.log(var_ratio) if 0.0 < var_ratio < math.inf
-                     else 2.0 * (math.log(p_dist.sigma) - math.log(q_dist.sigma)))
+    log_var_ratio = _log_sd_ratio(p_dist, q_dist, squared=True)
     # Mathematically nonnegative; clamp float residue near equality.
     return max(0.0, 0.5 * (sq_q - log_var_ratio - sq_p) + (log_mass_q - log_mass_p))
 
@@ -241,7 +242,7 @@ def lindley_normal(prior, post) -> float:
     """
     log_mass_prior, sq_prior = _log_mass_and_sq(prior, prior)
     log_mass_post, sq_post = _log_mass_and_sq(post, post)
-    return (math.log(prior.sigma / post.sigma) + (log_mass_prior - log_mass_post)
+    return (_log_sd_ratio(prior, post) + (log_mass_prior - log_mass_post)
             + 0.5 * (sq_prior - sq_post))
 
 
@@ -351,7 +352,7 @@ def learning_report(prior: Distribution1D, post: Distribution1D) -> LearningRepo
     if decomposition_exact:
         w2 = math.hypot(mean_shift, sd_shift)
     else:
-        w2 = wp_quantile(prior, post, p=2.0)
+        w2 = wp_quantile(prior, post)
 
     kl_forward = kl_reverse = lindley = None
     try:

@@ -426,7 +426,7 @@ def _batched_w2(reference: Distribution1D, priors: Sequence[Distribution1D],
                 post, _ = _bayes(prior, Study(float(y), float(se[i])))
                 if post is None:
                     raise DegenerateError(f"posterior mass underflowed everywhere at ybar {y:g}")
-                out[i, j] = wp_quantile(reference, post, p=2.0, nodes=DEFAULT_W2_NODES)
+                out[i, j] = wp_quantile(reference, post, nodes=DEFAULT_W2_NODES)
     # A row whose inner draws are all equal runs the kernel on its draws.
     draws += list(_chebyshev_w2(reference, priors, ybar, se, out, np.array(nodes, dtype=int)))
     if draws:

@@ -865,6 +865,34 @@ class TestCommandLine:
         [row] = json.loads(out.read_text(encoding="utf-8"))
         assert (row["w2"], row["normalized_w2"], row["mean_shift_sq"]) == (1e160, 1.0, None)
 
+    @pytest.mark.parametrize("prior, post, expected", [
+        # The sd ratio 1e-300 / 1e300 underflows: Lindley takes the log difference.
+        # normalized_w2 (1e600) and sd_shift_sq are past the doubles, so json null.
+        ({"type": "normal", "mu": 0, "sigma": 1e-300},
+         {"type": "normal", "mu": 0, "sigma": 1e300},
+         {"w2": 1e300, "normalized_w2": None,
+          "lindley": math.log(1e-300) - math.log(1e300)}),
+        # The squared sds and offsets overflow: the mixture sd, 1e160 sqrt(5) / 2,
+        # is scaled first. mean_shift_sq, 6.25e320, is past the doubles.
+        ({"type": "mixture", "components": [
+            {"weight": 0.5, "dist": {"type": "normal", "mu": 0, "sigma": 1e160}},
+            {"weight": 0.5, "dist": {"type": "normal", "mu": 1e160, "sigma": 1e160}}]},
+         {"type": "normal", "mu": 3e160, "sigma": 1e160},
+         {"w2": 2.5028010572224572e160, "normalized_w2": 2.2385733192431023,
+          "mean_shift_sq": None}),
+    ], ids=["sd_ratio_underflows", "mixture_squares_overflow"])
+    def test_compare_at_extreme_scales(self, tmp_path, capsys, prior, post, expected):
+        scenario = tmp_path / "extreme.json"
+        scenario.write_text(json.dumps({
+            "kind": "compare", "prior": prior, "posteriors": [{"label": "far", "dist": post}],
+        }), encoding="utf-8")
+        out = tmp_path / "extreme.json.out"
+        assert main(["compare", "--scenario", str(scenario), "--format", "json",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        [row] = json.loads(out.read_text(encoding="utf-8"))
+        assert {key: row[key] for key in expected} == pytest.approx(expected, rel=1e-12)
+
     def test_compare_truncated_prior_against_normal_is_not_exact(self, tmp_path, capsys):
         # A finite standardized bound once matched the normal's infinite one.
         scenario = tmp_path / "pair.json"

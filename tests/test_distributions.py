@@ -305,6 +305,20 @@ class TestMoments:
     def test_normal_exact(self):
         assert NormalDist(3.0, 1.5).moments() == (3.0, 1.5)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e160], ids=["squares_underflow", "squares_overflow"])
+    @pytest.mark.parametrize("family, unit_sd", [
+        # 0.5 N(0, s) + 0.5 N(s, s): mean s / 2, sd s sqrt(5) / 2.
+        (lambda s: MixtureDist([(0.5, NormalDist(0.0, s)), (0.5, NormalDist(s, s))]),
+         math.sqrt(5.0) / 2.0),
+        # Masses 1/2 at 0 and s: mean s / 2, sd s / 2.
+        (lambda s: GridDensity([0.0, s], [0.5, 0.5]), 0.5),
+    ], ids=["mixture", "grid"])
+    def test_sd_at_extreme_scales(self, family, unit_sd, scale):
+        unit_mean, sd = family(1.0).moments()
+        assert sd == pytest.approx(unit_sd, rel=1e-15)
+        mean, sd = family(scale).moments()
+        np.testing.assert_allclose([mean, sd], [scale * unit_mean, scale * unit_sd], rtol=1e-12)
+
     def test_truncated_matches_closed_form(self):
         mean, sd = TRUNC.moments()
         keep = 1.0 - special.ndtr(-0.5)

@@ -117,11 +117,11 @@ class TestW2Normal:
 
 class TestWpQuantile:
     def test_pure_location_shift(self):
-        value = wp_quantile(NormalDist(0, 1), NormalDist(2, 1), p=2.0)
+        value = wp_quantile(NormalDist(0, 1), NormalDist(2, 1))
         np.testing.assert_allclose(value, 2.0, rtol=1e-6)
 
     def test_table_row_two(self):
-        value = wp_quantile(NormalDist(0, 10), NormalDist(5, 2.5), p=2.0)
+        value = wp_quantile(NormalDist(0, 10), NormalDist(5, 2.5))
         assert abs(value - 9.01) < 0.005
         np.testing.assert_allclose(value, math.sqrt(25.0 + 56.25), rtol=1e-4)
 
@@ -131,7 +131,7 @@ class TestWpQuantile:
             mu = rng.uniform(-5, 5, size=2)
             sd = rng.uniform(0.2, 3.0, size=2)
             a, b = NormalDist(mu[0], sd[0]), NormalDist(mu[1], sd[1])
-            np.testing.assert_allclose(wp_quantile(a, b, p=2.0), w2_normal(a, b), rtol=1e-4)
+            np.testing.assert_allclose(wp_quantile(a, b), w2_normal(a, b), rtol=1e-4)
 
     def test_symmetry(self):
         a, b = NormalDist(0, 10), NormalDist(5, 2.5)
@@ -140,35 +140,45 @@ class TestWpQuantile:
     def test_truncated_prior_vs_grid_posterior_oracle(self):
         prior = TruncatedNormalDist(0.0, 2.0, 0.0, math.inf)
         post = update_grid(prior, Study(2.5, 1.7))
-        value = wp_quantile(prior, post, p=2.0, nodes=4096)
-        oracle = oracles.trapezoid_wp(prior.quantile, post.quantile, p=2.0)
+        value = wp_quantile(prior, post, nodes=4096)
+        oracle = oracles.trapezoid_wp(prior.quantile, post.quantile)
         assert abs(value - oracle) < 1e-3
 
     def test_w1_between_grids_is_cdf_area(self):
+        # A pure shift by 1: W2 equals W1, the area between the cdfs.
         a = GridDensity([0.0, 1.0], [0.5, 0.5])
         b = GridDensity([1.0, 2.0], [0.5, 0.5])
-        np.testing.assert_allclose(wp_quantile(a, b, p=1.0), 1.0, atol=1e-12)
+        np.testing.assert_allclose(wp_quantile(a, b), 1.0, atol=1e-12)
+
+    def test_grid_masses_summing_just_below_one(self):
+        # Six masses of 1/6 sum to the largest double below 1, so the top
+        # merged level, 1, has no double strictly inside its step.
+        w = np.full(6, 1.0 / 6.0)
+        assert np.cumsum(w)[-1] == np.nextafter(1.0, 0.0)
+        a, b = GridDensity(np.arange(6.0), w), GridDensity(np.arange(6.0) + 0.5, w)
+        assert wp_quantile(a, b) == 0.5
 
     def test_rejects_bad_order_or_nodes(self):
-        with pytest.raises(ValueError):
-            wp_quantile(NormalDist(0, 1), NormalDist(1, 1), p=0.5)
+        # W2 is the one metric: neither route takes an order.
+        with pytest.raises(TypeError):
+            wp_quantile(NormalDist(0, 1), NormalDist(1, 1), p=2)
+        with pytest.raises(TypeError):
+            wasserstein_discrete([0.0], [1.0], p=2)
         with pytest.raises(ValueError):
             wp_quantile(NormalDist(0, 1), NormalDist(1, 1), nodes=128)
 
     def test_heavy_tails_raise_moment_error(self):
         with pytest.raises(MomentError):
-            wp_quantile(oracles.CauchyStub(), NormalDist(0, 1), p=2.0)
+            wp_quantile(oracles.CauchyStub(), NormalDist(0, 1))
         with pytest.raises(MomentError):
-            wp_quantile(oracles.CauchyStub(), NormalDist(0, 1), p=1.0)
-        with pytest.raises(MomentError):
-            wp_quantile(oracles.StudentTStub(2.0), NormalDist(0, 1), p=2.0)
+            wp_quantile(oracles.StudentTStub(2.0), NormalDist(0, 1))
 
     def test_finite_moment_tails_do_not_raise(self):
         # Student t with df=3 has a finite second moment: W2 exists.
-        value = wp_quantile(oracles.StudentTStub(3.0, loc=1.0), oracles.StudentTStub(3.0), p=2.0)
+        value = wp_quantile(oracles.StudentTStub(3.0, loc=1.0), oracles.StudentTStub(3.0))
         assert math.isfinite(value) and value > 0.0
         # High node counts probe deeper tails but must not false-alarm.
-        fine = wp_quantile(NormalDist(0, 1), NormalDist(2, 1), p=2.0, nodes=16384)
+        fine = wp_quantile(NormalDist(0, 1), NormalDist(2, 1), nodes=16384)
         np.testing.assert_allclose(fine, 2.0, rtol=1e-7)
 
     def test_node_weights_are_a_partition(self):
@@ -180,28 +190,15 @@ class TestWpQuantile:
         np.testing.assert_allclose(t, 1.0 - t[::-1], atol=1e-15)
 
 
-class TestWassersteinOrder:
-    @pytest.mark.parametrize("p", [INF, math.nan, 0.5], ids=["inf", "nan", "half"])
-    @pytest.mark.parametrize("route", [
-        lambda p: wp_quantile(NormalDist(0, 1), NormalDist(0, 1), p=p),
-        lambda p: wp_quantile(GridDensity([0.0, 1.0], [0.5, 0.5]),
-                              GridDensity([0.0, 1.0], [0.5, 0.5]), p=p),
-        lambda p: wasserstein_discrete([0.0, 1.0], [1.0, 2.0], p=p),
-    ], ids=["quantile", "grid", "discrete"])
-    def test_order_must_be_finite_and_at_least_one(self, route, p):
-        with pytest.raises(ValueError, match="order p"):
-            route(p)
-
-
 class TestWassersteinDiscrete:
     def test_point_masses(self):
-        value = wasserstein_discrete([0.0], [3.0], p=1.0)
+        value = wasserstein_discrete([0.0], [3.0])
         np.testing.assert_allclose(value, 3.0, rtol=1e-12)
 
     def test_overlapping_uniforms(self):
-        value = wasserstein_discrete([0.0, 1.0], [1.0, 2.0], p=1.0)
+        value = wasserstein_discrete([0.0, 1.0], [1.0, 2.0])
         np.testing.assert_allclose(value, 1.0, atol=1e-9)
-        oracle = oracles.assignment_wp(np.array([0.0, 1.0]), np.array([1.0, 2.0]), p=1.0)
+        oracle = oracles.assignment_wp(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
         np.testing.assert_allclose(value, oracle, atol=1e-9)
 
     def test_empirical_agreement_across_methods(self):
@@ -211,8 +208,8 @@ class TestWassersteinDiscrete:
         assert np.all(np.diff(xa) > 0) and np.all(np.diff(xb) > 0)
         w = np.full(50, 1.0 / 50.0)
         value = wasserstein_discrete(xa, xb)
-        grid_value = wp_quantile(GridDensity(xa, w), GridDensity(xb, w), p=2.0)
-        sort_value = oracles.sorted_matching_wp(xa, xb, p=2.0)
+        grid_value = wp_quantile(GridDensity(xa, w), GridDensity(xb, w))
+        sort_value = oracles.sorted_matching_wp(xa, xb)
         assert abs(value - grid_value) < 1e-9
         assert abs(value - sort_value) < 1e-9
 
@@ -221,14 +218,13 @@ class TestWassersteinDiscrete:
         # Every third case rounds its points to integers: tied points must
         # still give an optimal cost.
         rng = default_rng([21, case])
-        p = (1.0, 2.0, 3.5)[case // 3 % 3]
         n = int(rng.integers(1, 61))
         a = rng.normal(size=n) * 3.0
         b = rng.normal(1.0, 2.0, size=n) * 3.0
         if case % 3 == 0:
             a, b = np.round(a), np.round(b)
-        value = wasserstein_discrete(a, b, p=p)
-        np.testing.assert_allclose(value, oracles.assignment_wp(a, b, p=p), rtol=1e-9)
+        value = wasserstein_discrete(a, b)
+        np.testing.assert_allclose(value, oracles.assignment_wp(a, b), rtol=1e-9)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
@@ -248,24 +244,44 @@ class TestWassersteinDiscrete:
         with pytest.raises(ValueError, match="shape"):
             wasserstein_discrete(a, b)
 
-    @pytest.mark.parametrize("a, b, p, value", [
-        ([1e155, -1e155], [-1e155, 1e155], 1.0, 0.0),
+    @pytest.mark.parametrize("a, b, value", [
+        ([1e155, -1e155], [-1e155, 1e155], 0.0),
         # Only the unmatched pairs' costs, (2e200)^2, pass the largest double.
-        ([1e200, -1e200], [-1e200, 1e200], 2.0, 0.0),
-    ], ids=["1d_swap", "unmatched_costs_overflow"])
-    def test_distances_whose_squares_overflow(self, a, b, p, value):
+        ([1e200, -1e200], [-1e200, 1e200], 0.0),
+        # The matched cost, (2e200)^2, passes it: the gaps are scaled first.
+        ([1e200], [-1e200], 2e200),
+    ], ids=["1d_swap", "unmatched_costs_overflow", "cost_overflows"])
+    def test_distances_whose_squares_overflow(self, a, b, value):
         # Every distance fits in a double though its square does not.
-        assert wasserstein_discrete(a, b, p=p) == value
+        assert wasserstein_discrete(a, b) == value
 
-    @pytest.mark.parametrize("a, b, p, message", [
-        ([math.nan, 0.0], [0.0, 1.0], 2.0, "points must be finite"),
-        ([[0.0, INF]], [[0.0, 1.0]], 2.0, "points must be finite"),
-        ([1e200], [-1e200], 2.0, "the order-2 transport cost overflows"),
-        ([1.5e308], [-1.5e308], 1.0, "the order-1 transport cost overflows"),
-    ], ids=["nan_point", "inf_point", "cost_overflows", "difference_overflows"])
-    def test_nonfinite_input_raises_before_the_solver(self, a, b, p, message):
+    @pytest.mark.parametrize("a, b, message", [
+        ([math.nan, 0.0], [0.0, 1.0], "points must be finite"),
+        ([[0.0, INF]], [[0.0, 1.0]], "points must be finite"),
+        ([1.5e308], [-1.5e308], "the transport cost overflows"),
+    ], ids=["nan_point", "inf_point", "difference_overflows"])
+    def test_nonfinite_input_raises_before_the_solver(self, a, b, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            wasserstein_discrete(a, b, p=p)
+            wasserstein_discrete(a, b)
+
+
+# Each W2 route on a pair built at unit scale and scaled by `scale`.
+W2_ROUTES = {
+    "quantile": lambda s: wp_quantile(NormalDist(0.0, s), NormalDist(s, s)),
+    "grid": lambda s: wp_quantile(GridDensity([0.0, s], [0.5, 0.5]),
+                                  GridDensity([s, 3.0 * s], [0.25, 0.75])),
+    "discrete": lambda s: wasserstein_discrete([0.0, s, -2.0 * s], [s, s, 3.0 * s]),
+}
+
+
+class TestW2AtExtremeScales:
+    @pytest.mark.parametrize("scale", [1e-200, 1e160, 1e200],
+                             ids=["squares_underflow", "squares_overflow", "squares_overflow_far"])
+    @pytest.mark.parametrize("route", list(W2_ROUTES))
+    def test_w2_scales_with_its_inputs(self, route, scale):
+        # Under warnings-as-errors: an overflowing square would also raise here.
+        value, unit = W2_ROUTES[route](scale), W2_ROUTES[route](1.0)
+        np.testing.assert_allclose(value, scale * unit, rtol=1e-12)
 
 
 class TestKl:
@@ -392,6 +408,11 @@ class TestLindley:
             total = lindley_normal(chain[0], chain[1]) + lindley_normal(chain[1], chain[2])
             assert abs(total - lindley_normal(chain[0], chain[2])) < 1e-12
 
+    def test_sd_ratio_past_the_doubles(self):
+        # The ratio 1e-300 / 1e300 underflows to 0; the log difference does not.
+        value = lindley_normal(NormalDist(0, 1e-300), NormalDist(0, 1e300))
+        np.testing.assert_allclose(value, math.log(1e-300) - math.log(1e300), rtol=1e-15)
+
     def test_grid_identity(self):
         g = to_grid(NormalDist(0, 1), -8, 8, 512)
         assert lindley_grid(g, g) == 0.0
@@ -509,7 +530,7 @@ class TestLearningReport:
         report = learning_report(prior, scaled)
         assert report.decomposition_exact
         assert abs(report.w2**2 - (report.mean_shift_sq + report.sd_shift_sq)) < 1e-9
-        oracle = oracles.quad_wp(prior.quantile, scaled.quantile, p=2.0)
+        oracle = oracles.quad_wp(prior.quantile, scaled.quantile)
         np.testing.assert_allclose(report.w2, oracle, rtol=1e-5)
         # A finite standardized bound never matches an infinite one.
         for prior, post in ((TruncatedNormalDist(0.2, 0.4, 0.0, 1.0), NormalDist(0.3, 0.5)),
