@@ -1,27 +1,12 @@
-"""Command-line surface: scenario files, analyses, and the replication harness."""
+"""Command-line surface: scenario files, analyses, and the replication harness.
 
-from .main import main, run_compare, run_prospective, run_retrospective
-from .replication import ReplicationResult, run_replicate_paper
-from .scenarios import (
-    GridSpec,
-    PosteriorSpec,
-    ProspectiveConfig,
-    Scenario,
-    load_scenario,
-    parse_scenario,
-)
+Each public name is listed once, in its submodule's ``__all__``, and
+re-exported here; ``beliefshift.cli.main`` is the entry-point function.
+"""
 
-__all__ = [
-    "GridSpec",
-    "PosteriorSpec",
-    "ProspectiveConfig",
-    "Scenario",
-    "ReplicationResult",
-    "load_scenario",
-    "parse_scenario",
-    "run_replicate_paper",
-    "run_retrospective",
-    "run_prospective",
-    "run_compare",
-    "main",
-]
+from . import main as _main, replication, scenarios
+from .main import *  # noqa: F403
+from .replication import *  # noqa: F403
+from .scenarios import *  # noqa: F403
+
+__all__ = [*scenarios.__all__, *replication.__all__, *_main.__all__]

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from ..errors import NumericError, ScenarioError
 from ..metrics import LearningReport, learning_report
-from ..prospective import DEFAULT_REPLICATES, MIN_REPLICATES, CurvePoint, weight_sweep
+from ..prospective import DEFAULT_REPLICATES, MIN_REPLICATES, ExpectedLearning, weight_sweep
 from ..updating import sequential_update, update
 from .replication import run_replicate_paper
 from .scenarios import Scenario, load_scenario
@@ -151,8 +151,9 @@ def run_retrospective(scenario: Scenario) -> list[tuple[str, LearningReport]]:
     return rows
 
 
-def run_prospective(scenario: Scenario) -> list[CurvePoint]:
-    """Weight/sample-size sweep using the scenario's prospective config and seed."""
+def run_prospective(scenario: Scenario) -> list[ExpectedLearning]:
+    """Weight/sample-size sweep using the scenario's prospective config and seed:
+    one result per (w, n) of its weights x ns, w outer and n inner."""
     cfg = scenario.prospective_config
     return weight_sweep(cfg.consensus, cfg.pioneer, cfg.sigma, cfg.weights, cfg.ns,
                         replicates=cfg.replicates, seed=scenario.seed)
@@ -213,15 +214,17 @@ def _cmd_retro(args) -> int:
 
 
 def _cmd_prospect(args) -> int:
-    points = run_prospective(_request(args, "prospective"))
+    scenario = _request(args, "prospective")
+    cfg = scenario.prospective_config
+    cells = [(w, n) for w in cfg.weights for n in cfg.ns]
+    rows = [(w, n, r.estimate, r.mc_std_error)
+            for (w, n), r in zip(cells, run_prospective(scenario))]
     _print_table(
         ["w", "n", "expected_learning", "mc_std_error"],
-        [[_fmt(pt.w), str(pt.n), _fmt(pt.expected_learning), _fmt(pt.mc_std_error)]
-         for pt in points],
+        [[_fmt(w), str(n), _fmt(mean), _fmt(se)] for w, n, mean, se in rows],
     )
     if args.out:
-        _write_out(args.out, args.format, ("w", "n", "expected_learning", "mc_std_error"),
-                   [(pt.w, pt.n, pt.expected_learning, pt.mc_std_error) for pt in points])
+        _write_out(args.out, args.format, ("w", "n", "expected_learning", "mc_std_error"), rows)
     return 0
 
 

@@ -196,16 +196,16 @@ def run_replicate_paper(seed: int = 0, replicates: int = DEFAULT_REPLICATES
         "Figure 5 prints no y-values and no observation noise sd; the sweep fixes "
         "sigma = 3 and checks shape only (monotone in w at 3 MC sigma, positive at w = 0)."
     )
-    for n in fig5_ns:
-        curve = [pt for pt in points if pt.n == n]
+    for j, n in enumerate(fig5_ns):
+        curve = points[j::len(fig5_ns)]  # w outer, n inner
         worst_drop = 0.0
         for left, right in zip(curve, curve[1:]):
-            drop = left.expected_learning - right.expected_learning
+            drop = left.estimate - right.estimate
             margin = 3.0 * math.hypot(left.mc_std_error, right.mc_std_error)
             worst_drop = max(worst_drop, drop - margin)
         add(make_check(f"figure5_monotone_in_w_n{n}", 0.0, max(0.0, worst_drop), 0.0))
         at_zero = curve[0]
-        shortfall = max(0.0, 3.0 * at_zero.mc_std_error - at_zero.expected_learning)
+        shortfall = max(0.0, 3.0 * at_zero.mc_std_error - at_zero.estimate)
         add(make_check(f"figure5_positive_at_w0_n{n}", 0.0, shortfall, 0.0))
 
     # --- Metric axioms on random normal triples.

@@ -668,6 +668,9 @@ def to_grid(d: Distribution1D, lo: float, hi: float,
         if inside.all():
             return d
         kept = d.ws[inside]
+        if kept.size < 2:
+            raise ValueError(f"grid window [{lo:g}, {hi:g}] keeps {kept.size} of the "
+                             f"density's nodes; a grid needs at least two")
         return GridDensity(d.xs[inside], kept / kept.sum())
     outside = 1.0 - (d.cdf(hi) - d.cdf(lo))
     if outside > GRID_TAIL_TOL:

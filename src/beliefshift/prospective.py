@@ -44,7 +44,6 @@ from .updating import SamplingModel, Study, _bayes, _conjugate_moments, _reweigh
 
 __all__ = [
     "ExpectedLearning",
-    "CurvePoint",
     "decision_maker_prior",
     "expected_learning_mc",
     "expected_learning_bound_sq",
@@ -91,7 +90,10 @@ _CHUNK_DRAWS = 4096  # streams and Clenshaw sums take cells in runs of this many
 
 @dataclass(frozen=True)
 class ExpectedLearning:
-    """Monte Carlo estimate of expected W2 with its sampling uncertainty."""
+    """Monte Carlo estimate of expected W2 with its sampling uncertainty.
+
+    The estimate and its standard error are finite; E[W2^2] and its
+    standard error read inf where they pass the largest double."""
 
     estimate: float
     mc_std_error: float
@@ -103,24 +105,12 @@ class ExpectedLearning:
                      "second_moment_std_error"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
+        if not (math.isfinite(self.estimate) and math.isfinite(self.mc_std_error)):
+            raise ValueError("estimate and mc_std_error must be finite")
         # Cauchy-Schwarz: a sample mean never exceeds the root of the
         # sample mean square, so only rounding may put it above, by ulps.
         if self.estimate > math.sqrt(self.second_moment) * (1.0 + 1e-12):
             raise ValueError("estimate exceeds sqrt(second_moment) beyond rounding")
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """One (weight, sample size) cell of an expected-learning sweep."""
-
-    w: float
-    n: int
-    expected_learning: float
-    mc_std_error: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.expected_learning) and math.isfinite(self.mc_std_error)):
-            raise ValueError("curve point values must be finite")
 
 
 def decision_maker_prior(consensus: Distribution1D, pioneer: Distribution1D,
@@ -454,10 +444,23 @@ def _expected_learning(reference: Distribution1D, cells,
         cols = [2 if isinstance(pred, MixtureDist) else 1 for pred in predictive[run]]
         noise = ndtri(uniforms.reshape(-1, replicates, 3)[np.arange(len(cols)), :, cols])
         ybar[run] = theta + se[run, None] * noise
-    root_n = math.sqrt(replicates)
-    return [ExpectedLearning(float(w2.mean()), float(w2.std(ddof=1)) / root_n,
-                             float((w2**2).mean()), float((w2**2).std(ddof=1)) / root_n)
-            for w2 in _batched_w2(reference, updates, ybar, se)]
+    return [_summary(w2) for w2 in _batched_w2(reference, updates, ybar, se)]
+
+
+def _summary(w2: np.ndarray) -> ExpectedLearning:
+    """The mean and second moment of one cell's W2 draws, with their standard
+    errors. The moments are taken at unit scale, w2 over the power of two at
+    its largest value, so that squares near the largest double do not
+    overflow; in range a power of two moves no bit."""
+    _, exp = math.frexp(float(w2.max()))
+    unit = np.ldexp(w2, -exp)
+    sq = unit * unit
+    root_n = math.sqrt(w2.size)
+    with np.errstate(over="ignore"):  # E[W2^2] past the largest double is inf
+        return ExpectedLearning(float(np.ldexp(unit.mean(), exp)),
+                                float(np.ldexp(unit.std(ddof=1), exp)) / root_n,
+                                float(np.ldexp(sq.mean(), 2 * exp)),
+                                float(np.ldexp(sq.std(ddof=1), 2 * exp)) / root_n)
 
 
 def expected_learning_mc(predictive_prior: Distribution1D,
@@ -495,14 +498,15 @@ def weight_sweep(consensus: Distribution1D,
                  weights: Sequence[float],
                  ns: Sequence[int],
                  replicates: int = DEFAULT_REPLICATES,
-                 seed: int = 0) -> list[CurvePoint]:
-    """Expected-learning curve over pioneer weights and sample sizes.
+                 seed: int = 0) -> list[ExpectedLearning]:
+    """Expected-learning curve over pioneer weights and sample sizes, one
+    result per (w, n) cell, w outer and n inner.
 
     For each (w, n) the decision-maker prior (weight w) is both the
     predictive and the update prior while the consensus prior is the
-    reference; the design observes n draws of noise sd ``sigma``. Point seeds
+    reference; the design observes n draws of noise sd ``sigma``. Cell seeds
     are seed + row-major index, and all cells run in one pass of the engine:
-    each point equals a direct expected_learning_mc call exactly.
+    each result equals a direct expected_learning_mc call exactly.
     """
     ns = list(ns)
     grid = [(float(w), int(n)) for w in weights for n in ns]
@@ -512,5 +516,4 @@ def weight_sweep(consensus: Distribution1D,
     for w, n in grid:
         blended = decision_maker_prior(consensus, pioneer, w)
         cells.append((blended, blended, SamplingModel(sigma, n).std_error(), seed + len(cells)))
-    results = _expected_learning(consensus, cells, replicates)
-    return [CurvePoint(w, n, r.estimate, r.mc_std_error) for (w, n), r in zip(grid, results)]
+    return _expected_learning(consensus, cells, replicates)

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 import oracles
 from beliefshift import (
-    CurvePoint,
     LearningReport,
     MixtureDist,
     NormalDist,
@@ -650,7 +649,7 @@ class TestRunProspective:
         })
         points = run_prospective(scenario)
         assert len(points) == 4
-        assert all(pt.expected_learning > 0.0 for pt in points)
+        assert all(pt.estimate > 0.0 for pt in points)
 
     def test_reads_replicates_and_seed_from_the_scenario(self, tmp_path, capsys):
         document = {
@@ -676,7 +675,7 @@ class TestRunProspective:
         path, library, by_flags = (tmp_path / f for f in ("cell.json", "lib.csv", "flags.csv"))
         path.write_text(json.dumps(document), encoding="utf-8")
         _write_out(str(library), "csv", ("w", "n", "expected_learning", "mc_std_error"),
-                   [(pt.w, pt.n, pt.expected_learning, pt.mc_std_error) for pt in points])
+                   [(0.5, 10, pt.estimate, pt.mc_std_error) for pt in points])
         assert main(["prospect", "--scenario", str(path), "--replicates", "120", "--seed", "5",
                      "--out", str(by_flags)]) == 0
         capsys.readouterr()
@@ -742,10 +741,9 @@ class TestWriteOut:
         assert path.read_text(encoding="utf-8") == f"posterior,kl_sym,w2\nmixed,,{report.w2!r}\n"
 
     def test_csv_cells(self, tmp_path):
-        points = [CurvePoint(0.0, 10, 0.5, 0.01), CurvePoint(0.1, 50, 0.75, 0.02)]
         path = self.write(tmp_path, "csv", ("w", "n", "expected_learning", "mc_std_error"),
-                          [(pt.w, pt.n, pt.expected_learning, pt.mc_std_error)
-                           for pt in points] + [(True, False, None, math.inf)])
+                          [(0.0, 10, 0.5, 0.01), (0.1, 50, 0.75, 0.02),
+                           (True, False, None, math.inf)])
         assert path.read_text(encoding="utf-8") == (
             "w,n,expected_learning,mc_std_error\n0.0,10,0.5,0.01\n0.1,50,0.75,0.02\n"
             "true,false,,inf\n")
@@ -1114,8 +1112,9 @@ class TestCommandLine:
         ({}, ["--replicates", "5"], "--replicates"),
         ({"ns": [10**400]}, [], "prospective_config.ns[0]"),
         ({"sigma": 1e-300, "ns": [10**300]}, [], "prospective_config.ns[0]"),
+        ({"replicates": 99}, [], "prospective_config.replicates"),
     ], ids=["sigma_nan", "sigma_inf", "weights_empty", "ns_empty", "sigma_zero", "n_zero",
-            "replicates_flag", "n_past_the_doubles", "std_error_underflows"])
+            "replicates_flag", "n_past_the_doubles", "std_error_underflows", "replicates_field"])
     def test_prospective_range_errors_name_the_field(self, tmp_path, capsys, change, argv, field):
         scenario = tmp_path / "cell.json"
         scenario.write_text(json.dumps({
@@ -1157,6 +1156,39 @@ class TestCommandLine:
             assert main(["compare", "--scenario", str(scenario), *argv]) == 1
         assert capsys.readouterr().err == (
             "error: grid: lo and hi must be finite, with lo strictly below hi\n")
+
+    def test_grid_window_keeping_one_node_is_named(self, tmp_path, capsys):
+        scenario = tmp_path / "window.json"
+        scenario.write_text(json.dumps({
+            "kind": "compare",
+            "prior": {"type": "grid", "xs": [0, 1, 2], "ws": [0, 1, 0]},
+            "grid": {"lo": 0.5, "hi": 1.5},
+            "posteriors": [{"study": {"estimate": 1.0, "std_error": 1.0}}],
+        }), encoding="utf-8")
+        assert main(["compare", "--scenario", str(scenario)]) == 1
+        assert capsys.readouterr().err == (
+            "error: grid window [0.5, 1.5] keeps 1 of the density's nodes; "
+            "a grid needs at least two\n")
+
+    def test_prospect_at_1e160_is_the_unit_run_scaled(self, tmp_path, capsys):
+        # Each W2 is near 1e160, so its square passes the largest double.
+        cells = {}
+        for scale in (1.0, 1e160):
+            scenario, out = tmp_path / "scaled.json", tmp_path / "scaled.csv"
+            scenario.write_text(json.dumps({
+                "kind": "prospective",
+                "prospective_config": {
+                    "consensus": {"type": "normal", "mu": 0, "sigma": scale},
+                    "pioneer": {"type": "normal", "mu": scale, "sigma": scale},
+                    "weights": [0, 1], "ns": [1], "sigma": scale, "replicates": 100,
+                },
+            }), encoding="utf-8")
+            assert main(["prospect", "--scenario", str(scenario), "--out", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            lines = out.read_text(encoding="utf-8").splitlines()[1:]
+            cells[scale] = [[float(v) for v in line.split(",")[2:]] for line in lines]
+        for far, unit in zip(cells[1e160], cells[1.0], strict=True):
+            assert all(math.isclose(f, u * 1e160, rel_tol=1e-12) for f, u in zip(far, unit))
 
     @pytest.mark.parametrize("sigma", [1e17, 1e18, 1e20])
     def test_near_constant_learning_passes_the_jensen_check(self, tmp_path, capsys, sigma):
@@ -1358,11 +1390,16 @@ class TestCommandLine:
 @pytest.mark.parametrize("package", ["beliefshift", "beliefshift.cli"])
 def test_every_package_export_is_a_submodule_export(package):
     # Per-layer timing wraps each submodule's __all__, so a name only the
-    # package exports would run untimed.
+    # package exports would run untimed. The package's list is its public
+    # submodules' lists, concatenated, each name bound to the module's object.
     pkg = importlib.import_module(package)
-    listed = set()
-    for info in pkgutil.iter_modules(pkg.__path__):
-        if not info.name.startswith("__"):
-            module = importlib.import_module(f"{package}.{info.name}")
-            listed.update(getattr(module, "__all__", ()))
-    assert set(pkg.__all__) - {"__version__"} - listed == set()
+    modules = [importlib.import_module(f"{package}.{info.name}")
+               for info in pkgutil.iter_modules(pkg.__path__)
+               if not info.name.startswith("_") and not info.ispkg]
+    exported = [name for name in pkg.__all__ if name != "__version__"]
+    assert len(set(pkg.__all__)) == len(pkg.__all__)
+    modules.sort(key=lambda module: exported.index(module.__all__[0]))
+    assert exported == [name for module in modules for name in module.__all__]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(pkg, name) is getattr(module, name), name

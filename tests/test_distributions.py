@@ -500,6 +500,20 @@ class TestToGrid:
         with pytest.raises(TailMassError):
             to_grid(g, 0.5, 2.5, 256)
 
+    def test_grid_input_keeps_its_in_window_nodes(self):
+        g = GridDensity([0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 0.5, 0.0])
+        assert to_grid(g, 0.5, 3.5, 256) == GridDensity([1.0, 2.0, 3.0], [0.5, 0.5, 0.0])
+
+    def test_grid_window_keeping_one_node_names_the_window(self):
+        g = GridDensity([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match=r"grid window \[0\.5, 1\.5\] keeps 1 of"):
+            to_grid(g, 0.5, 1.5, 256)
+
+    def test_density_vanishing_at_every_node_raises(self):
+        # All the mass lies inside the window, between two nodes.
+        with pytest.raises(TailMassError, match="density vanished"):
+            to_grid(NormalDist(0.0, 1e-100), -1.0, 1.0, 256)
+
     def test_truncated_window_respects_support(self):
         g = to_grid(TRUNC, 0.0, 3.0, 1024)
         assert g.xs.min() >= 0.0
@@ -527,6 +541,8 @@ class TestValidation:
     def test_truncated_requires_ordered_bounds(self):
         with pytest.raises(ValueError):
             TruncatedNormalDist(0.0, 1.0, 2.0, 1.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            TruncatedNormalDist(math.nan, 1.0, 0.0, 1.0)
 
     def test_truncated_far_from_the_mass_is_accepted(self):
         # 11.8 sd out the kept mass is 2e-32: small, not absent.
@@ -544,12 +560,32 @@ class TestValidation:
             GridDensity([0.0, 1.0], [0.6, 0.6])
         with pytest.raises(ValueError):
             GridDensity([0.0, 1.0], [1.2, -0.2])
+        with pytest.raises(ValueError, match="at least two nodes"):
+            GridDensity([0.0], [1.0])
+        with pytest.raises(ValueError, match="equal length"):
+            GridDensity([0.0, 1.0, 2.0], [0.5, 0.5])
+
+    def test_grid_equality_is_by_content_and_grids_only(self):
+        grid = GridDensity([0.0, 1.0], [0.5, 0.5])
+        assert grid == GridDensity(np.array([0.0, 1.0]), [0.5, 0.5])
+        assert grid != NormalDist(0.5, 0.5)
 
     def test_mixture_requires_unit_weight(self):
         with pytest.raises(ValueError):
             MixtureDist(((0.5, STD_NORMAL), (0.4, NormalDist(1.0, 1.0))))
         with pytest.raises(ValueError):
             MixtureDist(((-0.5, STD_NORMAL), (1.5, NormalDist(1.0, 1.0))))
+
+    @pytest.mark.parametrize("components, message", [
+        ((), "at least one component"),
+        ((STD_NORMAL,), "must be \\(weight, distribution\\) pairs"),
+        (((1.0, STD_NORMAL, 0.0),), "must be \\(weight, distribution\\) pairs"),
+        (((math.inf, STD_NORMAL),), "positive and finite"),
+        (((1.0, 0.5),), "unsupported mixture component type float"),
+    ], ids=["empty", "bare_component", "triple", "infinite_weight", "not_a_distribution"])
+    def test_mixture_rejects_malformed_components(self, components, message):
+        with pytest.raises(ValueError, match=message):
+            MixtureDist(components)
 
     def test_nested_mixture_flattens(self):
         inner = MixtureDist(((0.5, NormalDist(0.0, 1.0)), (0.5, NormalDist(1.0, 1.0))))

@@ -181,6 +181,10 @@ class TestWpQuantile:
         fine = wp_quantile(NormalDist(0, 1), NormalDist(2, 1), nodes=16384)
         np.testing.assert_allclose(fine, 2.0, rtol=1e-7)
 
+    def test_identical_inputs_skip_the_tail_probe(self):
+        # The probe divides by W2; at 0 there is no tail to judge.
+        assert wp_quantile(oracles.CauchyStub(), oracles.CauchyStub()) == 0.0
+
     def test_node_weights_are_a_partition(self):
         t, w = t_nodes(512)
         assert np.all((t > 0.0) & (t < 1.0))
@@ -561,6 +565,20 @@ class TestLearningReport:
         assert report.lindley is None
         assert not report.decomposition_exact
         assert report.w2 > 0.0
+
+    @pytest.mark.parametrize("prior, post", [
+        (GridDensity([0.0, 1.0, 2.0], [0.25, 0.5, 0.25]),
+         GridDensity([0.0, 1.5, 3.0], [0.5, 0.25, 0.25])),
+        # All the normal's mass lies between two nodes, where the grid reads no density.
+        (GridDensity([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25]), NormalDist(0.5, 1e-100)),
+        (GridDensity([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25]),
+         MixtureDist(((0.5, NormalDist(-0.5, 0.5)), (0.5, NormalDist(0.5, 0.5))))),
+    ], ids=["grids_on_different_nodes", "density_vanishes_on_the_grid", "grid_and_mixture"])
+    def test_grid_pairs_without_a_shared_grid_have_no_kl(self, prior, post):
+        report = learning_report(prior, post)
+        assert report.kl_forward is None and report.kl_reverse is None
+        assert report.kl_sym is None and report.lindley is None
+        assert report.w2 == wp_quantile(prior, post)
 
     @pytest.mark.parametrize("scale, mean_shift_sq", [(1e160, INF), (1e-200, 0.0)],
                              ids=["square_overflows", "square_underflows"])

@@ -13,7 +13,6 @@ from scipy.special import ndtri
 
 import oracles
 from beliefshift import (
-    CurvePoint,
     DegenerateError,
     ExpectedLearning,
     GridDensity,
@@ -212,6 +211,35 @@ class TestExpectedLearningMc:
         with pytest.raises(ValueError):
             # estimate far above sqrt(second_moment): Jensen violated.
             ExpectedLearning(2.0, 1e-6, 1.0, 1e-6)
+        # The estimate and its standard error must be finite; E[W2^2] past the
+        # largest double is honestly inf.
+        for fields in ((math.inf, 0.1, math.inf, math.inf), (0.5, math.inf, 1.0, 0.1),
+                       (0.5, math.nan, 1.0, 0.1)):
+            with pytest.raises(ValueError, match="must be finite"):
+                ExpectedLearning(*fields)
+        assert ExpectedLearning(1e160, 1e159, math.inf, math.inf).second_moment == math.inf
+
+
+    @pytest.mark.parametrize("scale", [2.0**500, 1e160], ids=["2^500", "1e160"])
+    def test_far_scales_read_the_unit_run_scaled(self, scale):
+        # Moments are taken at unit scale: a power of two moves no bit, and
+        # W2 near 1e160 keeps a finite estimate while E[W2^2] reads inf.
+        def run(s):
+            consensus, pioneer = NormalDist(0.0, s), NormalDist(s, s)
+            return [expected_learning_mc(prior, prior, consensus, SamplingModel(s, 1),
+                                         replicates=100, seed=0)
+                    for prior in (consensus, pioneer)]
+
+        for unit, far in zip(run(1.0), run(scale)):
+            if scale == 2.0**500:
+                assert far == ExpectedLearning(unit.estimate * scale, unit.mc_std_error * scale,
+                                               unit.second_moment * scale**2,
+                                               unit.second_moment_std_error * scale**2)
+            else:
+                np.testing.assert_allclose([far.estimate, far.mc_std_error],
+                                           [unit.estimate * scale, unit.mc_std_error * scale],
+                                           rtol=1e-12)
+                assert far.second_moment == far.second_moment_std_error == math.inf
 
 
 class TestReplicateStreams:
@@ -609,17 +637,24 @@ class TestWeightSweep:
         blended = decision_maker_prior(CONSENSUS, PIONEER, 0.3)
         direct = expected_learning_mc(blended, blended, CONSENSUS,
                                       SamplingModel(1.0, 20), replicates=300, seed=5)
-        assert points[0] == CurvePoint(0.3, 20, direct.estimate, direct.mc_std_error)
+        assert points[0] == direct
 
     def test_grid_shape_and_order(self):
+        # w outer, n inner; cell k runs at seed + k.
         points = weight_sweep(CONSENSUS, PIONEER, 3.0, [0.0, 1.0], [10, 50],
-                              replicates=150, seed=0)
-        assert [(pt.w, pt.n) for pt in points] == [(0.0, 10), (0.0, 50), (1.0, 10), (1.0, 50)]
+                              replicates=150, seed=4)
+        cells = [(w, n) for w in (0.0, 1.0) for n in (10, 50)]
+        assert len(points) == len(cells)
+        for k, ((w, n), point) in enumerate(zip(cells, points)):
+            blended = decision_maker_prior(CONSENSUS, PIONEER, w)
+            assert point == expected_learning_mc(blended, blended, CONSENSUS,
+                                                 SamplingModel(3.0, n), replicates=150,
+                                                 seed=4 + k)
 
     def test_learning_increases_with_pioneer_weight(self):
         points = weight_sweep(CONSENSUS, PIONEER, 3.0, [0.0, 0.5, 1.0], [10],
                               replicates=600, seed=0)
-        values = [pt.expected_learning for pt in points]
+        values = [pt.estimate for pt in points]
         gates = [3.0 * math.hypot(points[i].mc_std_error, points[i + 1].mc_std_error)
                  for i in range(2)]
         assert values[1] > values[0] - gates[0]
@@ -629,13 +664,13 @@ class TestWeightSweep:
     def test_positive_learning_at_zero_weight(self):
         points = weight_sweep(CONSENSUS, PIONEER, 3.0, [0.0], [10],
                               replicates=600, seed=0)
-        assert points[0].expected_learning > 3.0 * points[0].mc_std_error
+        assert points[0].estimate > 3.0 * points[0].mc_std_error
 
     def test_w0_estimate_respects_jensen_bound(self):
         points = weight_sweep(CONSENSUS, PIONEER, 1.0, [0.0], [10],
                               replicates=2000, seed=0)
         ceiling = math.sqrt(expected_learning_bound_sq(CONSENSUS.sigma, 1.0, 10))
-        assert points[0].expected_learning <= ceiling + 3.0 * points[0].mc_std_error
+        assert points[0].estimate <= ceiling + 3.0 * points[0].mc_std_error
 
     def test_empty_lists_rejected(self):
         with pytest.raises(ValueError):
@@ -643,6 +678,3 @@ class TestWeightSweep:
         with pytest.raises(ValueError):
             weight_sweep(CONSENSUS, PIONEER, 1.0, [0.5], [])
 
-    def test_curve_point_validation(self):
-        with pytest.raises(ValueError):
-            CurvePoint(0.5, 10, math.inf, 0.1)

@@ -392,7 +392,7 @@ class TestUpdateDispatch:
 
     def test_a_window_sends_every_prior_to_the_grid(self):
         study = Study(1.0, 1.0)
-        for prior in (LAWN_PRIOR, self.MIX, self.TRUNC):
+        for prior in (LAWN_PRIOR, self.MIX, self.TRUNC, THREE_FAMILY_MIX):
             post = update(prior, study, -40.0, 40.0, 512)
             assert post == update_grid(prior, study, -40.0, 40.0, 512)
 
