@@ -211,14 +211,6 @@ class TestExpectedLearningMc:
         with pytest.raises(ValueError):
             # estimate far above sqrt(second_moment): Jensen violated.
             ExpectedLearning(2.0, 1e-6, 1.0, 1e-6)
-        # The estimate and its standard error must be finite; E[W2^2] past the
-        # largest double is honestly inf.
-        for fields in ((math.inf, 0.1, math.inf, math.inf), (0.5, math.inf, 1.0, 0.1),
-                       (0.5, math.nan, 1.0, 0.1)):
-            with pytest.raises(ValueError, match="must be finite"):
-                ExpectedLearning(*fields)
-        assert ExpectedLearning(1e160, 1e159, math.inf, math.inf).second_moment == math.inf
-
 
     @pytest.mark.parametrize("scale", [2.0**500, 1e160], ids=["2^500", "1e160"])
     def test_far_scales_read_the_unit_run_scaled(self, scale):
@@ -678,3 +670,11 @@ class TestWeightSweep:
         with pytest.raises(ValueError):
             weight_sweep(CONSENSUS, PIONEER, 1.0, [0.5], [])
 
+    def test_curve_point_validation(self):
+        # A sweep cell is an ExpectedLearning: its estimate and standard error
+        # must be finite; E[W2^2] past the largest double is honestly inf.
+        for fields in ((math.inf, 0.1, math.inf, math.inf), (0.5, math.inf, 1.0, 0.1),
+                       (0.5, math.nan, 1.0, 0.1)):
+            with pytest.raises(ValueError, match="must be finite"):
+                ExpectedLearning(*fields)
+        assert ExpectedLearning(1e160, 1e159, math.inf, math.inf).second_moment == math.inf
